@@ -129,7 +129,8 @@ def cmd_ree(args) -> int:
     _emit({"cut": args.cut, "alpha": args.alpha, "variant": args.variant,
            "value": res.value, "converged": res.converged,
            "restarts_used": res.restarts_used,
-           "iterations": res.iterations}, args.format)
+           "iterations": res.iterations, "evaluations": res.evaluations},
+          args.format)
     return EXIT_OK if res.converged else EXIT_NUMERIC
 
 

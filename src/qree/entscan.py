@@ -31,7 +31,7 @@ import numpy as np
 
 from .qmat import Bipartition, partial_trace
 from .renyi import RenyiParameter
-from .sepstates import OptimizerOptions, REEResult, ree
+from .sepstates import ALGORITHM_VERSION, OptimizerOptions, REEResult, ree
 from .spinchain import ModelParams, hamiltonian, thermal_state
 
 CUT_1_23 = Bipartition(2, 4)
@@ -186,7 +186,7 @@ def parse_rows(text: str) -> list[SweepRow]:
 
 
 # ----------------------------------------------------------------------
-# cache: append-only jsonl files plus a best-effort index
+# cache: append-only jsonl files
 
 def _point_seed(config_seed: int, grid_idx: int, alpha_idx: int) -> int:
     ss = np.random.SeedSequence([int(config_seed), grid_idx, alpha_idx])
@@ -203,6 +203,7 @@ def _cache_key(model: str, params: ModelParams, temp: float, p: RenyiParameter,
         "variant": p.variant,
         "opts": {f.name: getattr(opts, f.name) for f in fields(opts)},
         "seed": seed,
+        "algorithm": ALGORITHM_VERSION,
     }, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -256,15 +257,6 @@ class SweepCache:
         self.entries[key] = row
         with open(self._run_file, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"key": key, "row": _row_to_json(row)}) + "\n")
-
-    def write_index(self) -> None:
-        index = {key: self._run_file for key in self.entries}
-        try:
-            with open(os.path.join(self.dir, "index.json"), "w",
-                      encoding="utf-8") as fh:
-                json.dump({"entries": len(self.entries), "keys": index}, fh)
-        except OSError as exc:  # index is advisory only
-            warnings.warn(f"could not refresh cache index: {exc}")
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +318,6 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
         rows[(gi, ai)] = row
         if cache is not None and key is not None:
             cache.put(key, row)
-    if cache is not None:
-        cache.write_index()
 
     ordered = [rows[(gi, ai)] for gi in range(len(config.grid))
                for ai in range(len(config.alphas))]

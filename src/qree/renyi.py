@@ -169,8 +169,16 @@ def sand_rel_entropy(rho: np.ndarray, sigma: np.ndarray, alpha: float,
     s_c = (vs * np.maximum(ws, floor) ** c) @ vs.conj().T
     m = s_c @ rho @ s_c
     wm = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    tr = float(np.sum(np.maximum(wm, 0.0) ** alpha))
+    tr = float(np.sum(_drop_rounding_zeros(wm) ** alpha))
     return math.log(tr) / (alpha - 1.0)
+
+
+def _drop_rounding_zeros(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues along the last axis, with those within
+    rounding of zero set to zero: raised to a power alpha < 1, rounding
+    noise of 1e-17 would count as 1e-17**alpha (3e-9 at alpha = 1/2)."""
+    cutoff = w.shape[-1] * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
+    return np.where(w > cutoff, w, 0.0)
 
 
 def rel_entropy(rho: np.ndarray, sigma: np.ndarray, p: RenyiParameter,

@@ -14,6 +14,16 @@ backtracking line search do the minimization.  Non-convexity in the
 parameters is handled by independent seeded restarts; the reported value
 is the best restart, which upper-bounds the true minimum.
 
+Everything runs on batches: one ansatz kernel maps B parameter sets to B
+states, and one objective evaluates B divergences per call.  All restarts
+of one ``ree`` descend in lockstep as the rows of one batch, each with its
+own Barzilai-Borwein step, Armijo test, convergence flag and iteration
+count, and leave the batch once converged.  The line search evaluates a
+ladder of trial steps (t, t/2, t/4) per restart in one call and takes the
+largest that passes, the step halving one trial at a time would take; the
+gradient there continues from that evaluation.  A restart's trajectory
+does not depend on which other restarts share its batch.
+
 Gradients: central finite differences are the reference; the default
 analytic gradient (divided-difference derivatives of the matrix functions
 chained through the parametrization) is required by the test suite to
@@ -22,7 +32,8 @@ match finite differences to 1e-4 relative error.
 The internal objective is always finite: sigma eigenvalues are floored
 inside logs and negative powers, which turns a KL support mismatch into a
 large smooth penalty the optimizer can descend away from.  The reported
-value is re-evaluated with the user-facing divergence at the end.
+value is re-evaluated with the user-facing divergence at the end (see
+``ree``).
 """
 
 from __future__ import annotations
@@ -33,12 +44,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import Bipartition, eig_hermitian
-from .renyi import (TRADITIONAL, RenyiParameter, rel_entropy,
-                    von_neumann_entropy)
+from .renyi import (TRADITIONAL, RenyiParameter, _drop_rounding_zeros,
+                    rel_entropy, von_neumann_entropy)
 
 # beyond this alpha the sandwiched divergence is effectively its
 # alpha -> infinity limit; refuse rather than return noise
 SANDWICHED_ALPHA_CAP = 64.0
+
+# trial steps t, t/2, ... per line-search call, and per iteration before a
+# restart counts as stationary (a multiple of LADDER)
+LADDER = 3
+MAX_HALVINGS = 60
+
+# share of the maximally mixed state in the closest state (see ``ree``)
+CLOSEST_STATE_MIXING = 1e-9
+
+# Sweep caches key on this; bump it whenever a change can move an optimizer
+# result.  Version 1 ran restarts one after another, one trial step a call.
+ALGORITHM_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -86,9 +109,24 @@ class SeparableAnsatz:
         return len(self.logits)
 
 
+@dataclass(frozen=True)
+class RestartRecord:
+    """How one restart ended.  ``value`` is its floored objective, which
+    ranks restarts; ``evaluations`` counts the parameter rows the objective
+    was evaluated at (each ladder rung, 2n per finite-difference gradient)."""
+
+    seed: int
+    value: float
+    iterations: int
+    evaluations: int
+    converged: bool
+
+
 @dataclass
 class REEResult:
-    """Outcome of one relative-entropy-of-entanglement minimization."""
+    """Outcome of one relative-entropy-of-entanglement minimization.
+    ``converged`` and ``iterations`` describe the best restart,
+    ``evaluations`` sums over ``restarts``, one record per restart."""
 
     value: float
     closest_state: np.ndarray
@@ -96,25 +134,34 @@ class REEResult:
     restarts_used: int
     best_restart_seed: int
     iterations: int
+    evaluations: int
+    restarts: tuple[RestartRecord, ...]
 
 
-def weights_from_logits(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _mixtures(logits: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray):
+    """The ansatz kernel: (B, K) logits with (B, K, dim_a) and (B, K, dim_b)
+    vectors to the (B, d, d) states sum_k w_k |psi_k><psi_k|, Hermitian up
+    to rounding, of the products psi_k = a_k (x) b_k with the normalization
+    folded into the weights, w_k = p_k / (|a_k|^2 |b_k|^2).  Also returns
+    (p, w, |a|^2, |b|^2, psi), which the parameter gradient continues from.
+    """
+    na2 = (vectors_a.real ** 2 + vectors_a.imag ** 2).sum(axis=-1)
+    nb2 = (vectors_b.real ** 2 + vectors_b.imag ** 2).sum(axis=-1)
+    if na2.min() < 1e-60 or nb2.min() < 1e-60:
+        raise ValueError("ansatz contains a zero component vector")
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    w = p / (na2 * nb2)
+    psi = (vectors_a[..., :, None] * vectors_b[..., None, :]).reshape(p.shape + (-1,))
+    q = psi.conj()
+    q *= w[..., None]
+    return psi.swapaxes(1, 2) @ q, (p, w, na2, nb2, psi)
 
 
 def realize(ansatz: SeparableAnsatz) -> np.ndarray:
     """Assemble the density matrix sum_k p_k |a_k b_k><a_k b_k|."""
-    na = np.linalg.norm(ansatz.vectors_a, axis=1)
-    nb = np.linalg.norm(ansatz.vectors_b, axis=1)
-    if np.any(na < 1e-30) or np.any(nb < 1e-30):
-        raise ValueError("ansatz contains a zero component vector")
-    a = ansatz.vectors_a / na[:, None]
-    b = ansatz.vectors_b / nb[:, None]
-    p = weights_from_logits(np.asarray(ansatz.logits, dtype=float))
-    psi = np.einsum("ki,kj->kij", a, b).reshape(ansatz.components, -1)
-    sigma = np.einsum("k,ki,kj->ij", p, psi, psi.conj())
-    return 0.5 * (sigma + sigma.conj().T)
+    return _mixtures(np.asarray(ansatz.logits, dtype=float)[None],
+                     ansatz.vectors_a[None], ansatz.vectors_b[None])[0][0]
 
 
 def random_ansatz(cut: Bipartition, components: int, rng: np.random.Generator) -> SeparableAnsatz:
@@ -128,55 +175,41 @@ def random_ansatz(cut: Bipartition, components: int, rng: np.random.Generator) -
     )
 
 
-# ----------------------------------------------------------------------
-# parameter packing: theta = [logits | Re a | Im a | Re b | Im b]
-
-def _pack(ansatz: SeparableAnsatz) -> np.ndarray:
-    return np.concatenate([
-        np.asarray(ansatz.logits, dtype=float),
-        ansatz.vectors_a.real.ravel(), ansatz.vectors_a.imag.ravel(),
-        ansatz.vectors_b.real.ravel(), ansatz.vectors_b.imag.ravel(),
-    ])
-
-
-def _unpack(theta: np.ndarray, cut: Bipartition, k: int) -> SeparableAnsatz:
-    da, db = cut.dim_a, cut.dim_b
-    logits, a_re, a_im, b_re, b_im = np.split(
-        theta, np.cumsum([k, k * da, k * da, k * db]))
-    return SeparableAnsatz(
-        cut=cut,
-        logits=logits.copy(),
-        vectors_a=(a_re + 1j * a_im).reshape(k, da),
-        vectors_b=(b_re + 1j * b_im).reshape(k, db),
-    )
-
-
-def _realize_batch(thetas: np.ndarray, cut: Bipartition, k: int) -> np.ndarray:
-    """Vectorized realize() over a (B, n_params) batch of parameter vectors."""
-    da, db = cut.dim_a, cut.dim_b
-    bsz = thetas.shape[0]
-    logits = thetas[:, :k]
-    a = (thetas[:, k:k + k * da] + 1j * thetas[:, k + k * da:k + 2 * k * da]).reshape(bsz, k, da)
-    off = k + 2 * k * da
-    b = (thetas[:, off:off + k * db] + 1j * thetas[:, off + k * db:]).reshape(bsz, k, db)
-    a = a / np.linalg.norm(a, axis=2, keepdims=True)
-    b = b / np.linalg.norm(b, axis=2, keepdims=True)
-    p = weights_from_logits(logits)
-    psi = np.einsum("bki,bkj->bkij", a, b).reshape(bsz, k, da * db)
-    sig = np.einsum("bk,bki,bkj->bij", p, psi, psi.conj())
-    return 0.5 * (sig + sig.conj().transpose(0, 2, 1))
+def _stack(ansatze: list[SeparableAnsatz]) -> np.ndarray:
+    """(B, n) real parameter rows [logits | a | b], complex entries as
+    (re, im) pairs, which ``_Objective.split`` views without copying."""
+    return np.stack([np.concatenate([
+        np.asarray(ans.logits, dtype=float),
+        np.asarray(ans.vectors_a, dtype=complex).ravel().view(float),
+        np.asarray(ans.vectors_b, dtype=complex).ravel().view(float),
+    ]) for ans in ansatze])
 
 
 # ----------------------------------------------------------------------
-# divergence objective with a fixed rho: value, batched value, and
-# analytic gradient with respect to sigma
+# divergence objective with a fixed rho, on batches: values from sigma
+# eigenpairs, the gradient in sigma, and both for parameter rows
+
+def _divided_diff(w: np.ndarray, g: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    """First divided differences of the floored scalar function, (B, d, d)."""
+    wi, wj = w[:, :, None], w[:, None, :]
+    dw = wi - wj
+    near = np.abs(dw) < 1e-8 * (1.0 + np.abs(wi) + np.abs(wj))
+    return np.where(near, 0.5 * (gp[:, :, None] + gp[:, None, :]),
+                    (g[:, :, None] - g[:, None, :]) / np.where(near, 1.0, dw))
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(1, 2)
+
 
 class _Objective:
-    def __init__(self, rho: np.ndarray, p: RenyiParameter, floor: float):
-        self.p = p
+    def __init__(self, rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
+                 floor: float):
+        self.cut = cut
         self.alpha = p.alpha
         self.floor = floor
         self.rho = np.asarray(rho, dtype=complex)
+        self.rho_pow = self.rho     # rho ** alpha, for KL and traditional
         if p.is_kl:
             self.kind = "kl"
             self.s_rho = von_neumann_entropy(rho)
@@ -188,221 +221,183 @@ class _Objective:
             self.kind = "sand"
             self.c = (1.0 - self.alpha) / (2.0 * self.alpha)
 
-    # -- single evaluation ------------------------------------------------
-    def value(self, sigma: np.ndarray) -> float:
-        ws, vs = np.linalg.eigh(sigma)
-        if self.kind == "kl":
-            occ = np.sum(vs.conj() * (self.rho @ vs), axis=0).real
-            return float(-self.s_rho - occ @ np.log(np.maximum(ws, self.floor)))
-        if self.kind == "trad":
-            g = np.maximum(ws, self.floor) ** (1.0 - self.alpha)
-            occ = np.sum(vs.conj() * (self.rho_pow @ vs), axis=0).real
-            return math.log(occ @ g) / (self.alpha - 1.0)
-        g = np.maximum(ws, self.floor) ** self.c
-        s = (vs * g) @ vs.conj().T
-        m = s @ self.rho @ s
-        wm = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        tr = float(np.sum(np.maximum(wm, 0.0) ** self.alpha))
-        return math.log(tr) / (self.alpha - 1.0)
-
-    def value_batch(self, sigmas: np.ndarray) -> np.ndarray:
-        ws, vs = np.linalg.eigh(sigmas)
-        if self.kind == "kl":
-            occ = np.einsum("bji,jk,bki->bi", vs.conj(), self.rho, vs).real
-            cross = np.sum(occ * np.log(np.maximum(ws, self.floor)), axis=1)
-            return -self.s_rho - cross
-        if self.kind == "trad":
-            g = np.maximum(ws, self.floor) ** (1.0 - self.alpha)
-            occ = np.einsum("bji,jk,bki->bi", vs.conj(), self.rho_pow, vs).real
-            tr = np.sum(occ * g, axis=1)
-            return np.log(tr) / (self.alpha - 1.0)
-        g = np.maximum(ws, self.floor) ** self.c
-        s = np.einsum("bik,bk,bjk->bij", vs, g, vs.conj())
-        m = s @ self.rho @ s
-        wm = np.linalg.eigvalsh(0.5 * (m + m.conj().transpose(0, 2, 1)))
-        tr = np.sum(np.maximum(wm, 0.0) ** self.alpha, axis=1)
+    # -- in sigma, from its (B, d) eigenvalues and (B, d, d) eigenvectors ----
+    def divergence(self, ws: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """(B,) floored divergences."""
+        wf = np.maximum(ws, self.floor)
+        if self.kind == "sand":
+            s = (vs * wf[:, None, :] ** self.c) @ _adjoint(vs)
+            wm = np.linalg.eigvalsh(s @ self.rho @ s)
+            tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
+        else:
+            occ = (vs.conj() * (self.rho_pow @ vs)).sum(axis=1).real
+            if self.kind == "kl":
+                return -self.s_rho - (occ * np.log(wf)).sum(axis=1)
+            tr = (occ * wf ** (1.0 - self.alpha)).sum(axis=1)
         return np.log(tr) / (self.alpha - 1.0)
 
-    # -- gradient with respect to sigma -----------------------------------
-    def _divided_diff(self, w: np.ndarray, g: np.ndarray, gp: np.ndarray) -> np.ndarray:
-        """First divided differences of the floored scalar function."""
-        dw = w[:, None] - w[None, :]
-        dg = g[:, None] - g[None, :]
-        near = np.abs(dw) < 1e-8 * (1.0 + np.abs(w[:, None]) + np.abs(w[None, :]))
-        safe = np.where(near, 1.0, dw)
-        phi = np.where(near, 0.5 * (gp[:, None] + gp[None, :]), dg / safe)
-        return phi
-
-    def grad_sigma(self, sigma: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective value and its Hermitian gradient dF/d(sigma)."""
-        ws, vs = eig_hermitian(sigma)
+    def _sigma_grad(self, ws: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """(B, d, d) gradients dD/d(sigma), Hermitian up to rounding."""
+        vh = _adjoint(vs)
         f = self.floor
         wf = np.maximum(ws, f)
         live = ws > f
         if self.kind == "kl":
             g, gp = np.log(wf), np.where(live, 1.0 / wf, 0.0)
-            occ = vs.conj().T @ self.rho @ vs
-            val = -self.s_rho - float(np.sum(np.diagonal(occ).real * g))
-            grad = -vs @ (occ * self._divided_diff(ws, g, gp)) @ vs.conj().T
-        elif self.kind == "trad":
+            return -(vs @ ((vh @ self.rho @ vs) * _divided_diff(ws, g, gp)) @ vh)
+        if self.kind == "trad":
             e = 1.0 - self.alpha
             g, gp = wf ** e, np.where(live, e * wf ** (e - 1.0), 0.0)
-            occ = vs.conj().T @ self.rho_pow @ vs
-            tr = float(np.sum(np.diagonal(occ).real * g))
-            val = math.log(tr) / (self.alpha - 1.0)
-            grad = vs @ (occ * self._divided_diff(ws, g, gp)) @ vs.conj().T
-            grad /= (self.alpha - 1.0) * tr
+            occ = vh @ self.rho_pow @ vs
+            tr = (np.diagonal(occ, axis1=1, axis2=2).real * g).sum(axis=1)
         else:
             g, gp = wf ** self.c, np.where(live, self.c * wf ** (self.c - 1.0), 0.0)
-            s = (vs * g) @ vs.conj().T
-            m = s @ self.rho @ s
-            wm, vm = eig_hermitian(0.5 * (m + m.conj().T))
-            wm_pos = np.maximum(wm, 0.0)
-            tr = float(np.sum(wm_pos ** self.alpha))
-            val = math.log(tr) / (self.alpha - 1.0)
+            s = (vs * g[:, None, :]) @ vh
+            wm, vm = np.linalg.eigh(s @ self.rho @ s)
+            tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
             hp = self.alpha * np.maximum(wm, f) ** (self.alpha - 1.0)
-            hprime = (vm * hp) @ vm.conj().T
-            w_mat = self.rho @ s @ hprime + hprime @ s @ self.rho
-            occ = vs.conj().T @ w_mat @ vs
-            grad = vs @ (occ * self._divided_diff(ws, g, gp)) @ vs.conj().T
-            grad /= (self.alpha - 1.0) * tr
-        return val, 0.5 * (grad + grad.conj().T)
+            half = self.rho @ s @ ((vm * hp[:, None, :]) @ _adjoint(vm))
+            occ = vh @ (half + _adjoint(half)) @ vs
+        grad = vs @ (occ * _divided_diff(ws, g, gp)) @ vh
+        return grad / ((self.alpha - 1.0) * tr)[:, None, None]
 
+    # -- in parameter rows ----------------------------------------------------
+    def split(self, theta: np.ndarray):
+        """Views (logits, vectors_a, vectors_b) of (B, n) parameter rows."""
+        rows, n = theta.shape
+        k = n // (1 + 2 * (self.cut.dim_a + self.cut.dim_b))
+        end_a = k * (1 + 2 * self.cut.dim_a)
+        return (theta[:, :k],
+                theta[:, k:end_a].view(complex).reshape(rows, k, self.cut.dim_a),
+                theta[:, end_a:].view(complex).reshape(rows, k, self.cut.dim_b))
 
-class _ParamObjective:
-    """The objective as a function of packed parameters, with gradients."""
+    def value(self, theta: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """(B,) values of parameter rows, and the evaluation ``gradient``
+        continues from: the rows, the ansatz parts and sigma's eigenpairs."""
+        sigma, parts = _mixtures(*self.split(theta))
+        ws, vs = np.linalg.eigh(sigma)
+        return self.divergence(ws, vs), (theta, *parts, ws, vs)
 
-    def __init__(self, rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
-                 opts: OptimizerOptions):
-        self.cut = cut
-        self.k = opts.n_components(cut)
-        self.h = opts.grad_step
-        self.mode = opts.gradient
-        self.obj = _Objective(rho, p, opts.floor)
-        self.n_params = self.k * (1 + 2 * cut.dim_a + 2 * cut.dim_b)
-        self.evals = 0
+    def gradient(self, ev: tuple, opts: OptimizerOptions) -> np.ndarray:
+        """(B, n) gradients at an evaluation, analytic or by central
+        differences (2n further values per row)."""
+        theta, p, w, na2, nb2, psi, ws, vs = ev
+        if opts.gradient == "fd":
+            return self._fd_grad(theta, opts.grad_step)
+        grad_s = self._sigma_grad(ws, vs)
+        _, a, b = self.split(theta)
+        rows, k, da = a.shape
+        # dD/dp_k = c_k w_k / p_k; in a_k, 2 w_k times the part of r_k =
+        # (1 (x) b_k^dag) G psi_k orthogonal to a_k (likewise for b_k)
+        u = psi @ grad_s.swapaxes(1, 2)            # row k holds G psi_k
+        c = (psi.conj() * u).sum(axis=2).real
+        u4 = u.reshape(rows, k, da, -1)
+        r = (u4 @ b.conj()[..., None])[..., 0]
+        s_vec = (a.conj()[..., None, :] @ u4)[..., 0, :]
+        ga = (2 * w)[..., None] * (r - (c / na2)[..., None] * a)
+        gb = (2 * w)[..., None] * (s_vec - (c / nb2)[..., None] * b)
+        wc = w * c
+        g_logits = wc - p * wc.sum(axis=1, keepdims=True)
+        return np.concatenate([g_logits, ga.reshape(rows, -1).view(float),
+                               gb.reshape(rows, -1).view(float)], axis=1)
 
-    def _parts(self, theta: np.ndarray):
-        """Normalized component vectors, weights, and product vectors."""
-        k, da, db = self.k, self.cut.dim_a, self.cut.dim_b
-        la = k * da
-        a = (theta[k:k + la] + 1j * theta[k + la:k + 2 * la]).reshape(k, da)
-        off = k + 2 * la
-        b = (theta[off:off + k * db] + 1j * theta[off + k * db:]).reshape(k, db)
-        na = np.sqrt(np.sum(a.real**2 + a.imag**2, axis=1))
-        nb = np.sqrt(np.sum(b.real**2 + b.imag**2, axis=1))
-        a = a / na[:, None]
-        b = b / nb[:, None]
-        logits = theta[:k]
-        e = np.exp(logits - logits.max())
-        p = e / e.sum()
-        psi = (a[:, :, None] * b[:, None, :]).reshape(k, da * db)
-        return a, b, na, nb, p, psi
-
-    def _sigma(self, theta: np.ndarray) -> np.ndarray:
-        _, _, _, _, p, psi = self._parts(theta)
-        sigma = psi.T @ (p[:, None] * psi.conj())
-        return 0.5 * (sigma + sigma.conj().T)
-
-    def value(self, theta: np.ndarray) -> float:
-        self.evals += 1
-        return self.obj.value(self._sigma(theta))
-
-    def value_many(self, thetas: np.ndarray) -> np.ndarray:
-        self.evals += len(thetas)
-        return self.obj.value_batch(_realize_batch(thetas, self.cut, self.k))
-
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        if self.mode == "fd":
-            return self.value(theta), self.fd_gradient(theta)
-        return self.analytic_value_and_grad(theta)
-
-    def fd_gradient(self, theta: np.ndarray) -> np.ndarray:
+    def _fd_grad(self, theta: np.ndarray, h: float) -> np.ndarray:
         """Central finite differences, evaluated as one batched sweep."""
-        h = self.h
-        n = self.n_params
-        thetas = np.repeat(theta[None], 2 * n, axis=0)
+        rows, n = theta.shape
         idx = np.arange(n)
-        thetas[idx, idx] += h
-        thetas[n + idx, idx] -= h
-        vals = self.value_many(thetas)
-        return (vals[:n] - vals[n:]) / (2 * h)
-
-    def analytic_gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.analytic_value_and_grad(theta)[1]
-
-    def analytic_value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        self.evals += 1
-        k, da, db = self.k, self.cut.dim_a, self.cut.dim_b
-        a, b, na, nb, p, psi = self._parts(theta)
-        sigma = psi.T @ (p[:, None] * psi.conj())
-        val, grad_s = self.obj.grad_sigma(0.5 * (sigma + sigma.conj().T))
-
-        u = psi @ grad_s.T            # row k holds grad_s @ psi_k
-        c = np.sum(psi.conj() * u, axis=1).real
-        g_logits = p * (c - float(p @ c))
-        u3 = u.reshape(k, da, db)
-        r = np.sum(u3 * b.conj()[:, None, :], axis=2)
-        s_vec = np.sum(u3 * a.conj()[:, :, None], axis=1)
-        proj_a = np.sum(r.conj() * a, axis=1).real
-        proj_b = np.sum(s_vec.conj() * b, axis=1).real
-        ga = (2 * p / na)[:, None] * (r - proj_a[:, None] * a)
-        gb = (2 * p / nb)[:, None] * (s_vec - proj_b[:, None] * b)
-        grad = np.concatenate([g_logits, ga.real.ravel(), ga.imag.ravel(),
-                               gb.real.ravel(), gb.imag.ravel()])
-        return val, grad
+        thetas = np.repeat(theta[:, None, :], 2 * n, axis=1)
+        thetas[:, idx, idx] += h
+        thetas[:, n + idx, idx] -= h
+        vals = self.value(thetas.reshape(-1, n))[0].reshape(rows, 2 * n)
+        return (vals[:, :n] - vals[:, n:]) / (2 * h)
 
 
 # ----------------------------------------------------------------------
 # descent loop
 
-def _descend(fn: _ParamObjective, theta: np.ndarray, opts: OptimizerOptions
-             ) -> tuple[float, np.ndarray, int, bool]:
-    """Gradient descent with Armijo backtracking line search.
+_RUNGS = 0.5 ** np.arange(LADDER)
 
-    The trial step is the Barzilai-Borwein estimate from the previous
-    accepted step (falling back to doubling), then halved until the
-    sufficient-decrease test passes.  Convergence is declared when the
-    objective improves by less than ``tol_objective`` over a sweep of 10
-    iterations.  Returns (best value, best theta, iterations, converged).
+
+def _line_search(obj: _Objective, theta: np.ndarray, f: np.ndarray,
+                 g: np.ndarray, gsq: np.ndarray, t: np.ndarray):
+    """Armijo backtracking from trial steps ``t``, one row per restart.
+
+    Each objective call evaluates LADDER halvings of the step for every row
+    still searching; a row takes its largest step with sufficient decrease.
+    Returns the rows that found a step (none with a vanishing gradient or
+    after MAX_HALVINGS trials) in the order found, their steps, values and
+    evaluations there, and the objective evaluations spent on every row.
     """
-    f, g = fn.value_and_grad(theta)
-    step = 1.0
-    sweep_ref = f
-    converged = False
-    it = 0
+    n = theta.shape[1]
+    evals = np.zeros(len(theta), dtype=int)
+    todo = np.flatnonzero(gsq >= 1e-28)
+    if not todo.size:
+        return todo, None, None, None, evals
+    t = t[todo]
+    found = []
+    for _ in range(MAX_HALVINGS // LADDER):
+        steps = t[:, None] * _RUNGS
+        trial = theta[todo, None] - steps[..., None] * g[todo, None]
+        vals, ev = obj.value(trial.reshape(-1, n))
+        ok = vals.reshape(steps.shape) <= f[todo, None] - 1e-4 * steps * gsq[todo, None]
+        evals[todo] += LADDER
+        hit = ok.any(axis=1)
+        pick = np.flatnonzero(hit) * LADDER + ok.argmax(axis=1)[hit]
+        found.append((todo[hit], steps.ravel()[pick], vals[pick],
+                      *(x[pick] for x in ev)))
+        todo, t = todo[~hit], steps[~hit, -1] * 0.5
+        if not todo.size:
+            break
+    rows, steps, vals, *ev = (found[0] if len(found) == 1 else
+                              [np.concatenate(x) for x in zip(*found)])
+    return rows, steps, vals, ev, evals
+
+
+def _descend(obj: _Objective, theta: np.ndarray, opts: OptimizerOptions):
+    """Gradient descent with Armijo backtracking, one row per restart.
+
+    A row's trial step is the Barzilai-Borwein estimate from its previous
+    accepted step (falling back to doubling).  A row converges, and leaves
+    the batch, when no step along its gradient descends or its objective
+    improves by less than ``tol_objective`` over a sweep of 10 iterations.
+    Returns per-row (value, theta, iterations, evaluations, converged).
+    """
+    rows, n = theta.shape
+    fd_cost = 2 * n if opts.gradient == "fd" else 0
+    f, ev = obj.value(theta)
+    g = obj.gradient(ev, opts)
+    theta, step, sweep_ref = theta.copy(), np.ones(rows), f.copy()
+    iters = np.full(rows, opts.max_iters)
+    evals = np.full(rows, 1 + fd_cost)
+    converged = np.zeros(rows, dtype=bool)
+    act = np.arange(rows)
     for it in range(1, opts.max_iters + 1):
-        gsq = float(g @ g)
-        if gsq < 1e-28:
-            converged = True
+        ga = g[act]
+        gsq = (ga ** 2).sum(axis=1)
+        found, t, f_try, ev, n_evals = _line_search(
+            obj, theta[act], f[act], ga, gsq, step[act])
+        evals[act] += n_evals
+        if found.size < act.size:  # the rest are numerically stationary
+            stuck = np.setdiff1d(act, act[found])
+            converged[stuck], iters[stuck] = True, it
+        act, ga, gsq = act[found], ga[found], gsq[found]
+        if not act.size:
             break
-        t = step
-        accepted = False
-        for _ in range(60):
-            theta_try = theta - t * g
-            f_try = fn.value(theta_try)
-            if f_try <= f - 1e-4 * t * gsq:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            # numerically stationary: no descending step along the gradient
-            converged = True
-            break
-        f_new, g_new = fn.value_and_grad(theta_try)
-        dgrad = g_new - g
-        curv = -t * float(g @ dgrad)
-        if curv > 1e-30:
-            step = min(max(t * t * gsq / curv, 1e-10), 1e4)
-        else:
-            step = min(t * 2.0, 1e4)
-        theta, f, g = theta_try, min(f_try, f_new), g_new
+        g_new = obj.gradient(ev, opts)
+        evals[act] += fd_cost
+        curv = -t * (ga * (g_new - ga)).sum(axis=1)
+        step[act] = np.where(curv > 1e-30,
+                             (t * t * gsq / np.maximum(curv, 1e-30)).clip(1e-10, 1e4),
+                             np.minimum(t * 2.0, 1e4))
+        theta[act], f[act], g[act] = ev[0], f_try, g_new
         if it % 10 == 0:
-            if sweep_ref - f < opts.tol_objective:
-                converged = True
+            stalled = sweep_ref[act] - f[act] < opts.tol_objective
+            converged[act[stalled]], iters[act[stalled]] = True, it
+            sweep_ref[act] = f[act]
+            act = act[~stalled]
+            if not act.size:
                 break
-            sweep_ref = f
-    return f, theta, it, converged
+    return f, theta, iters, evals, converged
 
 
 def _restart_seed(seed: int, restart: int) -> int:
@@ -445,26 +440,31 @@ def ree(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
 
     The returned value is the divergence re-evaluated at the best state
     found, so it is reproducible from ``closest_state`` alone and is an
-    upper bound on the true minimum.
+    upper bound on the true minimum.  That state mixes the best ansatz
+    state with a CLOSEST_STATE_MIXING share of the (separable) maximally
+    mixed state, lifting eigenvalues the floored objective cannot tell from
+    zero, where a KL value would be infinite; the mixing raises the value
+    by at most -ln(1 - CLOSEST_STATE_MIXING).
     """
     rho = np.asarray(rho, dtype=complex)
     _check_ree_args(rho, cut, p)
-    fn = _ParamObjective(rho, cut, p, opts)
-    k = fn.k
-    best = None
-    for restart in range(opts.restarts):
-        seed_r = _restart_seed(opts.seed, restart)
-        rng = np.random.default_rng(seed_r)
-        theta0 = _pack(_initial_ansatz(rho, cut, k, restart, rng))
-        f, theta, iters, conv = _descend(fn, theta0, opts)
-        if best is None or f < best[0]:
-            best = (f, theta, iters, conv, seed_r)
-    _, theta, iters, conv, seed_r = best
-    sigma = realize(_unpack(theta, cut, k))
-    value = rel_entropy(rho, sigma, p, opts.floor)
-    return REEResult(value=float(value), closest_state=sigma, converged=conv,
-                     restarts_used=opts.restarts, best_restart_seed=seed_r,
-                     iterations=iters)
+    obj = _Objective(rho, cut, p, opts.floor)
+    k = opts.n_components(cut)
+    seeds = [_restart_seed(opts.seed, r) for r in range(opts.restarts)]
+    theta = _stack([_initial_ansatz(rho, cut, k, r, np.random.default_rng(s))
+                    for r, s in enumerate(seeds)])
+    f, theta, iters, evals, conv = _descend(obj, theta, opts)
+    best = int(np.argmin(f))
+    sigma = _mixtures(*obj.split(theta[best:best + 1]))[0][0]
+    sigma = ((1.0 - CLOSEST_STATE_MIXING) * 0.5 * (sigma + sigma.conj().T)
+             + CLOSEST_STATE_MIXING / cut.dim * np.eye(cut.dim))
+    records = tuple(map(RestartRecord, seeds, f.tolist(), iters.tolist(),
+                        evals.tolist(), conv.tolist()))
+    return REEResult(value=float(rel_entropy(rho, sigma, p, opts.floor)),
+                     closest_state=sigma, converged=bool(conv[best]),
+                     restarts_used=opts.restarts, best_restart_seed=seeds[best],
+                     iterations=int(iters[best]), evaluations=int(evals.sum()),
+                     restarts=records)
 
 
 def schmidt_entropy(psi: np.ndarray, cut: Bipartition) -> float:
@@ -503,11 +503,9 @@ def sample_separable_batch(cut: Bipartition, n: int, components: int,
     logits = rng.normal(size=(n_gen, k))
     a = rng.normal(size=(n_gen, k, da)) + 1j * rng.normal(size=(n_gen, k, da))
     b = rng.normal(size=(n_gen, k, db)) + 1j * rng.normal(size=(n_gen, k, db))
-    a /= np.linalg.norm(a, axis=2, keepdims=True)
-    b /= np.linalg.norm(b, axis=2, keepdims=True)
-    pw = weights_from_logits(logits)
-    psi = np.einsum("bki,bkj->bkij", a, b).reshape(n_gen, k, cut.dim)
-    out[:n_gen] = np.einsum("bk,bki,bkj->bij", pw, psi, psi.conj())
+    for lo in range(0, n_gen, 1024):    # chunks bound the kernel's temporaries
+        hi = min(lo + 1024, n_gen)
+        out[lo:hi] = _mixtures(logits[lo:hi], a[lo:hi], b[lo:hi])[0]
 
     if n_diag:
         ga = rng.normal(size=(n_diag, da, da)) + 1j * rng.normal(size=(n_diag, da, da))
@@ -536,14 +534,14 @@ def sample_upper_bound(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     k = components if components is not None else 4 * cut.dim
-    obj = _Objective(rho, p, floor)
+    obj = _Objective(rho, cut, p, floor)
     rng = np.random.default_rng(seed)
     best = math.inf
     remaining = n_samples
     while remaining > 0:
         bsz = min(remaining, 4096)
         sig = sample_separable_batch(cut, bsz, k, rng)
-        vals = obj.value_batch(sig)
+        vals = obj.divergence(*np.linalg.eigh(sig))
         best = min(best, float(vals.min()))
         remaining -= bsz
     return best

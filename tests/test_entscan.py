@@ -189,12 +189,26 @@ class TestSweep:
             rows = sweep(cfg)
         assert len(rows) == 2
 
-    def test_cache_index_written(self, tmp_path):
+    def test_rows_of_another_algorithm_version_recomputed(self, tmp_path,
+                                                          monkeypatch):
         cfg = parse_config(TINY_CONFIG)
         cfg.cache_dir = str(tmp_path / "cache")
+        with monkeypatch.context() as m:
+            m.setattr(entscan, "ALGORITHM_VERSION", entscan.ALGORITHM_VERSION - 1)
+            sweep(cfg)
+
+        calls = {"n": 0}
+        real = entscan.monogamy
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(entscan, "monogamy", counting)
         sweep(cfg)
-        index = json.load(open(tmp_path / "cache" / "index.json"))
-        assert index["entries"] == 2
+        assert calls["n"] == 2
+        sweep(cfg)
+        assert calls["n"] == 2
 
     def test_parallel_workers_match_serial(self, tmp_path):
         cfg = parse_config(TINY_CONFIG)
@@ -263,6 +277,7 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["value"] - math.log(2)) < 1e-3
+        assert payload["evaluations"] > payload["iterations"] >= 1
 
     def test_monogamy_subcommand(self, capsys):
         code = cli_main(["monogamy", "--model", "xxz", "--j", "1",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from qree.qmat import Bipartition, kron, projector, random_density_matrix, random_unitary, validate_density
 from qree.renyi import RenyiParameter, rel_entropy
-from qree.sepstates import (OptimizerOptions, SeparableAnsatz,
-                            _ParamObjective, _pack, random_ansatz, realize,
-                            ree, sample_separable_batch, sample_upper_bound,
-                            schmidt_entropy)
+from qree.sepstates import (LADDER, OptimizerOptions, SeparableAnsatz,
+                            _line_search, _Objective, _stack, random_ansatz,
+                            realize, ree, sample_separable_batch,
+                            sample_upper_bound, schmidt_entropy)
 from qree.statezoo import ghz, reduced_pair, star, w, w_reduced
 
 CUT_123 = Bipartition(2, 4)
@@ -155,6 +156,51 @@ class TestSampleUpperBound:
             sample_upper_bound(np.eye(4) / 4, CUT_22, RenyiParameter(1.0), 0, 1)
 
 
+class TestBatchedObjective:
+    @pytest.mark.parametrize("cut", [CUT_22, CUT_123])
+    @pytest.mark.parametrize("p", [RenyiParameter(1.0),
+                                   RenyiParameter(0.7, "trad"),
+                                   RenyiParameter(1.5, "trad"),
+                                   RenyiParameter(0.5, "sand"),
+                                   RenyiParameter(3.0, "sand")])
+    def test_batched_value_matches_rel_entropy(self, cut, p):
+        rho = random_density_matrix(cut.dim, cut.dim, 21)
+        sigmas = sample_separable_batch(cut, 40, 4 * cut.dim,
+                                        np.random.default_rng(4))
+        sigmas = sigmas[np.linalg.eigvalsh(sigmas)[:, 0] > 1e-6]
+        assert len(sigmas) >= 20
+        got = _Objective(rho, cut, p, 1e-12).divergence(*np.linalg.eigh(sigmas))
+        want = [rel_entropy(rho, s, p, 1e-12) for s in sigmas]
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_realize_is_a_batch_of_one(self):
+        rng = np.random.default_rng(8)
+        ans = [random_ansatz(CUT_123, 5, rng) for _ in range(3)]
+        obj = _Objective(np.eye(8) / 8, CUT_123, RenyiParameter(1.0), 1e-12)
+        values = obj.value(_stack(ans))[0]
+        for a, v in zip(ans, values):
+            assert v == obj.divergence(*np.linalg.eigh(realize(a)[None]))[0]
+
+
+    def test_ladder_takes_the_step_halving_takes(self):
+        obj = _Objective(random_density_matrix(8, 8, 9), CUT_123,
+                         RenyiParameter(1.5, "sand"), 1e-12)
+        rng = np.random.default_rng(2)
+        theta = _stack([random_ansatz(CUT_123, 6, rng) for _ in range(4)])
+        f, ev = obj.value(theta)
+        g = obj.gradient(ev, OptimizerOptions())
+        gsq = (g * g).sum(axis=1)
+        t0 = np.array([1e4, 30.0, 1.0, 1e-2])
+        rows, steps, _, _, evals = _line_search(obj, theta, f, g, gsq, t0)
+        assert sorted(rows) == [0, 1, 2, 3] and evals.max() > LADDER
+        for row, step in zip(rows, steps):
+            t = t0[row]
+            while (obj.value(theta[row:row + 1] - t * g[row:row + 1])[0][0]
+                   > f[row] - 1e-4 * t * gsq[row]):
+                t *= 0.5
+            assert step == t
+
+
 class TestGradients:
     @pytest.mark.parametrize("p", [RenyiParameter(0.7, "trad"),
                                    RenyiParameter(1.0, "trad"),
@@ -164,11 +210,12 @@ class TestGradients:
     def test_analytic_matches_finite_differences(self, p):
         rho = random_density_matrix(8, 8, 5)
         opts = OptimizerOptions(seed=3, components=6)
-        fn = _ParamObjective(rho, CUT_123, p, opts)
+        obj = _Objective(rho, CUT_123, p, opts.floor)
         rng = np.random.default_rng(11)
-        theta = _pack(random_ansatz(CUT_123, 6, rng))
-        ga = fn.analytic_gradient(theta)
-        gf = fn.fd_gradient(theta)
+        theta = _stack([random_ansatz(CUT_123, 6, rng)])
+        ev = obj.value(theta)[1]
+        ga = obj.gradient(ev, opts)
+        gf = obj.gradient(ev, replace(opts, gradient="fd"))
         assert np.abs(ga - gf).max() <= 1e-4 * max(np.abs(gf).max(), 1e-12)
 
     def test_fd_richardson_second_order(self):
@@ -176,19 +223,19 @@ class TestGradients:
         # (D(h) - D(h/2)) / (D(h/2) - D(h/4)) approaches 4
         rho = random_density_matrix(8, 8, 6)
         p = RenyiParameter(1.5, "trad")
-        fn = _ParamObjective(rho, CUT_123, p, OptimizerOptions(seed=0, components=4))
+        obj = _Objective(rho, CUT_123, p, OptimizerOptions().floor)
         rng = np.random.default_rng(7)
         checked = 0
         attempts = 0
         while checked < 20 and attempts < 60:
             attempts += 1
-            theta = _pack(random_ansatz(CUT_123, 4, rng))
+            theta = _stack([random_ansatz(CUT_123, 4, rng)])
             direction = rng.normal(size=theta.shape)
             direction /= np.linalg.norm(direction)
 
             def deriv(h):
-                return (fn.value(theta + h * direction)
-                        - fn.value(theta - h * direction)) / (2 * h)
+                return (obj.value(theta + h * direction)[0][0]
+                        - obj.value(theta - h * direction)[0][0]) / (2 * h)
 
             h = 4e-3
             d1, d2, d3 = deriv(h), deriv(h / 2), deriv(h / 4)
@@ -236,6 +283,26 @@ class TestOptimizerBehavior:
         assert res.restarts_used == fast_opts.restarts
         assert res.iterations >= 1
         assert isinstance(res.converged, bool)
+        assert len(res.restarts) == fast_opts.restarts
+        assert res.evaluations == sum(r.evaluations for r in res.restarts)
+        best = min(res.restarts, key=lambda r: r.value)
+        assert (best.seed, best.iterations, best.converged) == (
+            res.best_restart_seed, res.iterations, res.converged)
+        assert all(r.evaluations > r.iterations >= 1 for r in res.restarts)
+
+    @pytest.mark.parametrize("p", [RenyiParameter(1.0),
+                                   RenyiParameter(1.5, "sand")])
+    def test_restarts_do_not_depend_on_batch(self, p):
+        # a restart's trajectory is bitwise the same whether it descends
+        # alone or in lockstep with others, which makes ree monotone in
+        # the number of restarts
+        rho = projector(w())
+        full = ree(rho, CUT_123, p, OptimizerOptions(
+            restarts=4, max_iters=200, components=12, seed=7))
+        for r in range(4):
+            alone = ree(rho, CUT_123, p, OptimizerOptions(
+                restarts=r + 1, max_iters=200, components=12, seed=7))
+            assert alone.restarts[r] == full.restarts[r]
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
