@@ -23,7 +23,13 @@ from .spinchain import (ModelParams, analytic_partition, hamiltonian,
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 1, 2, 3
 
-NAMED_STATES = ("ghz", "w", "wbar", "star", "tfi-ground")
+# named pure states, each built from the --phi mixing angle
+STATE_VECTORS = {
+    "ghz": lambda phi: statezoo.ghz(), "w": lambda phi: statezoo.w(),
+    "wbar": lambda phi: statezoo.wbar(), "star": lambda phi: statezoo.star(),
+    "tfi-ground": statezoo.tfi_ground,
+}
+NAMED_STATES = tuple(STATE_VECTORS)
 CUTS = {"1:23": entscan.CUT_1_23, "1:2": entscan.CUT_PAIR, "1:3": entscan.CUT_PAIR}
 
 
@@ -63,10 +69,7 @@ def _build_state(args) -> np.ndarray:
     if (args.state is None) == (args.model is None):
         raise entscan.ConfigError("pass exactly one of --state or --model")
     if args.state is not None:
-        vec = {"ghz": statezoo.ghz, "w": statezoo.w, "wbar": statezoo.wbar,
-               "star": statezoo.star,
-               "tfi-ground": lambda: statezoo.tfi_ground(args.phi)}[args.state]()
-        return projector(vec)
+        return projector(STATE_VECTORS[args.state](args.phi))
     return thermal_state(hamiltonian(_model_params(args)), args.temp).rho
 
 
@@ -93,9 +96,7 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
 
 
 def cmd_state(args) -> int:
-    vec = {"ghz": statezoo.ghz, "w": statezoo.w, "wbar": statezoo.wbar,
-           "star": statezoo.star,
-           "tfi-ground": lambda: statezoo.tfi_ground(args.phi)}[args.which]()
+    vec = STATE_VECTORS[args.which](args.phi)
     if args.format == "json":
         payload = {"state": args.which,
                    "amplitudes": [[v.real, v.imag] for v in vec]}

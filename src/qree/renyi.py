@@ -5,9 +5,14 @@ prefactor, so they are non-negative and reduce to the Kullback-Leibler
 quantum relative entropy as alpha -> 1; alpha = 1 is always routed to the
 exact KL expression instead of a numerical limit.
 
+Every divergence is evaluated by ``Divergence``, which holds the rho-side
+of the selected formula and evaluates batches of sigma from their
+eigenpairs: the floored values and their sigma-gradient that a minimizer
+descends on, and the reported value.  ``rel_entropy`` and the
+``*_rel_entropy`` functions are batches of one.
+
 An infinite divergence (KL with a support mismatch) is reported as
-``math.inf``, never as an exception, so that minimizers can treat it as a
-penalty and move away.
+``math.inf``, never as an exception.
 """
 
 from __future__ import annotations
@@ -64,11 +69,19 @@ class RenyiParameter:
         return self.alpha == 1.0
 
 
+def _drop_rounding_zeros(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues along the last axis, with those within
+    rounding of zero (d * eps * max) set to zero: raised to a power
+    alpha < 1, rounding noise of 1e-17 would count as 1e-17**alpha (3e-9
+    at alpha = 1/2)."""
+    cutoff = w.shape[-1] * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
+    return np.where(w > cutoff, w, 0.0)
+
+
 def _state_eigs(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a state with numerical-noise zeros dropped."""
-    w = eig_hermitian(rho).eigenvalues
-    cutoff = max(w[-1], 0.0) * len(w) * np.finfo(float).eps
-    return w[w > cutoff]
+    """Eigenvalues of a state with rounding zeros dropped."""
+    w = _drop_rounding_zeros(eig_hermitian(rho).eigenvalues)
+    return w[w > 0]
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -111,81 +124,123 @@ def collision_entropy(rho: np.ndarray) -> float:
     return float(-np.log(np.trace(rho @ rho).real))
 
 
-def kl_rel_entropy(rho: np.ndarray, sigma: np.ndarray,
-                   floor: float = DEFAULT_FLOOR) -> float:
-    """Quantum relative entropy Tr rho (ln rho - ln sigma).
+def _divided_diff(w: np.ndarray, g: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    """First divided differences of the floored scalar function, (B, d, d)."""
+    wi, wj = w[:, :, None], w[:, None, :]
+    dw = wi - wj
+    near = np.abs(dw) < 1e-8 * (1.0 + np.abs(wi) + np.abs(wj))
+    return np.where(near, 0.5 * (gp[:, :, None] + gp[:, None, :]),
+                    (g[:, :, None] - g[:, None, :]) / np.where(near, 1.0, dw))
 
-    Returns ``math.inf`` when rho carries more than SUPPORT_WEIGHT_TOL of
-    weight on eigenvectors of sigma with eigenvalue below ``floor``.
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(1, 2)
+
+
+class Divergence:
+    """The divergence D(rho || sigma) selected by ``p`` for one fixed rho,
+    evaluated on batches of sigma given by their (B, d) eigenvalues and
+    (B, d, d) eigenvectors.
+
+    sigma's eigenvalues are floored at ``floor`` inside logs and powers, so
+    the values and the gradient are finite everywhere: a KL support
+    mismatch becomes a large smooth penalty an optimizer can descend away
+    from.  ``value(..., reported=True)`` is the user-facing divergence,
+    which differs only there: KL is ``math.inf`` when rho carries more than
+    SUPPORT_WEIGHT_TOL of weight on eigenvectors of sigma at or below the
+    floor.
     """
+
+    def __init__(self, rho: np.ndarray, p: RenyiParameter,
+                 floor: float = DEFAULT_FLOOR):
+        self.alpha = p.alpha
+        self.floor = floor
+        self.rho = np.asarray(rho, dtype=complex)
+        self.rho_pow = self.rho     # rho ** alpha, for KL and traditional
+        if p.is_kl:
+            self.kind = "kl"
+            self.s_rho = von_neumann_entropy(self.rho)
+        elif p.variant == TRADITIONAL:
+            self.kind = "trad"
+            wr, vr = eig_hermitian(self.rho)
+            self.rho_pow = (vr * _drop_rounding_zeros(wr) ** self.alpha) @ vr.conj().T
+        else:
+            self.kind = "sand"
+            self.c = (1.0 - self.alpha) / (2.0 * self.alpha)
+
+    def value(self, ws: np.ndarray, vs: np.ndarray,
+              reported: bool = False) -> np.ndarray:
+        """(B,) divergences, floored unless ``reported`` (see the class)."""
+        wf = np.maximum(ws, self.floor)
+        if self.kind == "sand":
+            s = (vs * wf[:, None, :] ** self.c) @ _adjoint(vs)
+            wm = np.linalg.eigvalsh(s @ self.rho @ s)
+            tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
+        else:
+            occ = (vs.conj() * (self.rho_pow @ vs)).sum(axis=1).real
+            if self.kind == "kl":
+                kl = -self.s_rho - (occ * np.log(wf)).sum(axis=1)
+                if reported:
+                    null = np.where(ws <= self.floor, occ, 0.0).sum(axis=1)
+                    kl[null > SUPPORT_WEIGHT_TOL] = math.inf
+                return kl
+            tr = (occ * wf ** (1.0 - self.alpha)).sum(axis=1)
+        return np.log(tr) / (self.alpha - 1.0)
+
+    def sigma_grad(self, ws: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """(B, d, d) gradients of the floored value in sigma, Hermitian up
+        to rounding."""
+        vh = _adjoint(vs)
+        f = self.floor
+        wf = np.maximum(ws, f)
+        live = ws > f
+        if self.kind == "kl":
+            g, gp = np.log(wf), np.where(live, 1.0 / wf, 0.0)
+            return -(vs @ ((vh @ self.rho @ vs) * _divided_diff(ws, g, gp)) @ vh)
+        if self.kind == "trad":
+            e = 1.0 - self.alpha
+            g, gp = wf ** e, np.where(live, e * wf ** (e - 1.0), 0.0)
+            occ = vh @ self.rho_pow @ vs
+            tr = (np.diagonal(occ, axis1=1, axis2=2).real * g).sum(axis=1)
+        else:
+            g, gp = wf ** self.c, np.where(live, self.c * wf ** (self.c - 1.0), 0.0)
+            s = (vs * g[:, None, :]) @ vh
+            wm, vm = np.linalg.eigh(s @ self.rho @ s)
+            tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
+            hp = self.alpha * np.maximum(wm, f) ** (self.alpha - 1.0)
+            half = self.rho @ s @ ((vm * hp[:, None, :]) @ _adjoint(vm))
+            occ = vh @ (half + _adjoint(half)) @ vs
+        grad = vs @ (occ * _divided_diff(ws, g, gp)) @ vh
+        return grad / ((self.alpha - 1.0) * tr)[:, None, None]
+
+
+def rel_entropy(rho: np.ndarray, sigma: np.ndarray, p: RenyiParameter,
+                floor: float = DEFAULT_FLOOR) -> float:
+    """The reported divergence selected by ``p`` (alpha = 1 is KL)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != np.asarray(sigma).shape:
         raise ValueError("dimension mismatch between rho and sigma")
     ws, vs = eig_hermitian(sigma)
-    weights = np.einsum("ij,ji->i", vs.conj().T @ rho, vs).real
-    null_weight = weights[ws <= floor].sum()
-    if null_weight > SUPPORT_WEIGHT_TOL:
-        return math.inf
-    cross = float(np.sum(weights * np.log(np.maximum(ws, floor))))
-    return -von_neumann_entropy(rho) - cross
+    return float(Divergence(rho, p, floor).value(ws[None], vs[None], reported=True)[0])
+
+
+def kl_rel_entropy(rho: np.ndarray, sigma: np.ndarray,
+                   floor: float = DEFAULT_FLOOR) -> float:
+    """Quantum relative entropy Tr rho (ln rho - ln sigma); ``math.inf`` on
+    a support mismatch (see ``Divergence``)."""
+    return rel_entropy(rho, sigma, RenyiParameter(1.0), floor)
 
 
 def trad_rel_entropy(rho: np.ndarray, sigma: np.ndarray, alpha: float,
                      floor: float = DEFAULT_FLOOR) -> float:
-    """Traditional (Petz) Renyi relative entropy ln Tr(rho^a sigma^(1-a)) / (a-1).
-
-    Valid for 0 < alpha <= 2.  sigma's eigenvalues are floored before the
-    1-alpha power, which regularizes rank-deficient sigma for alpha > 1.
-    """
-    if not 0 < alpha <= 2:
-        raise ValueError(f"traditional variant requires 0 < alpha <= 2, got {alpha}")
-    if alpha == 1.0:
-        return kl_rel_entropy(rho, sigma, floor)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != np.asarray(sigma).shape:
-        raise ValueError("dimension mismatch between rho and sigma")
-    wr, vr = eig_hermitian(rho)
-    rho_a = (vr * np.maximum(wr, 0.0) ** alpha) @ vr.conj().T
-    ws, vs = eig_hermitian(sigma)
-    sig_1a = (vs * np.maximum(ws, floor) ** (1.0 - alpha)) @ vs.conj().T
-    tr = np.trace(rho_a @ sig_1a).real
-    return math.log(tr) / (alpha - 1.0)
+    """Traditional (Petz) Renyi relative entropy ln Tr(rho^a sigma^(1-a)) / (a-1),
+    0 < alpha <= 2.  sigma's eigenvalues are floored before the 1-alpha
+    power, which regularizes rank-deficient sigma for alpha > 1."""
+    return rel_entropy(rho, sigma, RenyiParameter(alpha, TRADITIONAL), floor)
 
 
 def sand_rel_entropy(rho: np.ndarray, sigma: np.ndarray, alpha: float,
                      floor: float = DEFAULT_FLOOR) -> float:
     """Sandwiched Renyi relative entropy ln Tr[(s^c rho s^c)^a] / (a-1),
-    c = (1-a)/(2a).  Valid for alpha >= 1/2.
-    """
-    if alpha < 0.5:
-        raise ValueError(f"sandwiched variant requires alpha >= 0.5, got {alpha}")
-    if alpha == 1.0:
-        return kl_rel_entropy(rho, sigma, floor)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != np.asarray(sigma).shape:
-        raise ValueError("dimension mismatch between rho and sigma")
-    c = (1.0 - alpha) / (2.0 * alpha)
-    ws, vs = eig_hermitian(sigma)
-    s_c = (vs * np.maximum(ws, floor) ** c) @ vs.conj().T
-    m = s_c @ rho @ s_c
-    wm = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    tr = float(np.sum(_drop_rounding_zeros(wm) ** alpha))
-    return math.log(tr) / (alpha - 1.0)
-
-
-def _drop_rounding_zeros(w: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues along the last axis, with those within
-    rounding of zero set to zero: raised to a power alpha < 1, rounding
-    noise of 1e-17 would count as 1e-17**alpha (3e-9 at alpha = 1/2)."""
-    cutoff = w.shape[-1] * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
-    return np.where(w > cutoff, w, 0.0)
-
-
-def rel_entropy(rho: np.ndarray, sigma: np.ndarray, p: RenyiParameter,
-                floor: float = DEFAULT_FLOOR) -> float:
-    """Dispatch to the variant selected by ``p``; alpha = 1 goes to KL."""
-    if p.is_kl:
-        return kl_rel_entropy(rho, sigma, floor)
-    if p.variant == TRADITIONAL:
-        return trad_rel_entropy(rho, sigma, p.alpha, floor)
-    return sand_rel_entropy(rho, sigma, p.alpha, floor)
+    c = (1-a)/(2a).  Valid for alpha >= 1/2."""
+    return rel_entropy(rho, sigma, RenyiParameter(alpha, SANDWICHED), floor)

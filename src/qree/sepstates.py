@@ -15,25 +15,24 @@ parameters is handled by independent seeded restarts; the reported value
 is the best restart, which upper-bounds the true minimum.
 
 Everything runs on batches: one ansatz kernel maps B parameter sets to B
-states, and one objective evaluates B divergences per call.  All restarts
-of one ``ree`` descend in lockstep as the rows of one batch, each with its
-own Barzilai-Borwein step, Armijo test, convergence flag and iteration
-count, and leave the batch once converged.  The line search evaluates a
-ladder of trial steps (t, t/2, t/4) per restart in one call and takes the
-largest that passes, the step halving one trial at a time would take; the
-gradient there continues from that evaluation.  A restart's trajectory
-does not depend on which other restarts share its batch.
+states, and the objective is a ``renyi.Divergence`` evaluated on those
+realized ansatze, B values per call.  All restarts of one ``ree`` descend
+in lockstep as the rows of one batch, each with its own Barzilai-Borwein
+step, Armijo test, convergence flag and iteration count, and leave the
+batch once converged.  The line search evaluates a ladder of trial steps
+(t, t/2, t/4) per restart in one call and takes the largest that passes,
+the step halving one trial at a time would take; the gradient there
+continues from that evaluation.  A restart's trajectory does not depend
+on which other restarts share its batch.
 
 Gradients: central finite differences are the reference; the default
-analytic gradient (divided-difference derivatives of the matrix functions
-chained through the parametrization) is required by the test suite to
-match finite differences to 1e-4 relative error.
+analytic gradient (the divergence's sigma-gradient chained through the
+parametrization) is required by the test suite to match finite
+differences to 1e-4 relative error.
 
-The internal objective is always finite: sigma eigenvalues are floored
-inside logs and negative powers, which turns a KL support mismatch into a
-large smooth penalty the optimizer can descend away from.  The reported
-value is re-evaluated with the user-facing divergence at the end (see
-``ree``).
+The descent runs on the floored divergence, which is finite everywhere;
+the reported value is re-evaluated with the user-facing divergence at the
+end (see ``ree``).
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import Bipartition, eig_hermitian
-from .renyi import (TRADITIONAL, RenyiParameter, _drop_rounding_zeros,
-                    rel_entropy, von_neumann_entropy)
+from .qmat import Bipartition
+from .renyi import SANDWICHED, Divergence, RenyiParameter, rel_entropy
 
 # beyond this alpha the sandwiched divergence is effectively its
 # alpha -> infinity limit; refuse rather than return noise
@@ -60,8 +58,10 @@ MAX_HALVINGS = 60
 CLOSEST_STATE_MIXING = 1e-9
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
-# result.  Version 1 ran restarts one after another, one trial step a call.
-ALGORITHM_VERSION = 2
+# result.  Version 1 ran restarts one after another, one trial step a call;
+# version 2 counted rounding-level eigenvalues of rho in the traditional
+# rho^alpha, which moves alpha < 1 values of low-rank rho by up to ~1e-5.
+ALGORITHM_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -186,82 +186,14 @@ def _stack(ansatze: list[SeparableAnsatz]) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# divergence objective with a fixed rho, on batches: values from sigma
-# eigenpairs, the gradient in sigma, and both for parameter rows
-
-def _divided_diff(w: np.ndarray, g: np.ndarray, gp: np.ndarray) -> np.ndarray:
-    """First divided differences of the floored scalar function, (B, d, d)."""
-    wi, wj = w[:, :, None], w[:, None, :]
-    dw = wi - wj
-    near = np.abs(dw) < 1e-8 * (1.0 + np.abs(wi) + np.abs(wj))
-    return np.where(near, 0.5 * (gp[:, :, None] + gp[:, None, :]),
-                    (g[:, :, None] - g[:, None, :]) / np.where(near, 1.0, dw))
-
-
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(1, 2)
-
+# the divergence on realized ansatze: values and gradients of parameter rows
 
 class _Objective:
     def __init__(self, rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
                  floor: float):
         self.cut = cut
-        self.alpha = p.alpha
-        self.floor = floor
-        self.rho = np.asarray(rho, dtype=complex)
-        self.rho_pow = self.rho     # rho ** alpha, for KL and traditional
-        if p.is_kl:
-            self.kind = "kl"
-            self.s_rho = von_neumann_entropy(rho)
-        elif p.variant == TRADITIONAL:
-            self.kind = "trad"
-            wr, vr = eig_hermitian(rho)
-            self.rho_pow = (vr * np.maximum(wr, 0.0) ** self.alpha) @ vr.conj().T
-        else:
-            self.kind = "sand"
-            self.c = (1.0 - self.alpha) / (2.0 * self.alpha)
+        self.div = Divergence(rho, p, floor)
 
-    # -- in sigma, from its (B, d) eigenvalues and (B, d, d) eigenvectors ----
-    def divergence(self, ws: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """(B,) floored divergences."""
-        wf = np.maximum(ws, self.floor)
-        if self.kind == "sand":
-            s = (vs * wf[:, None, :] ** self.c) @ _adjoint(vs)
-            wm = np.linalg.eigvalsh(s @ self.rho @ s)
-            tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
-        else:
-            occ = (vs.conj() * (self.rho_pow @ vs)).sum(axis=1).real
-            if self.kind == "kl":
-                return -self.s_rho - (occ * np.log(wf)).sum(axis=1)
-            tr = (occ * wf ** (1.0 - self.alpha)).sum(axis=1)
-        return np.log(tr) / (self.alpha - 1.0)
-
-    def _sigma_grad(self, ws: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """(B, d, d) gradients dD/d(sigma), Hermitian up to rounding."""
-        vh = _adjoint(vs)
-        f = self.floor
-        wf = np.maximum(ws, f)
-        live = ws > f
-        if self.kind == "kl":
-            g, gp = np.log(wf), np.where(live, 1.0 / wf, 0.0)
-            return -(vs @ ((vh @ self.rho @ vs) * _divided_diff(ws, g, gp)) @ vh)
-        if self.kind == "trad":
-            e = 1.0 - self.alpha
-            g, gp = wf ** e, np.where(live, e * wf ** (e - 1.0), 0.0)
-            occ = vh @ self.rho_pow @ vs
-            tr = (np.diagonal(occ, axis1=1, axis2=2).real * g).sum(axis=1)
-        else:
-            g, gp = wf ** self.c, np.where(live, self.c * wf ** (self.c - 1.0), 0.0)
-            s = (vs * g[:, None, :]) @ vh
-            wm, vm = np.linalg.eigh(s @ self.rho @ s)
-            tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
-            hp = self.alpha * np.maximum(wm, f) ** (self.alpha - 1.0)
-            half = self.rho @ s @ ((vm * hp[:, None, :]) @ _adjoint(vm))
-            occ = vh @ (half + _adjoint(half)) @ vs
-        grad = vs @ (occ * _divided_diff(ws, g, gp)) @ vh
-        return grad / ((self.alpha - 1.0) * tr)[:, None, None]
-
-    # -- in parameter rows ----------------------------------------------------
     def split(self, theta: np.ndarray):
         """Views (logits, vectors_a, vectors_b) of (B, n) parameter rows."""
         rows, n = theta.shape
@@ -276,7 +208,7 @@ class _Objective:
         continues from: the rows, the ansatz parts and sigma's eigenpairs."""
         sigma, parts = _mixtures(*self.split(theta))
         ws, vs = np.linalg.eigh(sigma)
-        return self.divergence(ws, vs), (theta, *parts, ws, vs)
+        return self.div.value(ws, vs), (theta, *parts, ws, vs)
 
     def gradient(self, ev: tuple, opts: OptimizerOptions) -> np.ndarray:
         """(B, n) gradients at an evaluation, analytic or by central
@@ -284,7 +216,7 @@ class _Objective:
         theta, p, w, na2, nb2, psi, ws, vs = ev
         if opts.gradient == "fd":
             return self._fd_grad(theta, opts.grad_step)
-        grad_s = self._sigma_grad(ws, vs)
+        grad_s = self.div.sigma_grad(ws, vs)
         _, a, b = self.split(theta)
         rows, k, da = a.shape
         # dD/dp_k = c_k w_k / p_k; in a_k, 2 w_k times the part of r_k =
@@ -429,7 +361,7 @@ def _check_ree_args(rho: np.ndarray, cut: Bipartition, p: RenyiParameter) -> Non
     if rho.shape[0] != cut.dim:
         raise ValueError(f"state dim {rho.shape[0]} does not match cut "
                          f"{cut.dim_a}x{cut.dim_b}")
-    if p.variant != TRADITIONAL and p.alpha > SANDWICHED_ALPHA_CAP:
+    if p.variant == SANDWICHED and p.alpha > SANDWICHED_ALPHA_CAP:
         raise ValueError(f"sandwiched alpha capped at {SANDWICHED_ALPHA_CAP}")
 
 
@@ -534,14 +466,14 @@ def sample_upper_bound(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     k = components if components is not None else 4 * cut.dim
-    obj = _Objective(rho, cut, p, floor)
+    div = Divergence(rho, p, floor)
     rng = np.random.default_rng(seed)
     best = math.inf
     remaining = n_samples
     while remaining > 0:
         bsz = min(remaining, 4096)
         sig = sample_separable_batch(cut, bsz, k, rng)
-        vals = obj.divergence(*np.linalg.eigh(sig))
+        vals = div.value(*np.linalg.eigh(sig))
         best = min(best, float(vals.min()))
         remaining -= bsz
     return best

@@ -13,7 +13,7 @@ units of the field (lam = J/B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        for name, value in self.couplings().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.model == XXZ and self.delta <= -1:
             raise ValueError("xxz requires delta > -1 (the ferromagnetic "
                              "phase has a separable polarized ground state)")
@@ -128,8 +131,8 @@ def hamiltonian(params: ModelParams) -> np.ndarray:
 
 def thermal_state(h: np.ndarray, t: float) -> ThermalState:
     """Gibbs state by exact diagonalization, stable against large beta."""
-    if t <= 0:
-        raise ValueError("temperature must be positive")
+    if not t > 0:
+        raise ValueError(f"temperature must be positive, got {t}")
     w, v = eig_hermitian(h)
     shifted = np.exp(-(w - w[0]) / t)
     rho = (v * (shifted / shifted.sum())) @ v.conj().T
@@ -183,18 +186,16 @@ class XYZAnalytic:
     """Closed-form ingredients of the XYZ thermal matrix.
 
     ``eta`` is the symmetric-sector gap, ``x`` the Boltzmann weight of the
-    q-phase levels, ``phi0``/``phi1`` the |ddd>- and |uuu>-sector mixing
-    angles (equal by spin-flip symmetry, kept as two fields because the
-    two sectors are conventionally described separately), and u..q2 the
-    distinct matrix entries times Z.
+    q-phase levels, ``phi0`` the mixing angle of both the |ddd>- and the
+    |uuu>-sector (their blocks are equal by spin-flip symmetry), and u..q2
+    the matrix entries times Z in the layout ``TFIAnalytic`` shares; the
+    symmetry makes u = v, w1 = w2, y1 = y2 and q1 = q2.
     """
 
     eigenvalues: np.ndarray
     phi0: float
-    phi1: float
     eta: float
     x: float
-    q_phase: complex = field(default=np.exp(2j * np.pi / 3), repr=False)
     u: float = 0.0
     v: float = 0.0
     w1: float = 0.0
@@ -231,24 +232,18 @@ def xyz_analytic(params: ModelParams, t: float) -> tuple[np.ndarray, XYZAnalytic
     x = math.exp(-js / t)
     # symmetric-sector 2x2 block [[3jz, sqrt(3)(jx-jy)], [., 2(jx+jy)-jz]]
     phi0 = _top_eigvec_angle(3 * jz, 2 * (jx + jy) - jz, math.sqrt(3) * (jx - jy))
-    phi1 = phi0  # spin-flipped sector has the identical block
     ep, em = math.exp(eta / t), math.exp(-eta / t)
     c0, s0 = math.cos(phi0) ** 2, math.sin(phi0) ** 2
-    c1, s1 = math.cos(phi1) ** 2, math.sin(phi1) ** 2
     xinv2 = x ** -2
     u = x * (em * c0 + ep * s0)
-    v = x * (em * c1 + ep * s1)
-    w1 = x * (2 * xinv2 + ep * c1 + em * s1) / 3
-    w2 = x * (2 * xinv2 + ep * c0 + em * s0) / 3
-    y1 = x * (-xinv2 + ep * c1 + em * s1) / 3
-    y2 = x * (-xinv2 + ep * c0 + em * s0) / 3
-    q1 = -2 / math.sqrt(3) * x * math.cos(phi0) * math.sin(phi0) * math.sinh(eta / t)
-    q2 = -2 / math.sqrt(3) * x * math.cos(phi1) * math.sin(phi1) * math.sinh(eta / t)
+    w = x * (2 * xinv2 + ep * c0 + em * s0) / 3
+    y = x * (-xinv2 + ep * c0 + em * s0) / 3
+    q = -2 / math.sqrt(3) * x * math.cos(phi0) * math.sin(phi0) * math.sinh(eta / t)
     z = xyz_partition(params, t)
-    rho = _assemble_symmetric_thermal(u, v, w1, w2, y1, y2, q1, q2, z)
+    rho = _assemble_symmetric_thermal(u, u, w, w, y, y, q, q, z)
     eigs = np.array([js + eta] + [-js] * 4 + [js - eta] * 2 + [js + eta])
-    info = XYZAnalytic(eigenvalues=eigs, phi0=phi0, phi1=phi1, eta=eta, x=x,
-                       u=u, v=v, w1=w1, w2=w2, y1=y1, y2=y2, q1=q1, q2=q2, z=z)
+    info = XYZAnalytic(eigenvalues=eigs, phi0=phi0, eta=eta, x=x,
+                       u=u, v=u, w1=w, w2=w, y1=y, y2=y, q1=q, q2=q, z=z)
     return rho, info
 
 

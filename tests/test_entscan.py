@@ -293,6 +293,12 @@ class TestCli:
         code = cli_main(["ree", "--state", "ghz", "--model", "xyz"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, named", [("--lambda", "lam"),
+                                             ("--temp", "temperature")])
+    def test_non_finite_input_is_named(self, capsys, flag, named):
+        assert cli_main(["ree", "--model", "tfi", flag, "nan"]) == 1
+        assert named in capsys.readouterr().err
+
     def test_sweep_config_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("model = xyz\nwibble = 3\n")

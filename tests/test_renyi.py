@@ -10,7 +10,7 @@ from qree.renyi import (RenyiParameter, collision_entropy, kl_rel_entropy,
                         max_entropy, min_entropy, rel_entropy, renyi_entropy,
                         sand_rel_entropy, trad_rel_entropy,
                         von_neumann_entropy)
-from qree.statezoo import ghz
+from qree.statezoo import ghz, w
 
 LN2 = math.log(2)
 
@@ -103,6 +103,17 @@ class TestTraditional:
     def test_diagonal_evaluation(self):
         got = trad_rel_entropy(diag_state(0.9, 0.1), np.eye(2) / 2, 2.0)
         assert got == pytest.approx(math.log(1.64), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pure_state_rounding_eigenvalues_dropped(self, seed):
+        # rho = |psi><psi| gives Tr(rho^a sigma^(1-a)) = <psi|sigma^(1-a)|psi>
+        # exactly; a rounding eigenvalue of rho raised to a = 0.3 must not count
+        psi, alpha = w(), 0.3
+        sig = random_density_matrix(8, 8, seed)
+        ws, vs = np.linalg.eigh(sig)
+        overlap = np.abs(vs.conj().T @ psi) ** 2 @ ws ** (1 - alpha)
+        want = math.log(overlap) / (alpha - 1)
+        assert abs(trad_rel_entropy(projector(psi), sig, alpha) - want) <= 1e-12
 
     def test_alpha_range_enforced(self):
         rho = np.eye(2) / 2

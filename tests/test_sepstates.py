@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import fractional_matrix_power, logm
 
 from qree.qmat import Bipartition, kron, projector, random_density_matrix, random_unitary, validate_density
-from qree.renyi import RenyiParameter, rel_entropy
+from qree.renyi import Divergence, RenyiParameter, rel_entropy
 from qree.sepstates import (LADDER, OptimizerOptions, SeparableAnsatz,
                             _line_search, _Objective, _stack, random_ansatz,
                             realize, ree, sample_separable_batch,
@@ -156,6 +157,18 @@ class TestSampleUpperBound:
             sample_upper_bound(np.eye(4) / 4, CUT_22, RenyiParameter(1.0), 0, 1)
 
 
+def dense_divergence(rho, sigma, p):
+    a = p.alpha
+    if p.is_kl:
+        return np.trace(rho @ (logm(rho) - logm(sigma))).real
+    if p.variant == "traditional":
+        q = fractional_matrix_power(rho, a) @ fractional_matrix_power(sigma, 1 - a)
+    else:
+        s = fractional_matrix_power(sigma, (1 - a) / (2 * a))
+        q = fractional_matrix_power(s @ rho @ s, a)
+    return math.log(np.trace(q).real) / (a - 1)
+
+
 class TestBatchedObjective:
     @pytest.mark.parametrize("cut", [CUT_22, CUT_123])
     @pytest.mark.parametrize("p", [RenyiParameter(1.0),
@@ -164,14 +177,16 @@ class TestBatchedObjective:
                                    RenyiParameter(0.5, "sand"),
                                    RenyiParameter(3.0, "sand")])
     def test_batched_value_matches_rel_entropy(self, cut, p):
+        # against dense scipy matrix functions, independent of the
+        # eigenpair evaluation under test
         rho = random_density_matrix(cut.dim, cut.dim, 21)
         sigmas = sample_separable_batch(cut, 40, 4 * cut.dim,
                                         np.random.default_rng(4))
         sigmas = sigmas[np.linalg.eigvalsh(sigmas)[:, 0] > 1e-6]
         assert len(sigmas) >= 20
-        got = _Objective(rho, cut, p, 1e-12).divergence(*np.linalg.eigh(sigmas))
-        want = [rel_entropy(rho, s, p, 1e-12) for s in sigmas]
-        assert np.abs(got - want).max() <= 1e-12
+        got = Divergence(rho, p, 1e-12).value(*np.linalg.eigh(sigmas))
+        want = [dense_divergence(rho, s, p) for s in sigmas]
+        assert np.abs(got - want).max() <= 1e-9
 
     def test_realize_is_a_batch_of_one(self):
         rng = np.random.default_rng(8)
@@ -179,7 +194,7 @@ class TestBatchedObjective:
         obj = _Objective(np.eye(8) / 8, CUT_123, RenyiParameter(1.0), 1e-12)
         values = obj.value(_stack(ans))[0]
         for a, v in zip(ans, values):
-            assert v == obj.divergence(*np.linalg.eigh(realize(a)[None]))[0]
+            assert v == obj.div.value(*np.linalg.eigh(realize(a)[None]))[0]
 
 
     def test_ladder_takes_the_step_halving_takes(self):

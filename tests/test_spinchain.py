@@ -160,10 +160,6 @@ class TestXXZSpectrum:
         want[[1, 2, 4]] = 3**-0.5
         assert np.abs(vecs[:, 3] - want).max() < 1e-12
 
-    def test_q_phase_cube_root(self):
-        q = np.exp(2j * np.pi / 3)
-        assert abs(q**3 - 1) < 1e-15
-
     def test_orthonormality(self):
         _, vecs = xxz_spectrum(ModelParams.xxz(1.0, 1.7))
         assert np.abs(vecs.conj().T @ vecs - np.eye(8)).max() < 1e-12
