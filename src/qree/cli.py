@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -78,6 +79,16 @@ def _options(args) -> OptimizerOptions:
                             components=args.components, seed=args.seed)
 
 
+@contextlib.contextmanager
+def _inputs():
+    """Report bad values met while building inputs as configuration
+    errors; a ValueError raised later is a numeric failure."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise entscan.ConfigError(str(exc)) from exc
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, default=str))
@@ -118,7 +129,9 @@ def cmd_state(args) -> int:
 
 
 def cmd_ree(args) -> int:
-    rho = _build_state(args)
+    with _inputs():
+        rho = _build_state(args)
+        p, opts = RenyiParameter(args.alpha, args.variant), _options(args)
     cut = CUTS[args.cut]
     if cut.dim != rho.shape[0]:
         if args.cut == "1:23":
@@ -126,22 +139,25 @@ def cmd_ree(args) -> int:
         from .qmat import partial_trace
         keep = [0, 1] if args.cut == "1:2" else [0, 2]
         rho = partial_trace(rho, [2, 2, 2], keep)
-    res = ree(rho, cut, RenyiParameter(args.alpha, args.variant), _options(args))
+    res = ree(rho, cut, p, opts)
     _emit({"cut": args.cut, "alpha": args.alpha, "variant": args.variant,
            "value": res.value, "converged": res.converged,
            "restarts_used": res.restarts_used,
-           "iterations": res.iterations, "evaluations": res.evaluations},
-          args.format)
+           "iterations": res.iterations, "evaluations": res.evaluations,
+           "path": res.path}, args.format)
     return EXIT_OK if res.converged else EXIT_NUMERIC
 
 
 def cmd_monogamy(args) -> int:
-    rho = _build_state(args)
-    res = entscan.monogamy(rho, RenyiParameter(args.alpha, args.variant),
-                           _options(args))
+    with _inputs():
+        rho = _build_state(args)
+        p, opts = RenyiParameter(args.alpha, args.variant), _options(args)
+    res = entscan.monogamy(rho, p, opts)
     _emit({"alpha": args.alpha, "variant": args.variant,
            "e_1_23": res.e_1_23, "e_1_2": res.e_1_2, "e_1_3": res.e_1_3,
-           "m": res.m, "converged": res.converged}, args.format)
+           "m": res.m, "converged": res.converged,
+           "path_1_2": res.detail_1_2.path, "path_1_3": res.detail_1_3.path},
+          args.format)
     return EXIT_OK if res.converged else EXIT_NUMERIC
 
 
@@ -168,11 +184,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tc(args) -> int:
-    params = _model_params(args)
+    with _inputs():
+        params = _model_params(args)
+        p, opts = RenyiParameter(args.alpha, args.variant), _options(args)
     tc = entscan.critical_temperature(
-        params, RenyiParameter(args.alpha, args.variant), _options(args),
-        threshold=args.threshold, t_range=(args.t_min, args.t_max),
-        resolution=args.resolution)
+        params, p, opts, threshold=args.threshold,
+        t_range=(args.t_min, args.t_max), resolution=args.resolution)
     if tc is None:
         print("none-in-range")
     else:
@@ -297,9 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except entscan.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except IOError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

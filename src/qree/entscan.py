@@ -29,20 +29,27 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .qmat import Bipartition, partial_trace
-from .renyi import RenyiParameter
+from .qmat import Bipartition, partial_trace, partial_transpose
+from .renyi import RenyiParameter, rel_entropy
 from .sepstates import ALGORITHM_VERSION, OptimizerOptions, REEResult, ree
 from .spinchain import ModelParams, hamiltonian, thermal_state
 
 CUT_1_23 = Bipartition(2, 4)
 CUT_PAIR = Bipartition(2, 2)
 
+# a pair state counts as PPT when lambda_min(rho^Gamma) >= -tau, with
+# tau = PPT_ROUNDING * lambda_max(rho^Gamma): the d * eps rounding rule
+PPT_ROUNDING = CUT_PAIR.dim * np.finfo(float).eps
+# largest entry difference at which rho_13 counts as rho_12 up to SWAP
+SWAP_MATCH_TOL = 1e-12
+
 CSV_HEADER = ("model,param_name,param_value,temp,alpha,variant,"
               "e_1_23,e_1_2,e_1_3,m,converged,restarts_used,seed,walltime_ms")
 
 
 class ConfigError(ValueError):
-    """Malformed sweep configuration (reported with line/field context)."""
+    """Malformed configuration or input; sweep files report the line or
+    field."""
 
 
 @dataclass
@@ -61,16 +68,69 @@ class MonogamyResult:
                 and self.detail_1_3.converged)
 
 
+def _ppt_result(rho: np.ndarray) -> REEResult | None:
+    """E = 0 for a pair state whose partial transpose has no eigenvalue
+    below -PPT_ROUNDING * its largest; None for any other state."""
+    w = np.linalg.eigvalsh(partial_transpose(rho, [2, 2], 1))
+    if w[0] < -PPT_ROUNDING * w[-1]:
+        return None
+    return REEResult(value=0.0, closest_state=0.5 * (rho + rho.conj().T),
+                     converged=True, restarts_used=0, best_restart_seed=None,
+                     iterations=0, evaluations=0, restarts=(), path="ppt")
+
+
+def _swap_qubits(rho: np.ndarray) -> np.ndarray:
+    """SWAP rho SWAP for a two-qubit state."""
+    return rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+
+
+def _swap_result(rho13: np.ndarray, rho12: np.ndarray, r12: REEResult,
+                 p: RenyiParameter, floor: float) -> REEResult | None:
+    """E(1:3) from E(1:2)'s closest state when rho13 is rho12 or
+    SWAP rho12 SWAP within SWAP_MATCH_TOL per entry; None otherwise."""
+    for match, sigma in ((rho12, r12.closest_state),
+                         (_swap_qubits(rho12), _swap_qubits(r12.closest_state))):
+        if np.abs(rho13 - match).max() <= SWAP_MATCH_TOL:
+            return replace(r12, value=rel_entropy(rho13, sigma, p, floor),
+                           closest_state=sigma, path="swap")
+    return None
+
+
 def monogamy(rho3: np.ndarray, p: RenyiParameter,
              opts: OptimizerOptions = OptimizerOptions()) -> MonogamyResult:
     """E(1:23), E(1:2), E(1:3) and their monogamy combination for an
-    8-dimensional three-qubit state."""
+    8-dimensional three-qubit state.
+
+    E(1:23) always comes from ``ree``.  The two pair cuts first try two
+    exact paths, recorded in ``REEResult.path``:
+
+    - ``"ppt"``: a two-qubit state with a positive partial transpose is
+      separable (Peres, PRL 77, 1413 (1996); Horodecki, PLA 223, 1
+      (1996)), so its REE is 0 at every alpha.  The test allows
+      lambda_min(rho^Gamma) >= -tau, tau = d eps lambda_max(rho^Gamma)
+      with d = 4 (the rounding rule of ``renyi``).  Mixing in a share
+      p = d tau / (1 + d tau) of I/d makes such a rho exactly PPT, and
+      since D_alpha is antimonotone in sigma over the allowed alpha
+      ranges, the true REE is at most -ln(1 - p) = ln(1 + d tau),
+      about 4e-15: 0 is exact to that accuracy.
+    - ``"swap"``: the separable set is SWAP-invariant and D_alpha is
+      unitarily invariant, so when rho_13 equals rho_12 or
+      SWAP rho_12 SWAP, E(1:3) reuses E(1:2)'s closest state (SWAPped
+      in the second case).  The value is re-evaluated at that state, so
+      it stays an upper bound reproducible from ``closest_state``; when
+      rho_13 equals rho_12 exactly it is bit-identical to E(1:2).
+
+    Any other pair state goes to the descent.
+    """
     rho3 = np.asarray(rho3, dtype=complex)
     if rho3.shape != (8, 8):
         raise ValueError("monogamy expects an 8x8 three-qubit state")
     r123 = ree(rho3, CUT_1_23, p, opts)
-    r12 = ree(partial_trace(rho3, [2, 2, 2], [0, 1]), CUT_PAIR, p, opts)
-    r13 = ree(partial_trace(rho3, [2, 2, 2], [0, 2]), CUT_PAIR, p, opts)
+    rho12 = partial_trace(rho3, [2, 2, 2], [0, 1])
+    rho13 = partial_trace(rho3, [2, 2, 2], [0, 2])
+    r12 = _ppt_result(rho12) or ree(rho12, CUT_PAIR, p, opts)
+    r13 = (_ppt_result(rho13) or _swap_result(rho13, rho12, r12, p, opts.floor)
+           or ree(rho13, CUT_PAIR, p, opts))
     m = r123.value - r12.value - r13.value
     return MonogamyResult(e_1_23=r123.value, e_1_2=r12.value, e_1_3=r13.value,
                           m=m, detail_1_23=r123, detail_1_2=r12, detail_1_3=r13)
@@ -359,9 +419,9 @@ def critical_temperature(params: ModelParams, p: RenyiParameter,
     """
     lo, hi = t_range
     if not (lo > 0 and hi > lo):
-        raise ValueError("t_range must be ascending and positive")
+        raise ConfigError("t_range must be ascending and positive")
     if resolution < 4:
-        raise ValueError("resolution must be at least 4 points")
+        raise ConfigError("resolution must be at least 4 points")
     grid = np.linspace(lo, hi, resolution)
     vals = [tripartite_entanglement(params, float(t), p, opts) for t in grid]
     below = [i for i, v in enumerate(vals) if v < threshold]

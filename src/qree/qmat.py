@@ -125,6 +125,23 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
     return work.reshape(d_keep, d_keep)
 
 
+def partial_transpose(rho: np.ndarray, dims: Sequence[int], sys: int) -> np.ndarray:
+    """Transpose tensor factor ``sys`` of ``rho``, the others untouched.
+
+    ``dims`` lists the factor dimensions left to right, as in
+    :func:`partial_trace`.  For two qubits, ``rho`` is separable exactly
+    when this is positive semidefinite (Peres-Horodecki).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dims = list(dims)
+    n = len(dims)
+    if math.prod(dims) != rho.shape[0] or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"product of dims {dims} does not match matrix dim {rho.shape}")
+    if not 0 <= sys < n:
+        raise ValueError(f"factor {sys} invalid for {n} factors")
+    return rho.reshape(dims + dims).swapaxes(sys, n + sys).reshape(rho.shape)
+
+
 def mat_func(rho: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
              floor: float = 0.0) -> np.ndarray:
     """Apply a scalar function to the eigenvalues: V f(max(w, floor)) V^dag."""

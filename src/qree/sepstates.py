@@ -60,8 +60,11 @@ CLOSEST_STATE_MIXING = 1e-9
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result.  Version 1 ran restarts one after another, one trial step a call;
 # version 2 counted rounding-level eigenvalues of rho in the traditional
-# rho^alpha, which moves alpha < 1 values of low-rank rho by up to ~1e-5.
-ALGORITHM_VERSION = 3
+# rho^alpha, which moves alpha < 1 values of low-rank rho by up to ~1e-5;
+# version 3 ran a descent for every pair cut of a monogamy point, where
+# PPT pairs now return 0 and E(1:3) reuses E(1:2)'s closest state when
+# rho_13 is rho_12 up to a SWAP.
+ALGORITHM_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -126,16 +129,26 @@ class RestartRecord:
 class REEResult:
     """Outcome of one relative-entropy-of-entanglement minimization.
     ``converged`` and ``iterations`` describe the best restart,
-    ``evaluations`` sums over ``restarts``, one record per restart."""
+    ``evaluations`` sums over ``restarts``, one record per restart.
+
+    ``path`` says how the value was found: ``"descent"`` by ``ree``, or by
+    one of the exact shortcuts ``entscan.monogamy`` takes for pair cuts.
+    A ``"ppt"`` result ran no descent: the value is exactly 0,
+    ``converged`` is True, ``iterations``, ``evaluations`` and
+    ``restarts_used`` are 0, ``restarts`` is empty and
+    ``best_restart_seed`` is None.  A ``"swap"`` result keeps every
+    descent field of the E(1:2) result whose closest state it reuses.
+    """
 
     value: float
     closest_state: np.ndarray
     converged: bool
     restarts_used: int
-    best_restart_seed: int
+    best_restart_seed: int | None
     iterations: int
     evaluations: int
     restarts: tuple[RestartRecord, ...]
+    path: str = "descent"
 
 
 def _mixtures(logits: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray):

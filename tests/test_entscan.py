@@ -4,17 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from qree import entscan
+from qree import cli, entscan
 from qree.cli import main as cli_main
-from qree.entscan import (ConfigError, SweepRow, critical_temperature,
-                          emit_rows, monogamy, parse_config, parse_rows, sweep)
-from qree.qmat import projector
-from qree.renyi import RenyiParameter
-from qree.sepstates import OptimizerOptions
+from qree.entscan import (CUT_PAIR, ConfigError, SweepRow,
+                          critical_temperature, emit_rows, monogamy,
+                          parse_config, parse_rows, sweep)
+from qree.qmat import kron, partial_trace, partial_transpose, projector
+from qree.renyi import RenyiParameter, rel_entropy
+from qree.sepstates import (OptimizerOptions, random_ansatz, realize, ree,
+                            sample_upper_bound)
 from qree.spinchain import ModelParams
-from qree.statezoo import ghz, w
+from qree.statezoo import ghz, star, w
 
 FAST = OptimizerOptions(restarts=2, max_iters=300, components=12, seed=3)
+# for tests that check only the pair cuts: the 1:23 descent stays short
+QUICK = OptimizerOptions(restarts=1, max_iters=30, components=4, seed=0)
+TEN_PARAMS = ([RenyiParameter(a, "trad") for a in (0.3, 0.7, 1.0, 1.5, 2.0)]
+              + [RenyiParameter(a, "sand") for a in (0.5, 1.0, 2.0, 4.0, 8.0)])
 
 TINY_CONFIG = """
 # minimal sweep
@@ -47,6 +53,105 @@ class TestMonogamy:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="8x8"):
             monogamy(np.eye(4) / 4, RenyiParameter(1.0), FAST)
+
+
+def with_pair(rho12):
+    """A three-qubit state whose 1:2 reduction is rho12 (qubit 3 in |0>)."""
+    return kron(rho12, np.diag([1.0, 0.0]))
+
+
+def werner(p):
+    """p |singlet><singlet| + (1 - p) I/4; lambda_min of its partial
+    transpose is (1 - 3p)/4."""
+    singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
+    return p * projector(singlet) + (1 - p) * np.eye(4) / 4
+
+
+def chiral_state():
+    """A cyclic-shift eigenstate with eigenvalue exp(2 pi i / 3): its
+    rho_13 is SWAP rho_12 SWAP but not rho_12, and both pairs are NPT."""
+    rng = np.random.default_rng(0)
+    psi = (rng.normal(size=8) + 1j * rng.normal(size=8)).reshape(2, 2, 2)
+    om = np.exp(2j * np.pi / 3)
+    psi = psi + om * psi.transpose(1, 2, 0) + om ** 2 * psi.transpose(2, 0, 1)
+    return projector(psi.ravel() / np.linalg.norm(psi))
+
+
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def below_sampling(res, rho3, p):
+    """Each pair value is at most the sampling oracle's bound + 1e-9."""
+    for keep, value in (([0, 1], res.e_1_2), ([0, 2], res.e_1_3)):
+        pair = partial_trace(rho3, [2, 2, 2], keep)
+        assert value <= sample_upper_bound(pair, CUT_PAIR, p, 2000, 1) + 1e-9
+
+
+class TestMonogamyShortcuts:
+    def test_ghz_pairs_are_exact_zeros(self):
+        rho = projector(ghz())
+        for p in TEN_PARAMS:
+            res = monogamy(rho, p, QUICK)
+            assert res.e_1_2 == 0.0 and res.e_1_3 == 0.0
+            assert res.detail_1_2.path == res.detail_1_3.path == "ppt"
+            assert res.detail_1_23.path == "descent"
+            d = res.detail_1_2
+            assert (d.converged, d.iterations, d.evaluations, d.restarts_used,
+                    d.restarts) == (True, 0, 0, 0, ())
+            below_sampling(res, rho, p)
+
+    def test_w_second_pair_reuses_the_first(self):
+        rho = projector(w())
+        p = RenyiParameter(1.0)
+        res = monogamy(rho, p, FAST)
+        assert res.detail_1_2.path == "descent"
+        assert res.detail_1_3.path == "swap"
+        assert res.e_1_3 == res.e_1_2
+        assert res.detail_1_3.iterations == res.detail_1_2.iterations
+        below_sampling(res, rho, p)
+
+    def test_star_descends_every_cut(self):
+        res = monogamy(projector(star()), RenyiParameter(2.0, "sand"), QUICK)
+        assert [d.path for d in (res.detail_1_23, res.detail_1_2,
+                                 res.detail_1_3)] == ["descent"] * 3
+
+    def test_werner_boundary(self):
+        p_npt = (1 + 4e-6) / 3
+        lam = np.linalg.eigvalsh(partial_transpose(werner(p_npt), [2, 2], 1))[0]
+        assert abs(lam + 1e-6) < 1e-15
+        res = monogamy(with_pair(werner(p_npt)), RenyiParameter(1.0), FAST)
+        assert res.detail_1_2.path == "descent" and res.e_1_2 > 0
+        res = monogamy(with_pair(werner(1 / 3)), RenyiParameter(1.0), QUICK)
+        assert res.detail_1_2.path == "ppt" and res.e_1_2 == 0.0
+
+    def test_random_separable_pairs_take_ppt(self):
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            pair = realize(random_ansatz(CUT_PAIR, 6, rng))
+            res = monogamy(with_pair(pair), RenyiParameter(1.5), QUICK)
+            assert res.detail_1_2.path == "ppt" and res.e_1_2 == 0.0
+            assert np.array_equal(res.detail_1_2.closest_state,
+                                  0.5 * (pair + pair.conj().T))
+
+    def test_swapped_pair_reuses_swapped_state(self):
+        rho = chiral_state()
+        p = RenyiParameter(2.0, "sand")
+        rho12 = partial_trace(rho, [2, 2, 2], [0, 1])
+        rho13 = partial_trace(rho, [2, 2, 2], [0, 2])
+        assert np.abs(rho13 - rho12).max() > 0.1
+        res = monogamy(rho, p, FAST)
+        d12, d13 = res.detail_1_2, res.detail_1_3
+        assert (d12.path, d13.path) == ("descent", "swap")
+        assert np.array_equal(d13.closest_state, SWAP @ d12.closest_state @ SWAP)
+        # re-evaluated at the reused state, not copied from E(1:2)
+        assert res.e_1_3 == rel_entropy(rho13, d13.closest_state, p)
+        assert abs(res.e_1_3 - res.e_1_2) <= 1e-12
+        below_sampling(res, rho, p)
+
+    def test_ree_never_takes_a_shortcut(self):
+        pair = partial_trace(projector(ghz()), [2, 2, 2], [0, 1])
+        res = ree(pair, CUT_PAIR, RenyiParameter(1.0), QUICK)
+        assert res.path == "descent" and res.evaluations > 0
 
 
 class TestCsv:
@@ -278,6 +383,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["value"] - math.log(2)) < 1e-3
         assert payload["evaluations"] > payload["iterations"] >= 1
+        assert payload["path"] == "descent"
 
     def test_monogamy_subcommand(self, capsys):
         code = cli_main(["monogamy", "--model", "xxz", "--j", "1",
@@ -288,6 +394,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["m"] - (payload["e_1_23"] - payload["e_1_2"]
                                    - payload["e_1_3"])) < 1e-12
+        assert payload["path_1_2"] == payload["path_1_3"] == "ppt"
 
     def test_state_and_model_conflict(self, capsys):
         code = cli_main(["ree", "--state", "ghz", "--model", "xyz"])
@@ -298,6 +405,19 @@ class TestCli:
     def test_non_finite_input_is_named(self, capsys, flag, named):
         assert cli_main(["ree", "--model", "tfi", flag, "nan"]) == 1
         assert named in capsys.readouterr().err
+
+    def test_numeric_value_error_exit(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise ValueError("matrix is not Hermitian within tolerance")
+
+        monkeypatch.setattr(cli, "ree", failing)
+        assert cli_main(["ree", "--state", "ghz"]) == 2
+        assert "numeric error" in capsys.readouterr().err
+
+    def test_tc_bad_range_is_config_error(self, capsys):
+        assert cli_main(["tc", "--model", "tfi", "--t-min", "2",
+                         "--t-max", "1"]) == 1
+        assert "t_range" in capsys.readouterr().err
 
     def test_sweep_config_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

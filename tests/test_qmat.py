@@ -7,7 +7,8 @@ from conftest import brute_partial_trace
 from qree import qmat
 from qree.qmat import (Bipartition, eig_hermitian, kron, mat_func,
                        numerical_rank, operator_norm, partial_trace,
-                       projector, random_density_matrix, validate_density)
+                       partial_transpose, projector, random_density_matrix,
+                       validate_density)
 from qree.statezoo import ghz, w, w_reduced
 
 I2 = np.eye(2, dtype=complex)
@@ -72,6 +73,38 @@ class TestPartialTrace:
             red = partial_trace(rho, [2, 4], [1])
             assert abs(np.trace(red).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(red)[0] > -1e-12
+
+
+class TestPartialTranspose:
+    def test_involution(self):
+        rho = random_density_matrix(8, 3, 7)
+        for dims in ([2, 2, 2], [2, 4], [4, 2]):
+            for sys in range(len(dims)):
+                twice = partial_transpose(partial_transpose(rho, dims, sys), dims, sys)
+                assert np.array_equal(twice, rho)
+
+    def test_product_state_transposes_its_factor(self):
+        a = random_density_matrix(2, 2, 1)
+        b = random_density_matrix(4, 3, 2)
+        rho = kron(a, b)
+        assert np.abs(partial_transpose(rho, [2, 4], 0) - kron(a.T, b)).max() < 1e-15
+        assert np.abs(partial_transpose(rho, [2, 4], 1) - kron(a, b.T)).max() < 1e-15
+
+    def test_bell_state_is_npt(self):
+        for sys in (0, 1):
+            lam = np.linalg.eigvalsh(partial_transpose(projector(bell()), [2, 2], sys))
+            assert abs(lam[0] + 0.5) < 1e-15
+
+    def test_ghz_pair_is_ppt(self):
+        pair = partial_trace(projector(ghz()), [2, 2, 2], [0, 1])
+        lam = np.linalg.eigvalsh(partial_transpose(pair, [2, 2], 1))
+        assert abs(lam[0]) < 1e-15
+
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValueError, match="dims"):
+            partial_transpose(np.eye(6) / 6, [2, 2], 0)
+        with pytest.raises(ValueError, match="factor"):
+            partial_transpose(np.eye(4) / 4, [2, 2], 2)
 
 
 class TestEigHermitian:
