@@ -12,6 +12,7 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -162,13 +163,10 @@ def cmd_monogamy(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = entscan.load_config(args.config)
-    if args.out:
-        config.out = args.out
-    if args.cache_dir:
-        config.cache_dir = args.cache_dir
-    if args.workers:
-        config.workers = args.workers
+    flags = {"out": args.out, "cache_dir": args.cache_dir, "workers": args.workers}
+    # replace() re-runs SweepConfig's validation on the overridden fields
+    config = replace(entscan.load_config(args.config),
+                     **{k: v for k, v in flags.items() if v is not None})
     rows = entscan.sweep(config)
     n_unconverged = sum(not r.converged for r in rows)
     if config.out:

@@ -85,13 +85,13 @@ def _swap_qubits(rho: np.ndarray) -> np.ndarray:
 
 
 def _swap_result(rho13: np.ndarray, rho12: np.ndarray, r12: REEResult,
-                 p: RenyiParameter, floor: float) -> REEResult | None:
+                 p: RenyiParameter) -> REEResult | None:
     """E(1:3) from E(1:2)'s closest state when rho13 is rho12 or
     SWAP rho12 SWAP within SWAP_MATCH_TOL per entry; None otherwise."""
     for match, sigma in ((rho12, r12.closest_state),
                          (_swap_qubits(rho12), _swap_qubits(r12.closest_state))):
         if np.abs(rho13 - match).max() <= SWAP_MATCH_TOL:
-            return replace(r12, value=rel_entropy(rho13, sigma, p, floor),
+            return replace(r12, value=rel_entropy(rho13, sigma, p),
                            closest_state=sigma, path="swap")
     return None
 
@@ -129,7 +129,7 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
     rho12 = partial_trace(rho3, [2, 2, 2], [0, 1])
     rho13 = partial_trace(rho3, [2, 2, 2], [0, 2])
     r12 = _ppt_result(rho12) or ree(rho12, CUT_PAIR, p, opts)
-    r13 = (_ppt_result(rho13) or _swap_result(rho13, rho12, r12, p, opts.floor)
+    r13 = (_ppt_result(rho13) or _swap_result(rho13, rho12, r12, p)
            or ree(rho13, CUT_PAIR, p, opts))
     m = r123.value - r12.value - r13.value
     return MonogamyResult(e_1_23=r123.value, e_1_2=r12.value, e_1_3=r13.value,
@@ -457,9 +457,6 @@ def critical_temperature(params: ModelParams, p: RenyiParameter,
 #   max_iters = 800
 #   components = 16
 #   gradient = analytic          # analytic | fd
-#   grad_step = 1e-5
-#   tol_objective = 1e-7
-#   floor = 1e-12
 #   seed = 7
 #   workers = 4
 #   out = rows.csv
@@ -467,9 +464,7 @@ def critical_temperature(params: ModelParams, p: RenyiParameter,
 #
 # Unknown keys are errors; every diagnostic carries the line number.
 
-_FIXED_KEYS = {"jx", "jy", "jz", "j", "delta", "gamma", "lam", "temp"}
 _OPT_INT_KEYS = {"restarts", "max_iters", "components"}
-_OPT_FLOAT_KEYS = {"grad_step", "tol_objective", "floor"}
 
 
 def _parse_grid(raw: str, line_no: int) -> list[float]:
@@ -520,8 +515,7 @@ def parse_config(text: str) -> SweepConfig:
         raw[key] = (value, line_no)
 
     known = ({"model", "sweep", "grid", "alphas", "seed", "workers", "out",
-              "cache_dir", "gradient"} | _FIXED_KEYS | _OPT_INT_KEYS
-             | _OPT_FLOAT_KEYS)
+              "cache_dir", "gradient"} | SWEEPABLE | _OPT_INT_KEYS)
     for key, (_, line_no) in raw.items():
         if key not in known:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
@@ -539,7 +533,7 @@ def parse_config(text: str) -> SweepConfig:
 
     fixed: dict[str, float] = {}
     for key in list(raw):
-        if key in _FIXED_KEYS:
+        if key in SWEEPABLE:
             value, line_no = raw.pop(key)
             try:
                 fixed[key] = float(value)
@@ -547,20 +541,7 @@ def parse_config(text: str) -> SweepConfig:
                 raise ConfigError(f"line {line_no}: {key} must be a number, "
                                   f"got {value!r}")
 
-    opt_kwargs = {}
-    for key in list(raw):
-        if key in _OPT_INT_KEYS or key in _OPT_FLOAT_KEYS:
-            value, line_no = raw.pop(key)
-            try:
-                opt_kwargs[key] = (int(value) if key in _OPT_INT_KEYS
-                                   else float(value))
-            except ValueError:
-                raise ConfigError(f"line {line_no}: {key} must be numeric, "
-                                  f"got {value!r}")
-    if "gradient" in raw:
-        opt_kwargs["gradient"] = take("gradient")
-
-    def take_int(key: str, default: int) -> int:
+    def take_int(key: str, default: int | None) -> int | None:
         value, line_no = raw.pop(key, (None, 0))
         if value is None:
             return default
@@ -569,6 +550,11 @@ def parse_config(text: str) -> SweepConfig:
         except ValueError:
             raise ConfigError(f"line {line_no}: {key} must be an integer, "
                               f"got {value!r}")
+
+    opt_kwargs = {key: take_int(key, None) for key in list(raw)
+                  if key in _OPT_INT_KEYS}
+    if "gradient" in raw:
+        opt_kwargs["gradient"] = take("gradient")
 
     seed = take_int("seed", 0)
     workers = take_int("workers", 1)

@@ -19,9 +19,9 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
-# Eigenvalue floor used inside fractional/negative matrix powers: small
-# enough not to move any optimizer objective, large enough to regularize
-# rank-deficient states.
+# Floor on sigma's eigenvalues inside the logs and powers of every Renyi
+# divergence (``renyi.Divergence``): small enough not to move any optimizer
+# objective, large enough to regularize rank-deficient states.
 DEFAULT_FLOOR = 1e-12
 
 
@@ -56,10 +56,6 @@ class Bipartition:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the leading factor on the left."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
 
 
 def is_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> bool:
@@ -149,11 +145,6 @@ def mat_func(rho: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
     fw = f(np.maximum(w, floor))
     out = (v * fw) @ v.conj().T
     return 0.5 * (out + out.conj().T)
-
-
-def mat_power(rho: np.ndarray, p: float, floor: float = 0.0) -> np.ndarray:
-    """Hermitian matrix power with eigenvalue floor (needed when p < 0)."""
-    return mat_func(rho, lambda x: x**p, floor)
 
 
 def numerical_rank(rho: np.ndarray, tol: float) -> int:

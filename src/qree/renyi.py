@@ -142,19 +142,17 @@ class Divergence:
     evaluated on batches of sigma given by their (B, d) eigenvalues and
     (B, d, d) eigenvectors.
 
-    sigma's eigenvalues are floored at ``floor`` inside logs and powers, so
-    the values and the gradient are finite everywhere: a KL support
-    mismatch becomes a large smooth penalty an optimizer can descend away
-    from.  ``value(..., reported=True)`` is the user-facing divergence,
-    which differs only there: KL is ``math.inf`` when rho carries more than
-    SUPPORT_WEIGHT_TOL of weight on eigenvectors of sigma at or below the
-    floor.
+    sigma's eigenvalues are floored at ``qmat.DEFAULT_FLOOR`` inside logs
+    and powers, so the values and the gradient are finite everywhere: a KL
+    support mismatch becomes a large smooth penalty an optimizer can
+    descend away from.  ``value(..., reported=True)`` is the user-facing
+    divergence, which differs only there: KL is ``math.inf`` when rho
+    carries more than SUPPORT_WEIGHT_TOL of weight on eigenvectors of
+    sigma at or below the floor.
     """
 
-    def __init__(self, rho: np.ndarray, p: RenyiParameter,
-                 floor: float = DEFAULT_FLOOR):
+    def __init__(self, rho: np.ndarray, p: RenyiParameter):
         self.alpha = p.alpha
-        self.floor = floor
         self.rho = np.asarray(rho, dtype=complex)
         self.rho_pow = self.rho     # rho ** alpha, for KL and traditional
         if p.is_kl:
@@ -171,7 +169,7 @@ class Divergence:
     def value(self, ws: np.ndarray, vs: np.ndarray,
               reported: bool = False) -> np.ndarray:
         """(B,) divergences, floored unless ``reported`` (see the class)."""
-        wf = np.maximum(ws, self.floor)
+        wf = np.maximum(ws, DEFAULT_FLOOR)
         if self.kind == "sand":
             s = (vs * wf[:, None, :] ** self.c) @ _adjoint(vs)
             wm = np.linalg.eigvalsh(s @ self.rho @ s)
@@ -181,7 +179,7 @@ class Divergence:
             if self.kind == "kl":
                 kl = -self.s_rho - (occ * np.log(wf)).sum(axis=1)
                 if reported:
-                    null = np.where(ws <= self.floor, occ, 0.0).sum(axis=1)
+                    null = np.where(ws <= DEFAULT_FLOOR, occ, 0.0).sum(axis=1)
                     kl[null > SUPPORT_WEIGHT_TOL] = math.inf
                 return kl
             tr = (occ * wf ** (1.0 - self.alpha)).sum(axis=1)
@@ -191,7 +189,7 @@ class Divergence:
         """(B, d, d) gradients of the floored value in sigma, Hermitian up
         to rounding."""
         vh = _adjoint(vs)
-        f = self.floor
+        f = DEFAULT_FLOOR
         wf = np.maximum(ws, f)
         live = ws > f
         if self.kind == "kl":
@@ -214,33 +212,29 @@ class Divergence:
         return grad / ((self.alpha - 1.0) * tr)[:, None, None]
 
 
-def rel_entropy(rho: np.ndarray, sigma: np.ndarray, p: RenyiParameter,
-                floor: float = DEFAULT_FLOOR) -> float:
+def rel_entropy(rho: np.ndarray, sigma: np.ndarray, p: RenyiParameter) -> float:
     """The reported divergence selected by ``p`` (alpha = 1 is KL)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != np.asarray(sigma).shape:
         raise ValueError("dimension mismatch between rho and sigma")
     ws, vs = eig_hermitian(sigma)
-    return float(Divergence(rho, p, floor).value(ws[None], vs[None], reported=True)[0])
+    return float(Divergence(rho, p).value(ws[None], vs[None], reported=True)[0])
 
 
-def kl_rel_entropy(rho: np.ndarray, sigma: np.ndarray,
-                   floor: float = DEFAULT_FLOOR) -> float:
+def kl_rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Quantum relative entropy Tr rho (ln rho - ln sigma); ``math.inf`` on
     a support mismatch (see ``Divergence``)."""
-    return rel_entropy(rho, sigma, RenyiParameter(1.0), floor)
+    return rel_entropy(rho, sigma, RenyiParameter(1.0))
 
 
-def trad_rel_entropy(rho: np.ndarray, sigma: np.ndarray, alpha: float,
-                     floor: float = DEFAULT_FLOOR) -> float:
+def trad_rel_entropy(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Traditional (Petz) Renyi relative entropy ln Tr(rho^a sigma^(1-a)) / (a-1),
     0 < alpha <= 2.  sigma's eigenvalues are floored before the 1-alpha
     power, which regularizes rank-deficient sigma for alpha > 1."""
-    return rel_entropy(rho, sigma, RenyiParameter(alpha, TRADITIONAL), floor)
+    return rel_entropy(rho, sigma, RenyiParameter(alpha, TRADITIONAL))
 
 
-def sand_rel_entropy(rho: np.ndarray, sigma: np.ndarray, alpha: float,
-                     floor: float = DEFAULT_FLOOR) -> float:
+def sand_rel_entropy(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Sandwiched Renyi relative entropy ln Tr[(s^c rho s^c)^a] / (a-1),
     c = (1-a)/(2a).  Valid for alpha >= 1/2."""
-    return rel_entropy(rho, sigma, RenyiParameter(alpha, SANDWICHED), floor)
+    return rel_entropy(rho, sigma, RenyiParameter(alpha, SANDWICHED))

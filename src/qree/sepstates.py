@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import Bipartition
+from .qmat import Bipartition, validate_density
 from .renyi import SANDWICHED, Divergence, RenyiParameter, rel_entropy
 
 # beyond this alpha the sandwiched divergence is effectively its
@@ -54,8 +54,17 @@ SANDWICHED_ALPHA_CAP = 64.0
 LADDER = 3
 MAX_HALVINGS = 60
 
-# share of the maximally mixed state in the closest state (see ``ree``)
+# share of the maximally mixed state in the closest state (see ``ree``);
+# it must keep CLOSEST_STATE_MIXING / d > qmat.DEFAULT_FLOOR at every
+# dimension d, or the lifted eigenvalues stay at the floor and a KL value
+# is reported as inf
 CLOSEST_STATE_MIXING = 1e-9
+
+# central finite-difference step of the "fd" gradient
+FD_STEP = 1e-5
+# a restart whose objective improves by less than this over a sweep of 10
+# iterations counts as converged
+TOL_OBJECTIVE = 1e-7
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result.  Version 1 ran restarts one after another, one trial step a call;
@@ -73,22 +82,20 @@ class OptimizerOptions:
 
     ``components`` defaults to 4 * dim_a * dim_b when left as None.
     ``gradient`` is "analytic" or "fd" (central finite differences);
-    both run the identical descent loop on the identical objective.
+    both run the identical descent loop on the identical objective.  The
+    finite-difference step, the stall tolerance and the divergence floor
+    are constants: FD_STEP, TOL_OBJECTIVE and ``qmat.DEFAULT_FLOOR``.
     """
 
     restarts: int = 16
     max_iters: int = 2000
-    grad_step: float = 1e-5
-    tol_objective: float = 1e-7
     seed: int = 0
-    floor: float = 1e-12
     components: int | None = None
     gradient: str = "analytic"
 
     def __post_init__(self) -> None:
-        if (self.restarts < 1 or self.max_iters < 1 or self.grad_step <= 0
-                or self.tol_objective <= 0 or self.floor <= 0):
-            raise ValueError("optimizer options must be positive, restarts >= 1")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError("restarts and max_iters must be >= 1")
         if self.components is not None and self.components < 1:
             raise ValueError("components must be >= 1")
         if self.gradient not in ("analytic", "fd"):
@@ -202,10 +209,9 @@ def _stack(ansatze: list[SeparableAnsatz]) -> np.ndarray:
 # the divergence on realized ansatze: values and gradients of parameter rows
 
 class _Objective:
-    def __init__(self, rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
-                 floor: float):
+    def __init__(self, rho: np.ndarray, cut: Bipartition, p: RenyiParameter):
         self.cut = cut
-        self.div = Divergence(rho, p, floor)
+        self.div = Divergence(rho, p)
 
     def split(self, theta: np.ndarray):
         """Views (logits, vectors_a, vectors_b) of (B, n) parameter rows."""
@@ -228,7 +234,7 @@ class _Objective:
         differences (2n further values per row)."""
         theta, p, w, na2, nb2, psi, ws, vs = ev
         if opts.gradient == "fd":
-            return self._fd_grad(theta, opts.grad_step)
+            return self._fd_grad(theta, FD_STEP)
         grad_s = self.div.sigma_grad(ws, vs)
         _, a, b = self.split(theta)
         rows, k, da = a.shape
@@ -304,7 +310,7 @@ def _descend(obj: _Objective, theta: np.ndarray, opts: OptimizerOptions):
     A row's trial step is the Barzilai-Borwein estimate from its previous
     accepted step (falling back to doubling).  A row converges, and leaves
     the batch, when no step along its gradient descends or its objective
-    improves by less than ``tol_objective`` over a sweep of 10 iterations.
+    improves by less than TOL_OBJECTIVE over a sweep of 10 iterations.
     Returns per-row (value, theta, iterations, evaluations, converged).
     """
     rows, n = theta.shape
@@ -336,7 +342,7 @@ def _descend(obj: _Objective, theta: np.ndarray, opts: OptimizerOptions):
                              np.minimum(t * 2.0, 1e4))
         theta[act], f[act], g[act] = ev[0], f_try, g_new
         if it % 10 == 0:
-            stalled = sweep_ref[act] - f[act] < opts.tol_objective
+            stalled = sweep_ref[act] - f[act] < TOL_OBJECTIVE
             converged[act[stalled]], iters[act[stalled]] = True, it
             sweep_ref[act] = f[act]
             act = act[~stalled]
@@ -374,6 +380,7 @@ def _check_ree_args(rho: np.ndarray, cut: Bipartition, p: RenyiParameter) -> Non
     if rho.shape[0] != cut.dim:
         raise ValueError(f"state dim {rho.shape[0]} does not match cut "
                          f"{cut.dim_a}x{cut.dim_b}")
+    validate_density(rho)
     if p.variant == SANDWICHED and p.alpha > SANDWICHED_ALPHA_CAP:
         raise ValueError(f"sandwiched alpha capped at {SANDWICHED_ALPHA_CAP}")
 
@@ -393,7 +400,7 @@ def ree(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
     """
     rho = np.asarray(rho, dtype=complex)
     _check_ree_args(rho, cut, p)
-    obj = _Objective(rho, cut, p, opts.floor)
+    obj = _Objective(rho, cut, p)
     k = opts.n_components(cut)
     seeds = [_restart_seed(opts.seed, r) for r in range(opts.restarts)]
     theta = _stack([_initial_ansatz(rho, cut, k, r, np.random.default_rng(s))
@@ -405,7 +412,7 @@ def ree(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
              + CLOSEST_STATE_MIXING / cut.dim * np.eye(cut.dim))
     records = tuple(map(RestartRecord, seeds, f.tolist(), iters.tolist(),
                         evals.tolist(), conv.tolist()))
-    return REEResult(value=float(rel_entropy(rho, sigma, p, opts.floor)),
+    return REEResult(value=float(rel_entropy(rho, sigma, p)),
                      closest_state=sigma, converged=bool(conv[best]),
                      restarts_used=opts.restarts, best_restart_seed=seeds[best],
                      iterations=int(iters[best]), evaluations=int(evals.sum()),
@@ -445,12 +452,15 @@ def sample_separable_batch(cut: Bipartition, n: int, components: int,
     n_gen = n - n_diag
     out = np.empty((n, cut.dim, cut.dim), dtype=complex)
 
+    def realize_into(dest, logits, a, b):
+        for lo in range(0, len(dest), 1024):  # chunks bound the kernel's temporaries
+            hi = lo + 1024
+            dest[lo:hi] = _mixtures(logits[lo:hi], a[lo:hi], b[lo:hi])[0]
+
     logits = rng.normal(size=(n_gen, k))
     a = rng.normal(size=(n_gen, k, da)) + 1j * rng.normal(size=(n_gen, k, da))
     b = rng.normal(size=(n_gen, k, db)) + 1j * rng.normal(size=(n_gen, k, db))
-    for lo in range(0, n_gen, 1024):    # chunks bound the kernel's temporaries
-        hi = min(lo + 1024, n_gen)
-        out[lo:hi] = _mixtures(logits[lo:hi], a[lo:hi], b[lo:hi])[0]
+    realize_into(out[:n_gen], logits, a, b)
 
     if n_diag:
         ga = rng.normal(size=(n_diag, da, da)) + 1j * rng.normal(size=(n_diag, da, da))
@@ -459,15 +469,16 @@ def sample_separable_batch(cut: Bipartition, n: int, components: int,
         qb = np.linalg.qr(gb)[0]
         # sparse weights reach the low-rank corners where optima live
         w = rng.dirichlet(np.full(cut.dim, 0.35), size=n_diag)
-        psi = np.einsum("bai,bcj->bijac", qa, qb).reshape(n_diag, cut.dim, cut.dim)
-        out[n_gen:] = np.einsum("bk,bki,bkj->bij", w, psi, psi.conj())
+        # component i * db + j is column i of qa times column j of qb
+        realize_into(out[n_gen:], np.log(w),
+                     np.repeat(qa.swapaxes(1, 2), db, axis=1),
+                     np.tile(qb.swapaxes(1, 2), (1, da, 1)))
     return 0.5 * (out + out.conj().transpose(0, 2, 1))
 
 
 def sample_upper_bound(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
                        n_samples: int, seed: int,
-                       components: int | None = None,
-                       floor: float = 1e-12) -> float:
+                       components: int | None = None) -> float:
     """Brute-force oracle: minimum divergence over random separable states.
 
     Every sample is separable by construction, so the result upper-bounds
@@ -479,7 +490,7 @@ def sample_upper_bound(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     k = components if components is not None else 4 * cut.dim
-    div = Divergence(rho, p, floor)
+    div = Divergence(rho, p)
     rng = np.random.default_rng(seed)
     best = math.inf
     remaining = n_samples

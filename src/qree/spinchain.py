@@ -185,26 +185,18 @@ def _assemble_symmetric_thermal(u: float, v: float, w1: float, w2: float,
 class XYZAnalytic:
     """Closed-form ingredients of the XYZ thermal matrix.
 
-    ``eta`` is the symmetric-sector gap, ``x`` the Boltzmann weight of the
-    q-phase levels, ``phi0`` the mixing angle of both the |ddd>- and the
-    |uuu>-sector (their blocks are equal by spin-flip symmetry), and u..q2
-    the matrix entries times Z in the layout ``TFIAnalytic`` shares; the
-    symmetry makes u = v, w1 = w2, y1 = y2 and q1 = q2.
+    ``eigenvalues`` are the levels of H (unsorted), ``eta`` the
+    symmetric-sector gap, ``x`` the Boltzmann weight of the q-phase
+    levels, ``phi0`` the mixing angle of both the |ddd>- and the
+    |uuu>-sector (their blocks are equal by spin-flip symmetry), and ``z``
+    the partition function.
     """
 
     eigenvalues: np.ndarray
     phi0: float
     eta: float
     x: float
-    u: float = 0.0
-    v: float = 0.0
-    w1: float = 0.0
-    w2: float = 0.0
-    y1: float = 0.0
-    y2: float = 0.0
-    q1: float = 0.0
-    q2: float = 0.0
-    z: float = 0.0
+    z: float
 
 
 def xyz_eta(jx: float, jy: float, jz: float) -> float:
@@ -242,8 +234,7 @@ def xyz_analytic(params: ModelParams, t: float) -> tuple[np.ndarray, XYZAnalytic
     z = xyz_partition(params, t)
     rho = _assemble_symmetric_thermal(u, u, w, w, y, y, q, q, z)
     eigs = np.array([js + eta] + [-js] * 4 + [js - eta] * 2 + [js + eta])
-    info = XYZAnalytic(eigenvalues=eigs, phi0=phi0, eta=eta, x=x,
-                       u=u, v=u, w1=w, w2=w, y1=y, y2=y, q1=q, q2=q, z=z)
+    info = XYZAnalytic(eigenvalues=eigs, phi0=phi0, eta=eta, x=x, z=z)
     return rho, info
 
 
@@ -291,23 +282,14 @@ class TFIAnalytic:
     """Closed-form ingredients of the transverse-field Ising thermal matrix.
 
     eta1/phi0 describe the {|uuu>, symmetric one-up} sector and eta2/phi1
-    the {|ddd>, symmetric two-up} sector; u..q2 are the distinct entries
-    times Z (u on the |uuu> diagonal, v on |ddd>).
+    the {|ddd>, symmetric two-up} sector; ``z`` is the partition function.
     """
 
     eta1: float
     eta2: float
     phi0: float
     phi1: float
-    u: float = 0.0
-    v: float = 0.0
-    w1: float = 0.0
-    w2: float = 0.0
-    y1: float = 0.0
-    y2: float = 0.0
-    q1: float = 0.0
-    q2: float = 0.0
-    z: float = 0.0
+    z: float
 
 
 def tfi_partition(params: ModelParams, t: float) -> float:
@@ -354,8 +336,7 @@ def tfi_analytic(params: ModelParams, t: float) -> tuple[np.ndarray, TFIAnalytic
     # v/q2 family on the |ddd> corner, w1/y1 on the two-up block; u/q1 on
     # the |uuu> corner, w2/y2 on the one-up block
     rho = _assemble_symmetric_thermal(v, u, w2, w1, y2, y1, q2, q1, z)
-    info = TFIAnalytic(eta1=eta1, eta2=eta2, phi0=phi0, phi1=phi1,
-                       u=u, v=v, w1=w1, w2=w2, y1=y1, y2=y2, q1=q1, q2=q2, z=z)
+    info = TFIAnalytic(eta1=eta1, eta2=eta2, phi0=phi0, phi1=phi1, z=z)
     return rho, info
 
 

@@ -222,7 +222,7 @@ def _run_sweeps(configs):
 
 def _mk(model, fixed, axis, grid, alphas, seed):
     return SweepConfig(model=model, fixed=fixed, sweep_param=axis, grid=grid,
-                       alphas=alphas, seed=seed, workers=4,
+                       alphas=alphas, seed=seed,
                        opts=OptimizerOptions(seed=seed, **SWEEP_OPTS))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -423,6 +424,21 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("model = xyz\nwibble = 3\n")
         assert cli_main(["sweep", str(bad)]) == 1
+
+    @pytest.mark.parametrize("key", ["floor", "grad_step", "tol_objective"])
+    def test_sweep_rejects_fixed_optimizer_constants(self, tmp_path, capsys, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(TINY_CONFIG + f"{key} = 1e-9\n")
+        assert cli_main(["sweep", str(cfg)]) == 1
+        assert re.search(rf"line \d+: unknown key '{key}'",
+                         capsys.readouterr().err)
+
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_sweep_workers_flag_validated(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(TINY_CONFIG)
+        assert cli_main(["sweep", str(cfg), "--workers", workers]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_sweep_missing_file_exit(self):
         assert cli_main(["sweep", "/no/such/file.cfg"]) == 3

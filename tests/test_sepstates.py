@@ -109,6 +109,16 @@ class TestReeOracles:
         with pytest.raises(ValueError, match="cut"):
             ree(np.eye(4) / 4, CUT_123, RenyiParameter(1.0), fast_opts)
 
+    @pytest.mark.parametrize("rho, named", [
+        (2 * projector(ghz()), "trace"),
+        (projector(ghz()) + np.triu(np.full((8, 8), 1e-3), 1), "Hermitian")])
+    def test_invalid_state_rejected(self, fast_opts, rho, named):
+        p = RenyiParameter(1.5, "sand")   # its set-up never decomposes rho
+        with pytest.raises(ValueError, match=named):
+            ree(rho, CUT_123, p, fast_opts)
+        with pytest.raises(ValueError, match=named):
+            sample_upper_bound(rho, CUT_123, p, 10, seed=0)
+
     def test_sandwiched_alpha_cap(self, fast_opts):
         with pytest.raises(ValueError, match="cap"):
             ree(np.eye(8) / 8, CUT_123, RenyiParameter(100.0, "sand"), fast_opts)
@@ -152,6 +162,24 @@ class TestSampleUpperBound:
         got = sample_upper_bound(rho, CUT_22, p, 1, seed=3, components=16)
         assert got == pytest.approx(rel_entropy(rho, sigma, p), abs=1e-12)
 
+    @pytest.mark.parametrize("cut", [CUT_22, CUT_123])
+    def test_product_basis_family(self, cut):
+        # the second half of a batch is sum_k w_k |qa e_i (x) qb e_j><.| in
+        # a random product basis; replay the generator's draws to rebuild it
+        n, k, da, db = 6, 5, cut.dim_a, cut.dim_b
+        got = sample_separable_batch(cut, n, k, np.random.default_rng(8))[n // 2:]
+        rng = np.random.default_rng(8)
+        for shape in [(k,), (k, da), (k, da), (k, db), (k, db)]:
+            rng.normal(size=(n - n // 2,) + shape)    # the generic family
+        qa, qb = (np.linalg.qr(rng.normal(size=(n // 2, d, d))
+                               + 1j * rng.normal(size=(n // 2, d, d)))[0]
+                  for d in (da, db))
+        w = rng.dirichlet(np.full(cut.dim, 0.35), size=n // 2)
+        for s in range(n // 2):
+            want = sum(w[s, i * db + j] * projector(kron(qa[s][:, i], qb[s][:, j]))
+                       for i in range(da) for j in range(db))
+            assert np.abs(got[s] - want).max() < 1e-12
+
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             sample_upper_bound(np.eye(4) / 4, CUT_22, RenyiParameter(1.0), 0, 1)
@@ -184,14 +212,14 @@ class TestBatchedObjective:
                                         np.random.default_rng(4))
         sigmas = sigmas[np.linalg.eigvalsh(sigmas)[:, 0] > 1e-6]
         assert len(sigmas) >= 20
-        got = Divergence(rho, p, 1e-12).value(*np.linalg.eigh(sigmas))
+        got = Divergence(rho, p).value(*np.linalg.eigh(sigmas))
         want = [dense_divergence(rho, s, p) for s in sigmas]
         assert np.abs(got - want).max() <= 1e-9
 
     def test_realize_is_a_batch_of_one(self):
         rng = np.random.default_rng(8)
         ans = [random_ansatz(CUT_123, 5, rng) for _ in range(3)]
-        obj = _Objective(np.eye(8) / 8, CUT_123, RenyiParameter(1.0), 1e-12)
+        obj = _Objective(np.eye(8) / 8, CUT_123, RenyiParameter(1.0))
         values = obj.value(_stack(ans))[0]
         for a, v in zip(ans, values):
             assert v == obj.div.value(*np.linalg.eigh(realize(a)[None]))[0]
@@ -199,7 +227,7 @@ class TestBatchedObjective:
 
     def test_ladder_takes_the_step_halving_takes(self):
         obj = _Objective(random_density_matrix(8, 8, 9), CUT_123,
-                         RenyiParameter(1.5, "sand"), 1e-12)
+                         RenyiParameter(1.5, "sand"))
         rng = np.random.default_rng(2)
         theta = _stack([random_ansatz(CUT_123, 6, rng) for _ in range(4)])
         f, ev = obj.value(theta)
@@ -225,7 +253,7 @@ class TestGradients:
     def test_analytic_matches_finite_differences(self, p):
         rho = random_density_matrix(8, 8, 5)
         opts = OptimizerOptions(seed=3, components=6)
-        obj = _Objective(rho, CUT_123, p, opts.floor)
+        obj = _Objective(rho, CUT_123, p)
         rng = np.random.default_rng(11)
         theta = _stack([random_ansatz(CUT_123, 6, rng)])
         ev = obj.value(theta)[1]
@@ -238,7 +266,7 @@ class TestGradients:
         # (D(h) - D(h/2)) / (D(h/2) - D(h/4)) approaches 4
         rho = random_density_matrix(8, 8, 6)
         p = RenyiParameter(1.5, "trad")
-        obj = _Objective(rho, CUT_123, p, OptimizerOptions().floor)
+        obj = _Objective(rho, CUT_123, p)
         rng = np.random.default_rng(7)
         checked = 0
         attempts = 0

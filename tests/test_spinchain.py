@@ -124,6 +124,14 @@ class TestXYZAnalytic:
             assert np.abs(rho_a - ts.rho).max() < 1e-8
             assert abs(info.z - ts.z) / ts.z < 1e-10
 
+    @pytest.mark.parametrize("couplings", [(0.8, 0.5, 0.5), (0.9, 0.4, 0.7),
+                                           (1.3, 0.2, 1.1)])
+    def test_eigenvalues_are_the_spectrum(self, couplings):
+        params = ModelParams.xyz(*couplings)
+        _, info = xyz_analytic(params, 1.0)
+        assert np.abs(np.sort(info.eigenvalues)
+                      - np.linalg.eigvalsh(hamiltonian(params))).max() < 1e-12
+
     def test_degenerate_anisotropy_limit(self):
         # jx = jy with dominant jz: the printed arctan argument is 0/positive
         params = ModelParams.xyz(0.5, 0.5, 1.2)
