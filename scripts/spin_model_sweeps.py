@@ -45,7 +45,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="model_sweeps")
     ap.add_argument("--cache-dir", default="model_sweeps/.cache")
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--restarts", type=int, default=4)
     ap.add_argument("--max-iters", type=int, default=800)
     ap.add_argument("--seed", type=int, default=0)

@@ -17,11 +17,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import entscan, statezoo
-from .qmat import projector
-from .renyi import RenyiParameter
+from .qmat import partial_trace, projector, random_density_matrix
+from .renyi import RenyiParameter, sand_rel_entropy, trad_rel_entropy
 from .sepstates import OptimizerOptions, ree
 from .spinchain import (ModelParams, analytic_partition, hamiltonian,
-                        thermal_state)
+                        tfi_analytic, thermal_state, xyz_analytic)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 1, 2, 3
 
@@ -137,13 +137,12 @@ def cmd_ree(args) -> int:
     if cut.dim != rho.shape[0]:
         if args.cut == "1:23":
             raise entscan.ConfigError("cut 1:23 needs a three-qubit state")
-        from .qmat import partial_trace
         keep = [0, 1] if args.cut == "1:2" else [0, 2]
         rho = partial_trace(rho, [2, 2, 2], keep)
     res = ree(rho, cut, p, opts)
     _emit({"cut": args.cut, "alpha": args.alpha, "variant": args.variant,
            "value": res.value, "converged": res.converged,
-           "restarts_used": res.restarts_used,
+           "restarts_used": len(res.restarts),
            "iterations": res.iterations, "evaluations": res.evaluations,
            "path": res.path}, args.format)
     return EXIT_OK if res.converged else EXIT_NUMERIC
@@ -198,10 +197,6 @@ def cmd_tc(args) -> int:
 def cmd_check(args) -> int:
     """Fast self-tests: closed-form vs numeric thermal states and the
     ordering between the two divergence variants."""
-    from .qmat import random_density_matrix
-    from .renyi import sand_rel_entropy, trad_rel_entropy
-    from .spinchain import tfi_analytic, xyz_analytic
-
     failures = 0
 
     def report(name: str, ok: bool, detail: str = "") -> None:
@@ -210,27 +205,22 @@ def cmd_check(args) -> int:
         failures += 0 if ok else 1
 
     rng = np.random.default_rng(args.seed)
-    worst_rho, worst_z = 0.0, 0.0
-    for _ in range(args.n):
-        p = ModelParams.xyz(*rng.uniform(0.1, 1.5, size=3))
-        t = float(rng.uniform(0.3, 3.0))
-        ts = thermal_state(hamiltonian(p), t)
-        rho_a, info = xyz_analytic(p, t)
-        worst_rho = max(worst_rho, float(np.abs(rho_a - ts.rho).max()))
-        worst_z = max(worst_z, abs(info.z - ts.z) / ts.z)
-    report("xyz closed form vs numeric", worst_rho < 1e-8 and worst_z < 1e-10,
-           f"max entry {worst_rho:.2e}, Z rel {worst_z:.2e}")
-
-    worst_rho, worst_z = 0.0, 0.0
-    for _ in range(args.n):
-        p = ModelParams.tfi(float(rng.uniform(0.0, 2.5)))
-        t = float(rng.uniform(0.3, 3.0))
-        ts = thermal_state(hamiltonian(p), t)
-        rho_a, info = tfi_analytic(p, t)
-        worst_rho = max(worst_rho, float(np.abs(rho_a - ts.rho).max()))
-        worst_z = max(worst_z, abs(info.z - ts.z) / ts.z)
-    report("tfi closed form vs numeric", worst_rho < 1e-8 and worst_z < 1e-10,
-           f"max entry {worst_rho:.2e}, Z rel {worst_z:.2e}")
+    closed_forms = (
+        ("xyz", lambda: ModelParams.xyz(*rng.uniform(0.1, 1.5, size=3)), xyz_analytic),
+        ("tfi", lambda: ModelParams.tfi(float(rng.uniform(0.0, 2.5))), tfi_analytic),
+    )
+    for name, draw, analytic in closed_forms:
+        worst_rho, worst_z = 0.0, 0.0
+        for _ in range(args.n):
+            p = draw()
+            t = float(rng.uniform(0.3, 3.0))
+            ts = thermal_state(hamiltonian(p), t)
+            rho_a, info = analytic(p, t)
+            worst_rho = max(worst_rho, float(np.abs(rho_a - ts.rho).max()))
+            worst_z = max(worst_z, abs(info.z - ts.z) / ts.z)
+        report(f"{name} closed form vs numeric",
+               worst_rho < 1e-8 and worst_z < 1e-10,
+               f"max entry {worst_rho:.2e}, Z rel {worst_z:.2e}")
 
     worst_z = 0.0
     for _ in range(args.n):

@@ -75,8 +75,8 @@ def _ppt_result(rho: np.ndarray) -> REEResult | None:
     if w[0] < -PPT_ROUNDING * w[-1]:
         return None
     return REEResult(value=0.0, closest_state=0.5 * (rho + rho.conj().T),
-                     converged=True, restarts_used=0, best_restart_seed=None,
-                     iterations=0, evaluations=0, restarts=(), path="ppt")
+                     converged=True, iterations=0, evaluations=0,
+                     restarts=(), path="ppt")
 
 
 def _swap_qubits(rho: np.ndarray) -> np.ndarray:

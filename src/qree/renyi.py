@@ -57,8 +57,9 @@ class RenyiParameter:
     def __post_init__(self) -> None:
         object.__setattr__(self, "variant", normalize_variant(self.variant))
         a = self.alpha
-        if a <= 0:
-            raise ValueError("alpha must be positive")
+        # NaN fails every comparison, and the sandwiched range has no upper end
+        if not (math.isfinite(a) and a > 0):
+            raise ValueError(f"alpha must be finite and positive, got {a}")
         if self.variant == TRADITIONAL and a > 2:
             raise ValueError(f"traditional variant requires alpha <= 2, got {a}")
         if self.variant == SANDWICHED and a < 0.5:
@@ -96,8 +97,8 @@ def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
     Evaluated in log space (log-sum-exp over eigenvalue logs) so very large
     alpha does not underflow.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha == 1.0:
         return von_neumann_entropy(rho)
     logp = np.log(_state_eigs(rho))

@@ -14,12 +14,14 @@ backtracking line search do the minimization.  Non-convexity in the
 parameters is handled by independent seeded restarts; the reported value
 is the best restart, which upper-bounds the true minimum.
 
-Everything runs on batches: one ansatz kernel maps B parameter sets to B
-states, and the objective is a ``renyi.Divergence`` evaluated on those
-realized ansatze, B values per call.  All restarts of one ``ree`` descend
-in lockstep as the rows of one batch, each with its own Barzilai-Borwein
-step, Armijo test, convergence flag and iteration count, and leave the
-batch once converged.  The line search evaluates a ladder of trial steps
+A candidate exists only as a real parameter row [logits | a | b], the
+complex vector entries stored as (re, im) pairs.  Everything runs on
+batches: one ansatz kernel maps B parameter rows to B states, and the
+objective is a ``renyi.Divergence`` evaluated on those states, B values
+per call.  All restarts of one ``ree`` descend in lockstep as the rows of
+one batch, each with its own Barzilai-Borwein step, Armijo test,
+convergence flag and iteration count, and leave the batch once
+converged.  The line search evaluates a ladder of trial steps
 (t, t/2, t/4) per restart in one call and takes the largest that passes,
 the step halving one trial at a time would take; the gradient there
 continues from that evaluation.  A restart's trajectory does not depend
@@ -54,6 +56,10 @@ SANDWICHED_ALPHA_CAP = 64.0
 LADDER = 3
 MAX_HALVINGS = 60
 
+# default mixture components K per dimension of the cut, for the descent
+# and the sampling oracle alike
+COMPONENTS_PER_DIM = 4
+
 # share of the maximally mixed state in the closest state (see ``ree``);
 # it must keep CLOSEST_STATE_MIXING / d > qmat.DEFAULT_FLOOR at every
 # dimension d, or the lifted eigenvalues stay at the floor and a KL value
@@ -80,7 +86,8 @@ ALGORITHM_VERSION = 4
 class OptimizerOptions:
     """Knobs for the multi-start descent.
 
-    ``components`` defaults to 4 * dim_a * dim_b when left as None.
+    ``components`` defaults to COMPONENTS_PER_DIM * dim_a * dim_b when
+    left as None.
     ``gradient`` is "analytic" or "fd" (central finite differences);
     both run the identical descent loop on the identical objective.  The
     finite-difference step, the stall tolerance and the divergence floor
@@ -102,21 +109,7 @@ class OptimizerOptions:
             raise ValueError("gradient must be 'analytic' or 'fd'")
 
     def n_components(self, cut: Bipartition) -> int:
-        return self.components if self.components is not None else 4 * cut.dim
-
-
-@dataclass(frozen=True)
-class SeparableAnsatz:
-    """Parameter bundle for one separable mixture across ``cut``."""
-
-    cut: Bipartition
-    logits: np.ndarray      # (K,)
-    vectors_a: np.ndarray   # (K, dim_a) complex
-    vectors_b: np.ndarray   # (K, dim_b) complex
-
-    @property
-    def components(self) -> int:
-        return len(self.logits)
+        return self.components or COMPONENTS_PER_DIM * cut.dim
 
 
 @dataclass(frozen=True)
@@ -135,23 +128,21 @@ class RestartRecord:
 @dataclass
 class REEResult:
     """Outcome of one relative-entropy-of-entanglement minimization.
-    ``converged`` and ``iterations`` describe the best restart,
-    ``evaluations`` sums over ``restarts``, one record per restart.
+    ``restarts`` holds one record per restart; ``converged`` and
+    ``iterations`` describe the best, the first with the least value, and
+    ``evaluations`` sums over all.
 
     ``path`` says how the value was found: ``"descent"`` by ``ree``, or by
     one of the exact shortcuts ``entscan.monogamy`` takes for pair cuts.
     A ``"ppt"`` result ran no descent: the value is exactly 0,
-    ``converged`` is True, ``iterations``, ``evaluations`` and
-    ``restarts_used`` are 0, ``restarts`` is empty and
-    ``best_restart_seed`` is None.  A ``"swap"`` result keeps every
+    ``converged`` is True, ``iterations`` and ``evaluations`` are 0 and
+    ``restarts`` is empty.  A ``"swap"`` result keeps every
     descent field of the E(1:2) result whose closest state it reuses.
     """
 
     value: float
     closest_state: np.ndarray
     converged: bool
-    restarts_used: int
-    best_restart_seed: int | None
     iterations: int
     evaluations: int
     restarts: tuple[RestartRecord, ...]
@@ -176,33 +167,6 @@ def _mixtures(logits: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray):
     q = psi.conj()
     q *= w[..., None]
     return psi.swapaxes(1, 2) @ q, (p, w, na2, nb2, psi)
-
-
-def realize(ansatz: SeparableAnsatz) -> np.ndarray:
-    """Assemble the density matrix sum_k p_k |a_k b_k><a_k b_k|."""
-    return _mixtures(np.asarray(ansatz.logits, dtype=float)[None],
-                     ansatz.vectors_a[None], ansatz.vectors_b[None])[0][0]
-
-
-def random_ansatz(cut: Bipartition, components: int, rng: np.random.Generator) -> SeparableAnsatz:
-    """Haar-direction product vectors with softmax-normal weights."""
-    shape_a, shape_b = (components, cut.dim_a), (components, cut.dim_b)
-    return SeparableAnsatz(
-        cut=cut,
-        logits=rng.normal(size=components),
-        vectors_a=rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a),
-        vectors_b=rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b),
-    )
-
-
-def _stack(ansatze: list[SeparableAnsatz]) -> np.ndarray:
-    """(B, n) real parameter rows [logits | a | b], complex entries as
-    (re, im) pairs, which ``_Objective.split`` views without copying."""
-    return np.stack([np.concatenate([
-        np.asarray(ans.logits, dtype=float),
-        np.asarray(ans.vectors_a, dtype=complex).ravel().view(float),
-        np.asarray(ans.vectors_b, dtype=complex).ravel().view(float),
-    ]) for ans in ansatze])
 
 
 # ----------------------------------------------------------------------
@@ -356,24 +320,30 @@ def _restart_seed(seed: int, restart: int) -> int:
 
 
 def _initial_ansatz(rho: np.ndarray, cut: Bipartition, k: int, restart: int,
-                    rng: np.random.Generator) -> SeparableAnsatz:
-    """Restart 0 starts near the computational-basis diagonal of rho (a
-    separable state already); later restarts start fully random."""
-    if restart > 0:
-        return random_ansatz(cut, k, rng)
+                    rng: np.random.Generator) -> np.ndarray:
+    """A restart's first parameter row [logits | a | b], complex entries as
+    (re, im) pairs, which ``_Objective.split`` views without copying.
+    Restart 0 starts near the computational-basis diagonal of rho (a
+    separable state already); later restarts start fully random:
+    Haar-direction product vectors with softmax-normal weights."""
     da, db = cut.dim_a, cut.dim_b
-    # spare components start at negligible weight so nearly-dead mixture
-    # weight does not have to bleed out through slow softmax dynamics
-    logits = np.full(k, -12.0)
-    va = 0.02 * (rng.normal(size=(k, da)) + 1j * rng.normal(size=(k, da)))
-    vb = 0.02 * (rng.normal(size=(k, db)) + 1j * rng.normal(size=(k, db)))
-    diag = np.clip(np.diagonal(rho).real, 1e-9, None)
-    for idx in range(min(k, da * db)):
-        ia, ib = divmod(idx, db)
-        logits[idx] = math.log(diag[idx])
-        va[idx, ia] += 1.0
-        vb[idx, ib] += 1.0
-    return SeparableAnsatz(cut=cut, logits=logits, vectors_a=va, vectors_b=vb)
+    if restart > 0:
+        logits = rng.normal(size=k)
+        va = rng.normal(size=(k, da)) + 1j * rng.normal(size=(k, da))
+        vb = rng.normal(size=(k, db)) + 1j * rng.normal(size=(k, db))
+    else:
+        # spare components start at negligible weight so nearly-dead mixture
+        # weight does not have to bleed out through slow softmax dynamics
+        logits = np.full(k, -12.0)
+        va = 0.02 * (rng.normal(size=(k, da)) + 1j * rng.normal(size=(k, da)))
+        vb = 0.02 * (rng.normal(size=(k, db)) + 1j * rng.normal(size=(k, db)))
+        diag = np.clip(np.diagonal(rho).real, 1e-9, None)
+        for idx in range(min(k, da * db)):
+            ia, ib = divmod(idx, db)
+            logits[idx] = math.log(diag[idx])
+            va[idx, ia] += 1.0
+            vb[idx, ib] += 1.0
+    return np.concatenate([logits, va.ravel().view(float), vb.ravel().view(float)])
 
 
 def _check_ree_args(rho: np.ndarray, cut: Bipartition, p: RenyiParameter) -> None:
@@ -403,8 +373,8 @@ def ree(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
     obj = _Objective(rho, cut, p)
     k = opts.n_components(cut)
     seeds = [_restart_seed(opts.seed, r) for r in range(opts.restarts)]
-    theta = _stack([_initial_ansatz(rho, cut, k, r, np.random.default_rng(s))
-                    for r, s in enumerate(seeds)])
+    theta = np.stack([_initial_ansatz(rho, cut, k, r, np.random.default_rng(s))
+                      for r, s in enumerate(seeds)])
     f, theta, iters, evals, conv = _descend(obj, theta, opts)
     best = int(np.argmin(f))
     sigma = _mixtures(*obj.split(theta[best:best + 1]))[0][0]
@@ -414,7 +384,6 @@ def ree(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
                         evals.tolist(), conv.tolist()))
     return REEResult(value=float(rel_entropy(rho, sigma, p)),
                      closest_state=sigma, converged=bool(conv[best]),
-                     restarts_used=opts.restarts, best_restart_seed=seeds[best],
                      iterations=int(iters[best]), evaluations=int(evals.sum()),
                      restarts=records)
 
@@ -477,8 +446,7 @@ def sample_separable_batch(cut: Bipartition, n: int, components: int,
 
 
 def sample_upper_bound(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
-                       n_samples: int, seed: int,
-                       components: int | None = None) -> float:
+                       n_samples: int, seed: int) -> float:
     """Brute-force oracle: minimum divergence over random separable states.
 
     Every sample is separable by construction, so the result upper-bounds
@@ -489,7 +457,7 @@ def sample_upper_bound(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
     _check_ree_args(rho, cut, p)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    k = components if components is not None else 4 * cut.dim
+    k = COMPONENTS_PER_DIM * cut.dim
     div = Divergence(rho, p)
     rng = np.random.default_rng(seed)
     best = math.inf

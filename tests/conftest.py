@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from qree.sepstates import OptimizerOptions
+from qree.qmat import Bipartition
+from qree.renyi import RenyiParameter
+from qree.sepstates import OptimizerOptions, _initial_ansatz, _mixtures, _Objective
 
 
 def brute_partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
@@ -33,6 +35,24 @@ def brute_partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np
                 continue
             out[flat(digits(i, keep), keep), flat(digits(j, keep), keep)] += rho[i, j]
     return out
+
+
+def random_rows(cut: Bipartition, k: int, rng: np.random.Generator,
+                n: int = 1) -> np.ndarray:
+    """(n, len) random K-term parameter rows, each drawn from ``rng`` as
+    ``ree`` draws the start of a random restart."""
+    return np.stack([_initial_ansatz(None, cut, k, 1, rng) for _ in range(n)])
+
+
+def row_states(cut: Bipartition, theta: np.ndarray) -> np.ndarray:
+    """The (B, d, d) separable states of (B, len) parameter rows."""
+    obj = _Objective(np.eye(cut.dim) / cut.dim, cut, RenyiParameter(1.0))
+    return _mixtures(*obj.split(theta))[0]
+
+
+def random_separable(cut: Bipartition, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The state of one random K-term parameter row."""
+    return row_states(cut, random_rows(cut, k, rng))[0]
 
 
 @pytest.fixture

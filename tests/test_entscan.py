@@ -12,10 +12,11 @@ from qree.entscan import (CUT_PAIR, ConfigError, SweepRow,
                           parse_config, parse_rows, sweep)
 from qree.qmat import kron, partial_trace, partial_transpose, projector
 from qree.renyi import RenyiParameter, rel_entropy
-from qree.sepstates import (OptimizerOptions, random_ansatz, realize, ree,
-                            sample_upper_bound)
+from qree.sepstates import OptimizerOptions, ree, sample_upper_bound
 from qree.spinchain import ModelParams
 from qree.statezoo import ghz, star, w
+
+from conftest import random_separable
 
 FAST = OptimizerOptions(restarts=2, max_iters=300, components=12, seed=3)
 # for tests that check only the pair cuts: the 1:23 descent stays short
@@ -97,8 +98,8 @@ class TestMonogamyShortcuts:
             assert res.detail_1_2.path == res.detail_1_3.path == "ppt"
             assert res.detail_1_23.path == "descent"
             d = res.detail_1_2
-            assert (d.converged, d.iterations, d.evaluations, d.restarts_used,
-                    d.restarts) == (True, 0, 0, 0, ())
+            assert (d.converged, d.iterations, d.evaluations,
+                    d.restarts) == (True, 0, 0, ())
             below_sampling(res, rho, p)
 
     def test_w_second_pair_reuses_the_first(self):
@@ -128,7 +129,7 @@ class TestMonogamyShortcuts:
     def test_random_separable_pairs_take_ppt(self):
         rng = np.random.default_rng(5)
         for _ in range(12):
-            pair = realize(random_ansatz(CUT_PAIR, 6, rng))
+            pair = random_separable(CUT_PAIR, 6, rng)
             res = monogamy(with_pair(pair), RenyiParameter(1.5), QUICK)
             assert res.detail_1_2.path == "ppt" and res.e_1_2 == 0.0
             assert np.array_equal(res.detail_1_2.closest_state,
@@ -402,7 +403,8 @@ class TestCli:
         assert code == 1
 
     @pytest.mark.parametrize("flag, named", [("--lambda", "lam"),
-                                             ("--temp", "temperature")])
+                                             ("--temp", "temperature"),
+                                             ("--alpha", "alpha")])
     def test_non_finite_input_is_named(self, capsys, flag, named):
         assert cli_main(["ree", "--model", "tfi", flag, "nan"]) == 1
         assert named in capsys.readouterr().err
@@ -439,6 +441,13 @@ class TestCli:
         cfg.write_text(TINY_CONFIG)
         assert cli_main(["sweep", str(cfg), "--workers", workers]) == 1
         assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_sweep_non_finite_alpha_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(TINY_CONFIG.replace("alphas = 1 trad", "alphas = nan trad"))
+        assert cli_main(["sweep", str(cfg)]) == 1
+        assert re.search(r"line \d+: alpha must be finite and positive, got nan",
+                         capsys.readouterr().err)
 
     def test_sweep_missing_file_exit(self):
         assert cli_main(["sweep", "/no/such/file.cfg"]) == 3

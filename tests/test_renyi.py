@@ -38,6 +38,10 @@ class TestRenyiEntropy:
         with pytest.raises(ValueError):
             renyi_entropy(np.eye(2) / 2, 0.0)
 
+    def test_rejects_nan_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be positive, got nan"):
+            renyi_entropy(np.eye(2) / 2, math.nan)
+
     def test_alpha_one_is_von_neumann(self):
         rho = random_density_matrix(6, 6, 3)
         for eps in (1e-5, -1e-5):
@@ -182,6 +186,12 @@ class TestDispatch:
             RenyiParameter(0.4, "sand")
         with pytest.raises(ValueError):
             RenyiParameter(1.0, "nonsense")
+
+    @pytest.mark.parametrize("variant", ["trad", "sand"])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha, variant):
+        with pytest.raises(ValueError, match=f"finite and positive, got {alpha}"):
+            RenyiParameter(alpha, variant)
 
 
 class TestInvariants:

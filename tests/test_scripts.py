@@ -1,0 +1,37 @@
+"""Smoke runs of the experiment scripts at tiny settings: they import only
+public names, which no other test would notice going missing."""
+
+import pathlib
+import runpy
+import sys
+
+from qree.entscan import CSV_HEADER
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *map(str, args)])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+
+
+def first_line(path):
+    return path.read_text().splitlines()[0]
+
+
+def test_state_zoo_alpha_scan(tmp_path, monkeypatch, capsys):
+    run_script(monkeypatch, "state_zoo_alpha_scan.py", "--out-dir", tmp_path,
+               "--points", 1, "--restarts", 1, "--max-iters", 5)
+    for name in ("ghz", "w", "star"):
+        path = tmp_path / f"{name}.csv"
+        assert first_line(path) == "alpha,variant,e_1_23,e_1_2,e_1_3,m"
+        assert len(path.read_text().splitlines()) == 3   # one alpha per variant
+
+
+def test_spin_model_sweeps(tmp_path, monkeypatch, capsys):
+    run_script(monkeypatch, "spin_model_sweeps.py", "--out-dir", tmp_path / "out",
+               "--cache-dir", tmp_path / "cache", "--only", "xyz_T_jz0.5",
+               "--restarts", 1, "--max-iters", 5, "--workers", 1)
+    out = tmp_path / "out"
+    assert [p.name for p in out.iterdir()] == ["xyz_T_jz0.5.csv"]
+    assert first_line(out / "xyz_T_jz0.5.csv") == CSV_HEADER

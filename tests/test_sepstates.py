@@ -9,34 +9,35 @@ from scipy.linalg import fractional_matrix_power, logm
 
 from qree.qmat import Bipartition, kron, projector, random_density_matrix, random_unitary, validate_density
 from qree.renyi import Divergence, RenyiParameter, rel_entropy
-from qree.sepstates import (LADDER, OptimizerOptions, SeparableAnsatz,
-                            _line_search, _Objective, _stack, random_ansatz,
-                            realize, ree, sample_separable_batch,
+from qree.sepstates import (LADDER, OptimizerOptions, _line_search,
+                            _mixtures, _Objective, ree, sample_separable_batch,
                             sample_upper_bound, schmidt_entropy)
 from qree.statezoo import ghz, reduced_pair, star, w, w_reduced
+
+from conftest import random_rows, random_separable, row_states
 
 CUT_123 = Bipartition(2, 4)
 CUT_22 = Bipartition(2, 2)
 LN2 = math.log(2)
 
 
+def mixture(logits, vectors_a, vectors_b):
+    """The ansatz kernel on a batch of one."""
+    return _mixtures(np.asarray(logits, dtype=float)[None],
+                     np.asarray(vectors_a, dtype=complex)[None],
+                     np.asarray(vectors_b, dtype=complex)[None])[0][0]
+
+
 class TestRealize:
     def test_single_product_term(self):
-        ans = SeparableAnsatz(
-            cut=CUT_123, logits=np.zeros(1),
-            vectors_a=np.array([[1.0, 0.0]], dtype=complex),
-            vectors_b=np.array([[1.0, 0.0, 0.0, 0.0]], dtype=complex))
-        sigma = realize(ans)
+        sigma = mixture(np.zeros(1), [[1.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]])
         want = np.zeros((8, 8), dtype=complex)
         want[0, 0] = 1.0
         assert np.abs(sigma - want).max() < 1e-14
 
     def test_two_term_diagonal_mixture(self):
-        ans = SeparableAnsatz(
-            cut=CUT_123, logits=np.zeros(2),
-            vectors_a=np.array([[1, 0], [0, 1]], dtype=complex),
-            vectors_b=np.array([[1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex))
-        sigma = realize(ans)
+        sigma = mixture(np.zeros(2), [[1, 0], [0, 1]],
+                        [[1, 0, 0, 0], [0, 0, 0, 1]])
         want = np.zeros((8, 8), dtype=complex)
         want[0, 0] = want[7, 7] = 0.5
         assert np.abs(sigma - want).max() < 1e-14
@@ -46,23 +47,20 @@ class TestRealize:
     @settings(max_examples=25, deadline=None)
     def test_logit_shift_invariance(self, shift):
         rng = np.random.default_rng(5)
-        ans = random_ansatz(CUT_22, 4, rng)
-        shifted = SeparableAnsatz(cut=ans.cut, logits=ans.logits + shift,
-                                  vectors_a=ans.vectors_a, vectors_b=ans.vectors_b)
-        assert np.abs(realize(ans) - realize(shifted)).max() < 1e-12
+        theta = random_rows(CUT_22, 4, rng)
+        shifted = theta.copy()
+        shifted[:, :4] += shift
+        assert np.abs(row_states(CUT_22, theta)
+                      - row_states(CUT_22, shifted)).max() < 1e-12
 
     def test_zero_vector_rejected(self):
-        ans = SeparableAnsatz(
-            cut=CUT_22, logits=np.zeros(1),
-            vectors_a=np.array([[0.0, 0.0]], dtype=complex),
-            vectors_b=np.array([[1.0, 0.0]], dtype=complex))
         with pytest.raises(ValueError, match="zero"):
-            realize(ans)
+            mixture(np.zeros(1), [[0.0, 0.0]], [[1.0, 0.0]])
 
     def test_realized_states_are_valid(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            validate_density(realize(random_ansatz(CUT_123, 8, rng)))
+            validate_density(random_separable(CUT_123, 8, rng))
 
 
 class TestSchmidtEntropy:
@@ -133,7 +131,7 @@ class TestSeparableDetection:
         opts = OptimizerOptions(restarts=2, max_iters=400, components=8, seed=3)
         rng = np.random.default_rng(42)
         for _ in range(12):
-            sigma = realize(random_ansatz(CUT_22, 6, rng))
+            sigma = random_separable(CUT_22, 6, rng)
             res = ree(sigma, CUT_22, p, opts)
             assert res.value <= 1e-4
 
@@ -141,7 +139,7 @@ class TestSeparableDetection:
 class TestSampleUpperBound:
     def test_bound_dominates_optimizer(self, fast_opts):
         rng = np.random.default_rng(9)
-        sigma = realize(random_ansatz(CUT_22, 6, rng))
+        sigma = random_separable(CUT_22, 6, rng)
         p = RenyiParameter(1.0)
         bound = sample_upper_bound(sigma, CUT_22, p, 10**4, seed=5)
         best = ree(sigma, CUT_22, p, fast_opts).value
@@ -159,7 +157,7 @@ class TestSampleUpperBound:
         p = RenyiParameter(1.5, "trad")
         rng = np.random.default_rng(3)
         sigma = sample_separable_batch(CUT_22, 1, 16, rng)[0]
-        got = sample_upper_bound(rho, CUT_22, p, 1, seed=3, components=16)
+        got = sample_upper_bound(rho, CUT_22, p, 1, seed=3)
         assert got == pytest.approx(rel_entropy(rho, sigma, p), abs=1e-12)
 
     @pytest.mark.parametrize("cut", [CUT_22, CUT_123])
@@ -218,18 +216,18 @@ class TestBatchedObjective:
 
     def test_realize_is_a_batch_of_one(self):
         rng = np.random.default_rng(8)
-        ans = [random_ansatz(CUT_123, 5, rng) for _ in range(3)]
+        theta = random_rows(CUT_123, 5, rng, 3)
         obj = _Objective(np.eye(8) / 8, CUT_123, RenyiParameter(1.0))
-        values = obj.value(_stack(ans))[0]
-        for a, v in zip(ans, values):
-            assert v == obj.div.value(*np.linalg.eigh(realize(a)[None]))[0]
+        values = obj.value(theta)[0]
+        for row, v in zip(theta, values):
+            assert v == obj.value(row[None])[0][0]
 
 
     def test_ladder_takes_the_step_halving_takes(self):
         obj = _Objective(random_density_matrix(8, 8, 9), CUT_123,
                          RenyiParameter(1.5, "sand"))
         rng = np.random.default_rng(2)
-        theta = _stack([random_ansatz(CUT_123, 6, rng) for _ in range(4)])
+        theta = random_rows(CUT_123, 6, rng, 4)
         f, ev = obj.value(theta)
         g = obj.gradient(ev, OptimizerOptions())
         gsq = (g * g).sum(axis=1)
@@ -255,7 +253,7 @@ class TestGradients:
         opts = OptimizerOptions(seed=3, components=6)
         obj = _Objective(rho, CUT_123, p)
         rng = np.random.default_rng(11)
-        theta = _stack([random_ansatz(CUT_123, 6, rng)])
+        theta = random_rows(CUT_123, 6, rng)
         ev = obj.value(theta)[1]
         ga = obj.gradient(ev, opts)
         gf = obj.gradient(ev, replace(opts, gradient="fd"))
@@ -272,7 +270,7 @@ class TestGradients:
         attempts = 0
         while checked < 20 and attempts < 60:
             attempts += 1
-            theta = _stack([random_ansatz(CUT_123, 4, rng)])
+            theta = random_rows(CUT_123, 4, rng)
             direction = rng.normal(size=theta.shape)
             direction /= np.linalg.norm(direction)
 
@@ -323,14 +321,13 @@ class TestOptimizerBehavior:
 
     def test_result_diagnostics(self, fast_opts):
         res = ree(projector(ghz()), CUT_123, RenyiParameter(1.0), fast_opts)
-        assert res.restarts_used == fast_opts.restarts
         assert res.iterations >= 1
         assert isinstance(res.converged, bool)
         assert len(res.restarts) == fast_opts.restarts
         assert res.evaluations == sum(r.evaluations for r in res.restarts)
         best = min(res.restarts, key=lambda r: r.value)
-        assert (best.seed, best.iterations, best.converged) == (
-            res.best_restart_seed, res.iterations, res.converged)
+        assert (best.iterations, best.converged) == (res.iterations,
+                                                     res.converged)
         assert all(r.evaluations > r.iterations >= 1 for r in res.restarts)
 
     @pytest.mark.parametrize("p", [RenyiParameter(1.0),
