@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: state, ree, monogamy, sweep, tc, check.  Exit codes: 0 on
-success, 1 for configuration errors, 2 for numeric failures, 3 for I/O
-errors.
+success, 1 for configuration errors (a malformed command line included),
+2 for numeric failures, 3 for I/O errors.
 """
 
 from __future__ import annotations
@@ -35,13 +35,16 @@ NAMED_STATES = tuple(STATE_VECTORS)
 CUTS = {"1:23": entscan.CUT_1_23, "1:2": entscan.CUT_PAIR, "1:3": entscan.CUT_PAIR}
 
 
-def _add_state_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", choices=NAMED_STATES,
-                   help="named pure state (alternative to --model)")
-    p.add_argument("--phi", type=float, default=0.0,
-                   help="mixing angle for --state tfi-ground")
-    p.add_argument("--model", choices=("xyz", "xxz", "xy", "tfi"),
-                   help="thermal spin model (alternative to --state)")
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_CONFIG, not argparse's 2, on a malformed command line."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _add_model_args(p: argparse.ArgumentParser, **model_kw) -> None:
+    p.add_argument("--model", choices=("xyz", "xxz", "xy", "tfi"), **model_kw)
     p.add_argument("--jx", type=float, default=0.0)
     p.add_argument("--jy", type=float, default=0.0)
     p.add_argument("--jz", type=float, default=0.0)
@@ -49,6 +52,14 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+
+
+def _add_state_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--state", choices=NAMED_STATES,
+                   help="named pure state (alternative to --model)")
+    p.add_argument("--phi", type=float, default=0.0,
+                   help="mixing angle for --state tfi-ground")
+    _add_model_args(p, help="thermal spin model (alternative to --state)")
     p.add_argument("--temp", type=float, default=1.0)
 
 
@@ -246,7 +257,7 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qree",
         description="Renyi relative-entropy entanglement for three-qubit "
                     "pure and thermal spin-chain states")
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("tc", help="critical temperature of a model")
-    _add_state_args(p)
+    _add_model_args(p, required=True)
     _add_opt_args(p)
     p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--t-min", type=float, default=0.1)

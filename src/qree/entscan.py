@@ -21,11 +21,10 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
-import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -268,26 +267,9 @@ def _cache_key(model: str, params: ModelParams, temp: float, p: RenyiParameter,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _row_to_json(row: SweepRow) -> dict:
-    d = {f.name: getattr(row, f.name) for f in fields(row)}
-    for k, v in d.items():
-        if isinstance(v, float) and math.isinf(v):
-            d[k] = "inf" if v > 0 else "-inf"
-    return d
-
-
-def _row_from_json(d: dict) -> SweepRow:
-    kw = dict(d)
-    for k, v in kw.items():
-        if v == "inf":
-            kw[k] = math.inf
-        elif v == "-inf":
-            kw[k] = -math.inf
-    return SweepRow(**kw)
-
-
 class SweepCache:
-    """One jsonl record per completed point; corrupt entries are skipped."""
+    """One jsonl record per completed point; corrupt entries are skipped.
+    Infinite values are stored as json's ``Infinity``."""
 
     def __init__(self, cache_dir: str):
         self.dir = cache_dir
@@ -303,7 +285,7 @@ class SweepCache:
                         continue
                     try:
                         rec = json.loads(line)
-                        self.entries[rec["key"]] = _row_from_json(rec["row"])
+                        self.entries[rec["key"]] = SweepRow(**rec["row"])
                     except (KeyError, TypeError, ValueError, json.JSONDecodeError):
                         warnings.warn(f"skipping corrupt cache entry "
                                       f"{name}:{line_no}")
@@ -316,7 +298,7 @@ class SweepCache:
     def put(self, key: str, row: SweepRow) -> None:
         self.entries[key] = row
         with open(self._run_file, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"key": key, "row": _row_to_json(row)}) + "\n")
+            fh.write(json.dumps({"key": key, "row": asdict(row)}) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +438,6 @@ def critical_temperature(params: ModelParams, p: RenyiParameter,
 #   restarts = 8                 # optimizer knobs (optional)
 #   max_iters = 800
 #   components = 16
-#   gradient = analytic          # analytic | fd
 #   seed = 7
 #   workers = 4
 #   out = rows.csv
@@ -515,7 +496,7 @@ def parse_config(text: str) -> SweepConfig:
         raw[key] = (value, line_no)
 
     known = ({"model", "sweep", "grid", "alphas", "seed", "workers", "out",
-              "cache_dir", "gradient"} | SWEEPABLE | _OPT_INT_KEYS)
+              "cache_dir"} | SWEEPABLE | _OPT_INT_KEYS)
     for key, (_, line_no) in raw.items():
         if key not in known:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
@@ -553,8 +534,6 @@ def parse_config(text: str) -> SweepConfig:
 
     opt_kwargs = {key: take_int(key, None) for key in list(raw)
                   if key in _OPT_INT_KEYS}
-    if "gradient" in raw:
-        opt_kwargs["gradient"] = take("gradient")
 
     seed = take_int("seed", 0)
     workers = take_int("workers", 1)

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+# largest |H - H^dag| entry eig_hermitian accepts, looser than HERM_TOL
+EIG_HERM_TOL = 1e-10
 
 # Floor on sigma's eigenvalues inside the logs and powers of every Renyi
 # divergence (``renyi.Divergence``): small enough not to move any optimizer
@@ -58,13 +60,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def is_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> bool:
-    h = np.asarray(h)
-    return h.shape[0] == h.shape[1] and np.abs(h - h.conj().T).max() <= tol
-
-
-def validate_density(rho: np.ndarray, *, herm_tol: float = HERM_TOL,
-                     trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return rho as complex128.
 
     Raises ``ValueError`` naming the violated property.
@@ -73,24 +69,24 @@ def validate_density(rho: np.ndarray, *, herm_tol: float = HERM_TOL,
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     dev = np.abs(rho - rho.conj().T).max()
-    if dev > herm_tol:
-        raise ValueError(f"not Hermitian: max |M - M^dag| = {dev:.3e} > {herm_tol:.0e}")
+    if dev > HERM_TOL:
+        raise ValueError(f"not Hermitian: max |M - M^dag| = {dev:.3e} > {HERM_TOL:.0e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} deviates from 1 by more than {trace_tol:.0e}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL:.0e}")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -psd_tol:
-        raise ValueError(f"not PSD: smallest eigenvalue {lo:.3e} < -{psd_tol:.0e}")
+    if lo < -PSD_TOL:
+        raise ValueError(f"not PSD: smallest eigenvalue {lo:.3e} < -{PSD_TOL:.0e}")
     return rho
 
 
-def eig_hermitian(h: np.ndarray, tol: float = 1e-10) -> SpectralDecomposition:
+def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Backed by LAPACK (``numpy.linalg.eigh``); rejects non-Hermitian input.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
+    if not (h.shape[0] == h.shape[1] and np.abs(h - h.conj().T).max() <= EIG_HERM_TOL):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return SpectralDecomposition(w, v)
@@ -138,28 +134,6 @@ def partial_transpose(rho: np.ndarray, dims: Sequence[int], sys: int) -> np.ndar
     return rho.reshape(dims + dims).swapaxes(sys, n + sys).reshape(rho.shape)
 
 
-def mat_func(rho: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-             floor: float = 0.0) -> np.ndarray:
-    """Apply a scalar function to the eigenvalues: V f(max(w, floor)) V^dag."""
-    w, v = eig_hermitian(rho)
-    fw = f(np.maximum(w, floor))
-    out = (v * fw) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def numerical_rank(rho: np.ndarray, tol: float) -> int:
-    """Number of eigenvalues above ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    return int(np.count_nonzero(w > tol))
-
-
-def operator_norm(rho: np.ndarray) -> float:
-    """Largest eigenvalue (operator norm of a PSD matrix)."""
-    return float(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))[-1])
-
-
 def random_density_matrix(dim: int, rank: int, seed) -> np.ndarray:
     """Seeded random density matrix of exact numerical rank ``rank``.
 
@@ -189,10 +163,10 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def fix_phase(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate a global phase so the first non-negligible amplitude is real positive."""
+def fix_phase(psi: np.ndarray) -> np.ndarray:
+    """Rotate a global phase so the first amplitude above 1e-12 is real positive."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     for a in psi:
-        if abs(a) > tol:
+        if abs(a) > 1e-12:
             return psi * (abs(a) / a)
     return psi

@@ -94,11 +94,12 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
     """S_alpha(rho) = ln Tr[rho^alpha] / (1 - alpha); von Neumann at alpha = 1.
 
-    Evaluated in log space (log-sum-exp over eigenvalue logs) so very large
-    alpha does not underflow.
+    Evaluated in log space (log-sum-exp over eigenvalue logs) so a large
+    finite alpha does not underflow; ``min_entropy`` is the alpha -> infinity
+    limit.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if alpha == 1.0:
         return von_neumann_entropy(rho)
     logp = np.log(_state_eigs(rho))
@@ -113,10 +114,10 @@ def min_entropy(rho: np.ndarray) -> float:
     return float(-np.log(w[-1]))
 
 
-def max_entropy(rho: np.ndarray, tol: float = 1e-10) -> float:
-    """S_max = ln rank(rho) (alpha -> 0 limit)."""
+def max_entropy(rho: np.ndarray) -> float:
+    """S_max = ln rank(rho), eigenvalues above 1e-10 (alpha -> 0 limit)."""
     w = eig_hermitian(rho).eigenvalues
-    return float(np.log(np.count_nonzero(w > tol)))
+    return float(np.log(np.count_nonzero(w > 1e-10)))
 
 
 def collision_entropy(rho: np.ndarray) -> float:

@@ -27,10 +27,10 @@ the step halving one trial at a time would take; the gradient there
 continues from that evaluation.  A restart's trajectory does not depend
 on which other restarts share its batch.
 
-Gradients: central finite differences are the reference; the default
-analytic gradient (the divergence's sigma-gradient chained through the
-parametrization) is required by the test suite to match finite
-differences to 1e-4 relative error.
+The descent follows the analytic gradient: the divergence's
+sigma-gradient chained through the parametrization.  Central finite
+differences (``_Objective._fd_grad``) are its reference; the test suite
+requires the two to agree to 1e-4 relative error.
 
 The descent runs on the floored divergence, which is finite everywhere;
 the reported value is re-evaluated with the user-facing divergence at the
@@ -66,7 +66,7 @@ COMPONENTS_PER_DIM = 4
 # is reported as inf
 CLOSEST_STATE_MIXING = 1e-9
 
-# central finite-difference step of the "fd" gradient
+# central finite-difference step of the tests' reference gradient
 FD_STEP = 1e-5
 # a restart whose objective improves by less than this over a sweep of 10
 # iterations counts as converged
@@ -87,26 +87,20 @@ class OptimizerOptions:
     """Knobs for the multi-start descent.
 
     ``components`` defaults to COMPONENTS_PER_DIM * dim_a * dim_b when
-    left as None.
-    ``gradient`` is "analytic" or "fd" (central finite differences);
-    both run the identical descent loop on the identical objective.  The
-    finite-difference step, the stall tolerance and the divergence floor
-    are constants: FD_STEP, TOL_OBJECTIVE and ``qmat.DEFAULT_FLOOR``.
+    left as None.  The stall tolerance and the divergence floor are
+    constants: TOL_OBJECTIVE and ``qmat.DEFAULT_FLOOR``.
     """
 
     restarts: int = 16
     max_iters: int = 2000
     seed: int = 0
     components: int | None = None
-    gradient: str = "analytic"
 
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
         if self.components is not None and self.components < 1:
             raise ValueError("components must be >= 1")
-        if self.gradient not in ("analytic", "fd"):
-            raise ValueError("gradient must be 'analytic' or 'fd'")
 
     def n_components(self, cut: Bipartition) -> int:
         return self.components or COMPONENTS_PER_DIM * cut.dim
@@ -116,7 +110,7 @@ class OptimizerOptions:
 class RestartRecord:
     """How one restart ended.  ``value`` is its floored objective, which
     ranks restarts; ``evaluations`` counts the parameter rows the objective
-    was evaluated at (each ladder rung, 2n per finite-difference gradient)."""
+    was evaluated at: the start and each ladder rung."""
 
     seed: int
     value: float
@@ -193,12 +187,9 @@ class _Objective:
         ws, vs = np.linalg.eigh(sigma)
         return self.div.value(ws, vs), (theta, *parts, ws, vs)
 
-    def gradient(self, ev: tuple, opts: OptimizerOptions) -> np.ndarray:
-        """(B, n) gradients at an evaluation, analytic or by central
-        differences (2n further values per row)."""
+    def gradient(self, ev: tuple) -> np.ndarray:
+        """(B, n) analytic gradients at an evaluation."""
         theta, p, w, na2, nb2, psi, ws, vs = ev
-        if opts.gradient == "fd":
-            return self._fd_grad(theta, FD_STEP)
         grad_s = self.div.sigma_grad(ws, vs)
         _, a, b = self.split(theta)
         rows, k, da = a.shape
@@ -217,7 +208,8 @@ class _Objective:
                                gb.reshape(rows, -1).view(float)], axis=1)
 
     def _fd_grad(self, theta: np.ndarray, h: float) -> np.ndarray:
-        """Central finite differences, evaluated as one batched sweep."""
+        """Central finite differences, evaluated as one batched sweep: the
+        reference the tests check ``gradient`` against."""
         rows, n = theta.shape
         idx = np.arange(n)
         thetas = np.repeat(theta[:, None, :], 2 * n, axis=1)
@@ -277,13 +269,12 @@ def _descend(obj: _Objective, theta: np.ndarray, opts: OptimizerOptions):
     improves by less than TOL_OBJECTIVE over a sweep of 10 iterations.
     Returns per-row (value, theta, iterations, evaluations, converged).
     """
-    rows, n = theta.shape
-    fd_cost = 2 * n if opts.gradient == "fd" else 0
+    rows = len(theta)
     f, ev = obj.value(theta)
-    g = obj.gradient(ev, opts)
+    g = obj.gradient(ev)
     theta, step, sweep_ref = theta.copy(), np.ones(rows), f.copy()
     iters = np.full(rows, opts.max_iters)
-    evals = np.full(rows, 1 + fd_cost)
+    evals = np.ones(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
     act = np.arange(rows)
     for it in range(1, opts.max_iters + 1):
@@ -298,8 +289,7 @@ def _descend(obj: _Objective, theta: np.ndarray, opts: OptimizerOptions):
         act, ga, gsq = act[found], ga[found], gsq[found]
         if not act.size:
             break
-        g_new = obj.gradient(ev, opts)
-        evals[act] += fd_cost
+        g_new = obj.gradient(ev)
         curv = -t * (ga * (g_new - ga)).sum(axis=1)
         step[act] = np.where(curv > 1e-30,
                              (t * t * gsq / np.maximum(curv, 1e-30)).clip(1e-10, 1e4),

@@ -351,11 +351,11 @@ def analytic_partition(params: ModelParams, t: float) -> float:
     raise ValueError(f"no closed-form partition function for {params.model}")
 
 
-def ground_state(h: np.ndarray, gap_tol: float = 1e-10) -> np.ndarray:
-    """Lowest eigenvector, phase-fixed; refuses degenerate ground spaces."""
+def ground_state(h: np.ndarray) -> np.ndarray:
+    """Lowest eigenvector, phase-fixed; refuses a gap <= 1e-10 as degenerate."""
     w, v = eig_hermitian(h)
     gap = float(w[1] - w[0])
-    if gap <= gap_tol:
+    if gap <= 1e-10:
         raise ValueError(f"ground state is degenerate (gap {gap:.3e}); "
                          "refusing to pick an eigenvector arbitrarily")
     return fix_phase(v[:, 0])

@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from qree import cli, entscan
 from qree.cli import main as cli_main
-from qree.entscan import (CUT_PAIR, ConfigError, SweepRow,
+from qree.entscan import (CUT_PAIR, ConfigError, SweepCache, SweepRow,
                           critical_temperature, emit_rows, monogamy,
                           parse_config, parse_rows, sweep)
 from qree.qmat import kron, partial_trace, partial_transpose, projector
@@ -296,6 +300,15 @@ class TestSweep:
             rows = sweep(cfg)
         assert len(rows) == 2
 
+    def test_cache_round_trips_infinite_rows(self, tmp_path):
+        row = SweepRow(model="xyz", param_name="temp", param_value=1.0,
+                       temp=1.0, alpha=1.0, variant="traditional",
+                       e_1_23=math.inf, e_1_2=0.0, e_1_3=0.0, m=math.inf,
+                       converged=True, restarts_used=2, seed=4,
+                       walltime_ms=1.5)
+        SweepCache(str(tmp_path)).put("k", row)
+        assert SweepCache(str(tmp_path)).get("k") == row
+
     def test_rows_of_another_algorithm_version_recomputed(self, tmp_path,
                                                           monkeypatch):
         cfg = parse_config(TINY_CONFIG)
@@ -417,6 +430,26 @@ class TestCli:
         assert cli_main(["ree", "--state", "ghz"]) == 2
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["ree", "--state", "w", "--variant", "foo"],
+        ["ree", "--state", "w", "--alpha", "abc"],
+        ["tc", "--model", "xxz", "--j", "1", "--delta", "0.5", "--temp", "99"],
+        ["tc", "--state", "ghz"],
+    ])
+    def test_malformed_command_line_is_config_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+
+    def test_malformed_command_line_exit_in_subprocess(self):
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-m", "qree.cli", "tc", "--state",
+                              "ghz"], env=env, capture_output=True, text=True)
+        assert run.returncode == 1 and "--model" in run.stderr
+        assert subprocess.run([sys.executable, "-m", "qree.cli", "--help"],
+                              env=env, capture_output=True).returncode == 0
+
     def test_tc_bad_range_is_config_error(self, capsys):
         assert cli_main(["tc", "--model", "tfi", "--t-min", "2",
                          "--t-max", "1"]) == 1
@@ -427,7 +460,8 @@ class TestCli:
         bad.write_text("model = xyz\nwibble = 3\n")
         assert cli_main(["sweep", str(bad)]) == 1
 
-    @pytest.mark.parametrize("key", ["floor", "grad_step", "tol_objective"])
+    @pytest.mark.parametrize("key", ["floor", "grad_step", "tol_objective",
+                                     "gradient"])
     def test_sweep_rejects_fixed_optimizer_constants(self, tmp_path, capsys, key):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(TINY_CONFIG + f"{key} = 1e-9\n")

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_partial_trace
 from qree import qmat
-from qree.qmat import (Bipartition, eig_hermitian, kron, mat_func,
-                       numerical_rank, operator_norm, partial_trace,
+from qree.qmat import (Bipartition, eig_hermitian, kron, partial_trace,
                        partial_transpose, projector, random_density_matrix,
                        validate_density)
 from qree.statezoo import ghz, w, w_reduced
@@ -144,52 +143,19 @@ class TestEigHermitian:
             assert np.all(np.diff(w_) >= -1e-14)
 
 
-class TestMatFunc:
-    def test_scalar_square(self):
-        out = mat_func(I2 / 2, lambda x: x**2)
-        assert np.abs(out - I2 / 4).max() < 1e-14
-
-    def test_floored_inverse_root(self):
-        out = mat_func(np.diag([1.0, 0.0]).astype(complex),
-                       lambda x: x**-0.5, floor=1e-12)
-        assert np.abs(out - np.diag([1.0, 1e6])).max() < 1e-6
-
-    def test_identity_function(self):
-        rho = random_density_matrix(4, 4, 7)
-        assert np.abs(mat_func(rho, lambda x: x) - rho).max() < 1e-12
-
-    @pytest.mark.parametrize("p", [2.0, 3.0, 0.5])
-    def test_power_roundtrip(self, p):
-        rho = random_density_matrix(6, 6, 99)
-        back = mat_func(mat_func(rho, lambda x: x**p), lambda x: x**(1 / p))
-        assert np.abs(back - rho).max() < 1e-8
-
-
 class TestRankAndNorm:
-    def test_pure_projector_rank_one(self):
-        assert numerical_rank(projector(ghz()), 1e-10) == 1
-
-    def test_maximally_mixed_full_rank(self):
-        assert numerical_rank(np.eye(8) / 8, 1e-10) == 8
-
     def test_w_reduced_rank_two(self):
         # independent oracle: eigendecompose the analytic mixture
         evals = np.linalg.eigvalsh(w_reduced())
         assert sorted(round(v, 12) for v in evals if v > 1e-10) == [
             pytest.approx(1 / 3), pytest.approx(2 / 3)]
-        assert numerical_rank(w_reduced(), 1e-10) == 2
-
-    def test_operator_norm(self):
-        assert operator_norm(I2 / 2) == pytest.approx(0.5)
-        assert operator_norm(projector(ghz())) == pytest.approx(1.0)
-        assert operator_norm(w_reduced()) == pytest.approx(2 / 3)
 
 
 class TestRandomDensityMatrix:
     def test_pure_qubit_contract(self):
         rho = random_density_matrix(2, 1, 5)
         validate_density(rho)
-        assert numerical_rank(rho, 1e-10) == 1
+        assert np.count_nonzero(np.linalg.eigvalsh(rho) > 1e-10) == 1
 
     def test_full_rank_contract(self):
         rho = random_density_matrix(8, 8, 5)

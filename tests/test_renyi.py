@@ -39,8 +39,10 @@ class TestRenyiEntropy:
             renyi_entropy(np.eye(2) / 2, 0.0)
 
     def test_rejects_nan_alpha(self):
-        with pytest.raises(ValueError, match="alpha must be positive, got nan"):
-            renyi_entropy(np.eye(2) / 2, math.nan)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match=f"alpha must be finite and positive, got {alpha}"):
+                renyi_entropy(np.eye(2) / 2, alpha)
 
     def test_alpha_one_is_von_neumann(self):
         rho = random_density_matrix(6, 6, 3)

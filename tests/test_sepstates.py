@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,8 @@ from scipy.linalg import fractional_matrix_power, logm
 
 from qree.qmat import Bipartition, kron, projector, random_density_matrix, random_unitary, validate_density
 from qree.renyi import Divergence, RenyiParameter, rel_entropy
-from qree.sepstates import (LADDER, OptimizerOptions, _line_search,
+from qree.sepstates import (CLOSEST_STATE_MIXING, FD_STEP, LADDER,
+                            OptimizerOptions, _line_search,
                             _mixtures, _Objective, ree, sample_separable_batch,
                             sample_upper_bound, schmidt_entropy)
 from qree.statezoo import ghz, reduced_pair, star, w, w_reduced
@@ -229,7 +229,7 @@ class TestBatchedObjective:
         rng = np.random.default_rng(2)
         theta = random_rows(CUT_123, 6, rng, 4)
         f, ev = obj.value(theta)
-        g = obj.gradient(ev, OptimizerOptions())
+        g = obj.gradient(ev)
         gsq = (g * g).sum(axis=1)
         t0 = np.array([1e4, 30.0, 1.0, 1e-2])
         rows, steps, _, _, evals = _line_search(obj, theta, f, g, gsq, t0)
@@ -250,13 +250,11 @@ class TestGradients:
                                    RenyiParameter(4.0, "sand")])
     def test_analytic_matches_finite_differences(self, p):
         rho = random_density_matrix(8, 8, 5)
-        opts = OptimizerOptions(seed=3, components=6)
         obj = _Objective(rho, CUT_123, p)
         rng = np.random.default_rng(11)
         theta = random_rows(CUT_123, 6, rng)
-        ev = obj.value(theta)[1]
-        ga = obj.gradient(ev, opts)
-        gf = obj.gradient(ev, replace(opts, gradient="fd"))
+        ga = obj.gradient(obj.value(theta)[1])
+        gf = obj._fd_grad(theta, FD_STEP)
         assert np.abs(ga - gf).max() <= 1e-4 * max(np.abs(gf).max(), 1e-12)
 
     def test_fd_richardson_second_order(self):
@@ -287,11 +285,17 @@ class TestGradients:
             checked += 1
         assert checked == 20
 
-    def test_fd_mode_optimizes_too(self):
-        opts = OptimizerOptions(restarts=2, max_iters=600, components=6,
-                                seed=2, gradient="fd")
-        res = ree(projector(ghz()), CUT_123, RenyiParameter(1.0), opts)
-        assert abs(res.value - LN2) < 5e-3
+    @pytest.mark.parametrize("state", [ghz, w])
+    def test_closest_state_mixing_keeps_kl_finite(self, state):
+        # one rank-one component cannot cover rho's support, so without the
+        # mixing the KL value at the closest state would be infinite
+        rho = projector(state())
+        opts = OptimizerOptions(restarts=1, max_iters=20, components=1)
+        res = ree(rho, CUT_123, RenyiParameter(1.0), opts)
+        assert math.isfinite(res.value)
+        assert res.value == rel_entropy(rho, res.closest_state, RenyiParameter(1.0))
+        lam_min = np.linalg.eigvalsh(res.closest_state)[0]
+        assert lam_min >= CLOSEST_STATE_MIXING / 8 * (1 - 1e-6)
 
 
 class TestOptimizerBehavior:
@@ -347,7 +351,5 @@ class TestOptimizerBehavior:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             OptimizerOptions(restarts=0)
-        with pytest.raises(ValueError):
-            OptimizerOptions(gradient="newton")
         with pytest.raises(ValueError):
             OptimizerOptions(components=0)
