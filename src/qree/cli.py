@@ -167,7 +167,8 @@ def cmd_monogamy(args) -> int:
     _emit({"alpha": args.alpha, "variant": args.variant,
            "e_1_23": res.e_1_23, "e_1_2": res.e_1_2, "e_1_3": res.e_1_3,
            "m": res.m, "converged": res.converged,
-           "path_1_2": res.detail_1_2.path, "path_1_3": res.detail_1_3.path},
+           "path_1_23": res.detail_1_23.path, "path_1_2": res.detail_1_2.path,
+           "path_1_3": res.detail_1_3.path},
           args.format)
     return EXIT_OK if res.converged else EXIT_NUMERIC
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from .qmat import Bipartition, partial_trace, partial_transpose
 from .renyi import RenyiParameter, rel_entropy
-from .sepstates import ALGORITHM_VERSION, OptimizerOptions, REEResult, ree
+from .sepstates import (ALGORITHM_VERSION, OptimizerOptions, REEResult,
+                        pure_ree, ree)
 from .spinchain import ModelParams, hamiltonian, thermal_state
 
 CUT_1_23 = Bipartition(2, 4)
@@ -100,8 +101,9 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
     """E(1:23), E(1:2), E(1:3) and their monogamy combination for an
     8-dimensional three-qubit state.
 
-    E(1:23) always comes from ``ree``.  The two pair cuts first try two
-    exact paths, recorded in ``REEResult.path``:
+    Every cut first tries exact paths, recorded in ``REEResult.path``, in
+    the order ``ppt`` (pair cuts), ``pure``, ``swap`` (E(1:3)); E(1:23)
+    comes from ``pure`` or the descent:
 
     - ``"ppt"``: a two-qubit state with a positive partial transpose is
       separable (Peres, PRL 77, 1413 (1996); Horodecki, PLA 223, 1
@@ -112,6 +114,10 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
       since D_alpha is antimonotone in sigma over the allowed alpha
       ranges, the true REE is at most -ln(1 - p) = ln(1 + d tau),
       about 4e-15: 0 is exact to that accuracy.
+    - ``"pure"``: a rank-1 state gets the Renyi entropy S_beta of its
+      Schmidt weights from the Schmidt-diagonal closest state
+      (``sepstates.pure_ree``): beta = 1 for KL, 1/alpha for the
+      traditional form and alpha/(2 alpha - 1) for the sandwiched form.
     - ``"swap"``: the separable set is SWAP-invariant and D_alpha is
       unitarily invariant, so when rho_13 equals rho_12 or
       SWAP rho_12 SWAP, E(1:3) reuses E(1:2)'s closest state (SWAPped
@@ -119,16 +125,18 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
       it stays an upper bound reproducible from ``closest_state``; when
       rho_13 equals rho_12 exactly it is bit-identical to E(1:2).
 
-    Any other pair state goes to the descent.
+    Any other state goes to the descent.
     """
     rho3 = np.asarray(rho3, dtype=complex)
     if rho3.shape != (8, 8):
         raise ValueError("monogamy expects an 8x8 three-qubit state")
-    r123 = ree(rho3, CUT_1_23, p, opts)
+    r123 = pure_ree(rho3, CUT_1_23, p) or ree(rho3, CUT_1_23, p, opts)
     rho12 = partial_trace(rho3, [2, 2, 2], [0, 1])
     rho13 = partial_trace(rho3, [2, 2, 2], [0, 2])
-    r12 = _ppt_result(rho12) or ree(rho12, CUT_PAIR, p, opts)
-    r13 = (_ppt_result(rho13) or _swap_result(rho13, rho12, r12, p)
+    r12 = (_ppt_result(rho12) or pure_ree(rho12, CUT_PAIR, p)
+           or ree(rho12, CUT_PAIR, p, opts))
+    r13 = (_ppt_result(rho13) or pure_ree(rho13, CUT_PAIR, p)
+           or _swap_result(rho13, rho12, r12, p)
            or ree(rho13, CUT_PAIR, p, opts))
     m = r123.value - r12.value - r13.value
     return MonogamyResult(e_1_23=r123.value, e_1_2=r12.value, e_1_3=r13.value,

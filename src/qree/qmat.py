@@ -63,11 +63,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return rho as complex128.
 
-    Raises ``ValueError`` naming the violated property.
+    Raises ``ValueError`` naming the violated property.  Non-finite
+    entries are rejected first: NaN fails every comparison below.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite (NaN or inf) entries")
     dev = np.abs(rho - rho.conj().T).max()
     if dev > HERM_TOL:
         raise ValueError(f"not Hermitian: max |M - M^dag| = {dev:.3e} > {HERM_TOL:.0e}")

@@ -44,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import Bipartition, validate_density
-from .renyi import SANDWICHED, Divergence, RenyiParameter, rel_entropy
+from .qmat import Bipartition, eig_hermitian, validate_density
+from .renyi import (SANDWICHED, Divergence, RenyiParameter,
+                    _drop_rounding_zeros, rel_entropy)
 
 # beyond this alpha the sandwiched divergence is effectively its
 # alpha -> infinity limit; refuse rather than return noise
@@ -78,8 +79,10 @@ TOL_OBJECTIVE = 1e-7
 # rho^alpha, which moves alpha < 1 values of low-rank rho by up to ~1e-5;
 # version 3 ran a descent for every pair cut of a monogamy point, where
 # PPT pairs now return 0 and E(1:3) reuses E(1:2)'s closest state when
-# rho_13 is rho_12 up to a SWAP.
-ALGORITHM_VERSION = 4
+# rho_13 is rho_12 up to a SWAP; version 4 ran a descent for every rank-1
+# cut of a monogamy point, where the Schmidt-diagonal closest state
+# (``pure_ree``) now gives the value.
+ALGORITHM_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -127,10 +130,12 @@ class REEResult:
     ``evaluations`` sums over all.
 
     ``path`` says how the value was found: ``"descent"`` by ``ree``, or by
-    one of the exact shortcuts ``entscan.monogamy`` takes for pair cuts.
-    A ``"ppt"`` result ran no descent: the value is exactly 0,
+    one of the exact shortcuts ``entscan.monogamy`` takes.  A ``"ppt"``
+    result (pair cuts) ran no descent: the value is exactly 0,
     ``converged`` is True, ``iterations`` and ``evaluations`` are 0 and
-    ``restarts`` is empty.  A ``"swap"`` result keeps every
+    ``restarts`` is empty.  A ``"pure"`` result (any rank-1 cut, see
+    ``pure_ree``) has the same fields, with the value of the
+    Schmidt-diagonal closest state.  A ``"swap"`` result keeps every
     descent field of the E(1:2) result whose closest state it reuses.
     """
 
@@ -345,6 +350,14 @@ def _check_ree_args(rho: np.ndarray, cut: Bipartition, p: RenyiParameter) -> Non
         raise ValueError(f"sandwiched alpha capped at {SANDWICHED_ALPHA_CAP}")
 
 
+def _closest_state(sigma: np.ndarray) -> np.ndarray:
+    """The reported closest state: sigma Hermitized, with a
+    CLOSEST_STATE_MIXING share of the maximally mixed state (see ``ree``)."""
+    d = len(sigma)
+    return ((1.0 - CLOSEST_STATE_MIXING) * 0.5 * (sigma + sigma.conj().T)
+            + CLOSEST_STATE_MIXING / d * np.eye(d))
+
+
 def ree(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
         opts: OptimizerOptions = OptimizerOptions()) -> REEResult:
     """Relative entropy of entanglement: min over separable sigma of the
@@ -367,9 +380,7 @@ def ree(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
                       for r, s in enumerate(seeds)])
     f, theta, iters, evals, conv = _descend(obj, theta, opts)
     best = int(np.argmin(f))
-    sigma = _mixtures(*obj.split(theta[best:best + 1]))[0][0]
-    sigma = ((1.0 - CLOSEST_STATE_MIXING) * 0.5 * (sigma + sigma.conj().T)
-             + CLOSEST_STATE_MIXING / cut.dim * np.eye(cut.dim))
+    sigma = _closest_state(_mixtures(*obj.split(theta[best:best + 1]))[0][0])
     records = tuple(map(RestartRecord, seeds, f.tolist(), iters.tolist(),
                         evals.tolist(), conv.tolist()))
     return REEResult(value=float(rel_entropy(rho, sigma, p)),
@@ -378,21 +389,92 @@ def ree(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
                      restarts=records)
 
 
-def schmidt_entropy(psi: np.ndarray, cut: Bipartition) -> float:
-    """Von Neumann entropy across ``cut`` of a normalized pure state.
+def schmidt_closest_state(psi: np.ndarray, cut: Bipartition,
+                          beta: float) -> tuple[float, np.ndarray]:
+    """The Renyi entropy S_beta of the Schmidt weights of a normalized pure
+    state across ``cut``, and the Schmidt-diagonal separable state
 
-    Independent oracle for ree at alpha = 1 on pure states: the REE of a
-    pure bipartite state is the entropy of its Schmidt weights.
+        sigma_beta = sum_i q_i |a_i b_i><a_i b_i|,   q_i ~ lambda_i^beta,
+
+    built from its Schmidt decomposition psi = sum_i sqrt(lambda_i) a_i (x) b_i.
+    Weights within rounding of zero (below min(dim_a, dim_b) eps) are
+    dropped.  ``beta = math.inf`` puts all of q on the largest weight
+    (S_min = -ln lambda_1).  For the matching divergence order (see
+    ``pure_ree``), D(psi || sigma_beta) = S_beta.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("state vector is not normalized")
     if len(psi) != cut.dim:
         raise ValueError("state dimension does not match cut")
-    s = np.linalg.svd(psi.reshape(cut.dim_a, cut.dim_b), compute_uv=False)
-    w = s * s
-    w = w[w > len(w) * np.finfo(float).eps]
-    return float(-np.sum(w * np.log(w)))
+    u, s, vh = np.linalg.svd(psi.reshape(cut.dim_a, cut.dim_b),
+                             full_matrices=False)
+    lam = s * s   # descending, so the kept weights are a prefix
+    n = (1 if beta == math.inf
+         else np.count_nonzero(lam > len(lam) * np.finfo(float).eps))
+    logs = np.log(lam[:n])
+    if beta == 1.0:
+        entropy = -float(np.sum(lam[:n] * logs))
+    elif beta == math.inf:
+        entropy = -float(logs[0])
+    else:   # log-sum-exp, so a large beta does not underflow
+        m = beta * logs[0]
+        entropy = (m + math.log(np.sum(np.exp(beta * logs - m)))) / (1.0 - beta)
+    logits = beta * logs if n > 1 else np.zeros(1)
+    sigma = _mixtures(logits[None], u.T[None, :n], vh[None, :n])[0][0]
+    return entropy, sigma
+
+
+def schmidt_entropy(psi: np.ndarray, cut: Bipartition) -> float:
+    """Von Neumann entropy across ``cut`` of a normalized pure state.
+
+    Independent oracle for ree at alpha = 1 on pure states: the REE of a
+    pure bipartite state is the entropy of its Schmidt weights.
+    """
+    return schmidt_closest_state(psi, cut, 1.0)[0]
+
+
+def _schmidt_order(p: RenyiParameter) -> float:
+    """The order beta at which S_beta of the Schmidt weights is the
+    divergence ``p`` from a pure state to its sigma_beta: 1 for KL, 1/alpha
+    for the traditional form, alpha/(2 alpha - 1) for the sandwiched form
+    (infinite at alpha = 1/2)."""
+    if p.is_kl:
+        return 1.0
+    if p.variant != SANDWICHED:
+        return 1.0 / p.alpha
+    return math.inf if p.alpha == 0.5 else p.alpha / (2.0 * p.alpha - 1.0)
+
+
+def pure_ree(rho: np.ndarray, cut: Bipartition,
+             p: RenyiParameter) -> REEResult | None:
+    """The REE of a rank-1 rho without a descent; None for any other rho.
+
+    rho counts as rank 1 when its second eigenvalue is within rounding of
+    zero, lambda_2 <= d eps lambda_1 (the rounding rule of ``renyi``).
+    The closest state is sigma_beta of rho's top eigenvector at
+    beta = ``_schmidt_order(p)``, mixed with CLOSEST_STATE_MIXING as in
+    ``ree``, and the value is the divergence re-evaluated there.  For a
+    pure psi, rho^alpha = rho, so the traditional Q = sum_i lambda_i
+    q_i^(1-alpha) and the sandwiched Q = <psi| sigma^((1-alpha)/alpha)
+    |psi>^alpha; one Lagrange step over Schmidt-diagonal q gives q ~
+    lambda^beta and D = S_beta(lambda).  That this is the minimum over all
+    separable states is proved for KL (Vedral & Plenio, PRA 57, 1619
+    (1998)) and for sandwiched alpha = 1/2, the geometric measure (Wei &
+    Goldbart, PRA 68, 042307 (2003)).  Elsewhere sigma_beta is still
+    separable, so the value is an upper bound reproducible from
+    ``closest_state``, as every ``ree`` value is.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    _check_ree_args(rho, cut, p)
+    w, v = eig_hermitian(rho)
+    if np.count_nonzero(_drop_rounding_zeros(w)) > 1:
+        return None
+    _, sigma = schmidt_closest_state(v[:, -1], cut, _schmidt_order(p))
+    sigma = _closest_state(sigma)
+    return REEResult(value=rel_entropy(rho, sigma, p), closest_state=sigma,
+                     converged=True, iterations=0, evaluations=0, restarts=(),
+                     path="pure")
 
 
 def sample_separable_batch(cut: Bipartition, n: int, components: int,

@@ -14,8 +14,9 @@ from qree.cli import main as cli_main
 from qree.entscan import (CUT_PAIR, ConfigError, SweepCache, SweepRow,
                           critical_temperature, emit_rows, monogamy,
                           parse_config, parse_rows, sweep)
-from qree.qmat import kron, partial_trace, partial_transpose, projector
-from qree.renyi import RenyiParameter, rel_entropy
+from qree.qmat import (Bipartition, kron, partial_trace, partial_transpose,
+                       projector)
+from qree.renyi import RenyiParameter, min_entropy, rel_entropy, renyi_entropy
 from qree.sepstates import OptimizerOptions, ree, sample_upper_bound
 from qree.spinchain import ModelParams
 from qree.statezoo import ghz, star, w
@@ -84,6 +85,21 @@ def chiral_state():
 
 
 SWAP = np.eye(4)[[0, 2, 1, 3]]
+CUT_1_23 = Bipartition(2, 4)
+PURE_PARAMS = ([RenyiParameter(1.0)]
+               + [RenyiParameter(a, "trad") for a in (0.3, 0.7, 1.5, 2.0)]
+               + [RenyiParameter(a, "sand") for a in (0.5, 2.0, 4.0)])
+
+
+def schmidt_beta(p):
+    """The Renyi order of the Schmidt weights that gives the REE of a pure
+    state: 1 for KL, 1/alpha (traditional), alpha/(2 alpha - 1)
+    (sandwiched), infinite at sandwiched 1/2."""
+    if p.alpha == 1.0:
+        return 1.0
+    if p.variant == "traditional":
+        return 1.0 / p.alpha
+    return math.inf if p.alpha == 0.5 else p.alpha / (2 * p.alpha - 1)
 
 
 def below_sampling(res, rho3, p):
@@ -100,7 +116,8 @@ class TestMonogamyShortcuts:
             res = monogamy(rho, p, QUICK)
             assert res.e_1_2 == 0.0 and res.e_1_3 == 0.0
             assert res.detail_1_2.path == res.detail_1_3.path == "ppt"
-            assert res.detail_1_23.path == "descent"
+            assert res.detail_1_23.path == "pure"
+            assert abs(res.e_1_23 - math.log(2)) <= 1e-8
             d = res.detail_1_2
             assert (d.converged, d.iterations, d.evaluations,
                     d.restarts) == (True, 0, 0, ())
@@ -116,10 +133,51 @@ class TestMonogamyShortcuts:
         assert res.detail_1_3.iterations == res.detail_1_2.iterations
         below_sampling(res, rho, p)
 
-    def test_star_descends_every_cut(self):
+    def test_star_pairs_descend_and_1_23_is_pure(self):
         res = monogamy(projector(star()), RenyiParameter(2.0, "sand"), QUICK)
         assert [d.path for d in (res.detail_1_23, res.detail_1_2,
-                                 res.detail_1_3)] == ["descent"] * 3
+                                 res.detail_1_3)] == ["pure", "descent", "descent"]
+        d = res.detail_1_23
+        assert (d.converged, d.iterations, d.evaluations,
+                d.restarts) == (True, 0, 0, ())
+
+    @pytest.mark.parametrize("p", PURE_PARAMS, ids=str)
+    def test_random_pure_states_take_pure(self, p):
+        """E(1:23) of a pure state is S_beta of its Schmidt weights, and
+        no higher than the descent or the sampling oracle."""
+        beta = schmidt_beta(p)
+        # at traditional alpha = 2 the value weighs the ~1e-17 rounding of
+        # <v|rho^2|v> on sigma's mixing-level eigenvectors (1e-9/8) by
+        # sigma^(-1): up to ~4e-7 over 200 random states
+        tol = 1e-6 if (p.variant, p.alpha) == ("traditional", 2.0) else 1e-8
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+            psi /= np.linalg.norm(psi)
+            rho = projector(psi)
+            res = monogamy(rho, p, QUICK)
+            assert res.detail_1_23.path == "pure"
+            lam = np.diag(np.linalg.svd(psi.reshape(2, 4), compute_uv=False) ** 2)
+            exact = min_entropy(lam) if beta == math.inf else renyi_entropy(lam, beta)
+            assert abs(res.e_1_23 - exact) <= tol
+            assert res.e_1_23 <= ree(rho, CUT_1_23, p, QUICK).value + 1e-9
+            assert res.e_1_23 <= sample_upper_bound(rho, CUT_1_23, p, 2000, 1) + 1e-9
+
+    def test_bell_pair_takes_pure(self):
+        bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        rho = with_pair(projector(bell))
+        for p in TEN_PARAMS:
+            res = monogamy(rho, p, QUICK)
+            assert [d.path for d in (res.detail_1_23, res.detail_1_2,
+                                     res.detail_1_3)] == ["pure", "pure", "ppt"]
+            assert abs(res.e_1_2 - math.log(2)) <= 1e-8
+            assert abs(res.e_1_23 - math.log(2)) <= 1e-8
+            below_sampling(res, rho, p)
+
+    def test_noisy_star_descends(self):
+        rho = 0.9 * projector(star()) + 0.1 * np.eye(8) / 8
+        res = monogamy(rho, RenyiParameter(1.0), QUICK)
+        assert res.detail_1_23.path == "descent"
 
     def test_werner_boundary(self):
         p_npt = (1 + 4e-6) / 3
@@ -157,6 +215,8 @@ class TestMonogamyShortcuts:
     def test_ree_never_takes_a_shortcut(self):
         pair = partial_trace(projector(ghz()), [2, 2, 2], [0, 1])
         res = ree(pair, CUT_PAIR, RenyiParameter(1.0), QUICK)
+        assert res.path == "descent" and res.evaluations > 0
+        res = ree(projector(w()), CUT_1_23, RenyiParameter(1.0), QUICK)
         assert res.path == "descent" and res.evaluations > 0
 
 
@@ -410,6 +470,13 @@ class TestCli:
         assert abs(payload["m"] - (payload["e_1_23"] - payload["e_1_2"]
                                    - payload["e_1_3"])) < 1e-12
         assert payload["path_1_2"] == payload["path_1_3"] == "ppt"
+        assert payload["path_1_23"] == "descent"
+
+    def test_monogamy_subcommand_pure_state(self, capsys):
+        assert cli_main(["monogamy", "--state", "ghz", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [payload[f"path_{cut}"] for cut in ("1_23", "1_2", "1_3")] == [
+            "pure", "ppt", "ppt"]
 
     def test_state_and_model_conflict(self, capsys):
         code = cli_main(["ree", "--state", "ghz", "--model", "xyz"])

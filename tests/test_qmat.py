@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,11 @@ class TestValidateDensity:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="PSD"):
             validate_density(np.diag([1.2, -0.2]).astype(complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density(np.array([[bad, 0], [0, 1]]))
 
 
 def test_bipartition_validation():

@@ -10,8 +10,9 @@ from qree.qmat import Bipartition, kron, projector, random_density_matrix, rando
 from qree.renyi import Divergence, RenyiParameter, rel_entropy
 from qree.sepstates import (CLOSEST_STATE_MIXING, FD_STEP, LADDER,
                             OptimizerOptions, _line_search,
-                            _mixtures, _Objective, ree, sample_separable_batch,
-                            sample_upper_bound, schmidt_entropy)
+                            _mixtures, _Objective, pure_ree, ree,
+                            sample_separable_batch, sample_upper_bound,
+                            schmidt_entropy)
 from qree.statezoo import ghz, reduced_pair, star, w, w_reduced
 
 from conftest import random_rows, random_separable, row_states
@@ -109,13 +110,16 @@ class TestReeOracles:
 
     @pytest.mark.parametrize("rho, named", [
         (2 * projector(ghz()), "trace"),
-        (projector(ghz()) + np.triu(np.full((8, 8), 1e-3), 1), "Hermitian")])
+        (projector(ghz()) + np.triu(np.full((8, 8), 1e-3), 1), "Hermitian"),
+        (projector(ghz()) + np.diag([math.nan] + [0.0] * 7), "non-finite")])
     def test_invalid_state_rejected(self, fast_opts, rho, named):
         p = RenyiParameter(1.5, "sand")   # its set-up never decomposes rho
         with pytest.raises(ValueError, match=named):
             ree(rho, CUT_123, p, fast_opts)
         with pytest.raises(ValueError, match=named):
             sample_upper_bound(rho, CUT_123, p, 10, seed=0)
+        with pytest.raises(ValueError, match=named):
+            pure_ree(rho, CUT_123, p)
 
     def test_sandwiched_alpha_cap(self, fast_opts):
         with pytest.raises(ValueError, match="cap"):
