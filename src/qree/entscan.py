@@ -21,9 +21,10 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import logging
+import math
 import os
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -33,6 +34,8 @@ from .renyi import RenyiParameter, rel_entropy
 from .sepstates import (ALGORITHM_VERSION, OptimizerOptions, REEResult,
                         pure_ree, ree)
 from .spinchain import ModelParams, hamiltonian, thermal_state
+
+log = logging.getLogger(__name__)
 
 CUT_1_23 = Bipartition(2, 4)
 CUT_PAIR = Bipartition(2, 2)
@@ -176,8 +179,10 @@ class SweepConfig:
             raise ConfigError("workers must be >= 1")
         for value in self.grid:
             self.point_params(value)  # validates ModelParams invariants
-            if self.point_temp(value) <= 0:
-                raise ConfigError("temperature must be positive at every grid point")
+            t = self.point_temp(value)
+            if not (math.isfinite(t) and t > 0):
+                raise ConfigError("temperature must be finite and positive at "
+                                  f"every grid point, got {t}")
 
     def point_params(self, value: float) -> ModelParams:
         kw = dict(self.fixed)
@@ -295,8 +300,8 @@ class SweepCache:
                         rec = json.loads(line)
                         self.entries[rec["key"]] = SweepRow(**rec["row"])
                     except (KeyError, TypeError, ValueError, json.JSONDecodeError):
-                        warnings.warn(f"skipping corrupt cache entry "
-                                      f"{name}:{line_no}")
+                        log.warning("skipping corrupt cache entry %s:%d",
+                                    name, line_no)
         self._run_file = os.path.join(
             cache_dir, f"entries-{os.getpid()}-{int(time.time() * 1000)}.jsonl")
 
@@ -465,10 +470,16 @@ def _parse_grid(raw: str, line_no: int) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise ValueError("grid count must be >= 1")
-            return [float(v) for v in np.linspace(start, stop, count)]
-        return [float(s) for s in raw.split(",") if s.strip()]
+            values = [start, stop]
+        else:
+            values = [float(s) for s in raw.split(",") if s.strip()]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("grid values must be finite")
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: bad grid {raw!r}: {exc}")
+    if ":" in raw:
+        return [float(v) for v in np.linspace(start, stop, count)]
+    return values
 
 
 def _parse_alphas(raw: str, line_no: int) -> list[RenyiParameter]:

@@ -5,8 +5,8 @@ prefactor, so they are non-negative and reduce to the Kullback-Leibler
 quantum relative entropy as alpha -> 1; alpha = 1 is always routed to the
 exact KL expression instead of a numerical limit.
 
-Every divergence is evaluated by ``Divergence``, which holds the rho-side
-of the selected formula and evaluates batches of sigma from their
+Every divergence is evaluated by ``Divergence``, which holds rho as its
+rank-r eigen-factor and evaluates batches of sigma from their
 eigenpairs: the floored values and their sigma-gradient that a minimizer
 descends on, and the reported value.  ``rel_entropy`` and the
 ``*_rel_entropy`` functions are batches of one.
@@ -139,10 +139,25 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(1, 2)
 
 
+def _gram(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(B, r, r) y^dag diag(g^2) y: with g = sigma's floored eigenvalues to
+    the power c, it has the nonzero spectrum of s rho s."""
+    return _adjoint(y) @ (y * (g * g)[:, :, None])
+
+
 class Divergence:
     """The divergence D(rho || sigma) selected by ``p`` for one fixed rho,
     evaluated on batches of sigma given by their (B, d) eigenvalues and
     (B, d, d) eigenvectors.
+
+    rho is held as its rank-r eigen-factor rho = R diag(lam) R^dag, R of
+    shape (d, r), with eigenvalues within rounding of zero dropped (the
+    rule of ``_drop_rounding_zeros``).  Every evaluation works in sigma's
+    eigenbasis through x = V^dag R, of shape (B, d, r): the occupations
+    <v_i|rho^a|v_i> are sums of the non-negative |x_ik|^2 lam_k^a, and the
+    sandwiched trace is Tr (y^dag diag(w^2c) y)^alpha with y = x
+    sqrt(lam), an r x r matrix with the nonzero spectrum of s rho s, s =
+    sigma^c.  ``factor`` holds R, or R sqrt(lam) for the sandwiched form.
 
     sigma's eigenvalues are floored at ``qmat.DEFAULT_FLOOR`` inside logs
     and powers, so the values and the gradient are finite everywhere: a KL
@@ -155,29 +170,32 @@ class Divergence:
 
     def __init__(self, rho: np.ndarray, p: RenyiParameter):
         self.alpha = p.alpha
-        self.rho = np.asarray(rho, dtype=complex)
-        self.rho_pow = self.rho     # rho ** alpha, for KL and traditional
+        wr, vr = eig_hermitian(rho)
+        wr = _drop_rounding_zeros(wr)
+        keep = wr > 0
+        lam, self.factor = wr[keep], vr[:, keep]
         if p.is_kl:
             self.kind = "kl"
-            self.s_rho = von_neumann_entropy(self.rho)
+            self.s_rho = float(-np.sum(lam * np.log(lam)))
+            self.weight = lam
         elif p.variant == TRADITIONAL:
             self.kind = "trad"
-            wr, vr = eig_hermitian(self.rho)
-            self.rho_pow = (vr * _drop_rounding_zeros(wr) ** self.alpha) @ vr.conj().T
+            self.weight = lam ** self.alpha
         else:
             self.kind = "sand"
             self.c = (1.0 - self.alpha) / (2.0 * self.alpha)
+            self.factor = self.factor * np.sqrt(lam)
 
     def value(self, ws: np.ndarray, vs: np.ndarray,
               reported: bool = False) -> np.ndarray:
         """(B,) divergences, floored unless ``reported`` (see the class)."""
         wf = np.maximum(ws, DEFAULT_FLOOR)
+        x = _adjoint(vs) @ self.factor     # y for the sandwiched form
         if self.kind == "sand":
-            s = (vs * wf[:, None, :] ** self.c) @ _adjoint(vs)
-            wm = np.linalg.eigvalsh(s @ self.rho @ s)
+            wm = np.linalg.eigvalsh(_gram(x, wf ** self.c))
             tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
         else:
-            occ = (vs.conj() * (self.rho_pow @ vs)).sum(axis=1).real
+            occ = (x.real ** 2 + x.imag ** 2) @ self.weight
             if self.kind == "kl":
                 kl = -self.s_rho - (occ * np.log(wf)).sum(axis=1)
                 if reported:
@@ -194,22 +212,28 @@ class Divergence:
         f = DEFAULT_FLOOR
         wf = np.maximum(ws, f)
         live = ws > f
-        if self.kind == "kl":
-            g, gp = np.log(wf), np.where(live, 1.0 / wf, 0.0)
-            return -(vs @ ((vh @ self.rho @ vs) * _divided_diff(ws, g, gp)) @ vh)
-        if self.kind == "trad":
-            e = 1.0 - self.alpha
-            g, gp = wf ** e, np.where(live, e * wf ** (e - 1.0), 0.0)
-            occ = vh @ self.rho_pow @ vs
-            tr = (np.diagonal(occ, axis1=1, axis2=2).real * g).sum(axis=1)
-        else:
+        x = vh @ self.factor
+        if self.kind == "sand":
+            # the derivative of Tr (s rho s)^alpha in s = sigma^c is rho s H
+            # + h.c. with H = alpha (s rho s)^(alpha - 1); for M = y^dag
+            # diag(g^2) y = U mu U^dag, V^dag rho s H V = A diag(g) with A =
+            # y U alpha mu^(alpha - 1) U^dag y^dag.  rho s annihilates the
+            # null space of s rho s, so that adds nothing
             g, gp = wf ** self.c, np.where(live, self.c * wf ** (self.c - 1.0), 0.0)
-            s = (vs * g[:, None, :]) @ vh
-            wm, vm = np.linalg.eigh(s @ self.rho @ s)
+            wm, vm = np.linalg.eigh(_gram(x, g))
             tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
             hp = self.alpha * np.maximum(wm, f) ** (self.alpha - 1.0)
-            half = self.rho @ s @ ((vm * hp[:, None, :]) @ _adjoint(vm))
-            occ = vh @ (half + _adjoint(half)) @ vs
+            yu = x @ vm
+            a = (yu * hp[:, None, :]) @ _adjoint(yu)
+            occ = a * (g[:, :, None] + g[:, None, :])
+        else:
+            occ = (x * self.weight) @ _adjoint(x)
+            if self.kind == "kl":
+                g, gp = np.log(wf), np.where(live, 1.0 / wf, 0.0)
+                return -(vs @ (occ * _divided_diff(ws, g, gp)) @ vh)
+            e = 1.0 - self.alpha
+            g, gp = wf ** e, np.where(live, e * wf ** (e - 1.0), 0.0)
+            tr = (np.diagonal(occ, axis1=1, axis2=2).real * g).sum(axis=1)
         grad = vs @ (occ * _divided_diff(ws, g, gp)) @ vh
         return grad / ((self.alpha - 1.0) * tr)[:, None, None]
 

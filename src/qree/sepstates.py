@@ -81,8 +81,11 @@ TOL_OBJECTIVE = 1e-7
 # PPT pairs now return 0 and E(1:3) reuses E(1:2)'s closest state when
 # rho_13 is rho_12 up to a SWAP; version 4 ran a descent for every rank-1
 # cut of a monogamy point, where the Schmidt-diagonal closest state
-# (``pure_ree``) now gives the value.
-ALGORITHM_VERSION = 5
+# (``pure_ree``) now gives the value; version 5 evaluated the divergence
+# from rho itself, whose ~1e-17 rounding components ``renyi.Divergence``
+# now drops with its rank-r eigen-factor, which moves descents at rounding
+# level.
+ALGORITHM_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -477,31 +480,28 @@ def pure_ree(rho: np.ndarray, cut: Bipartition,
                      path="pure")
 
 
-def sample_separable_batch(cut: Bipartition, n: int, components: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` random separable states as an (n, d, d) stack.
+def _sample_eigenpairs(cut: Bipartition, n: int, components: int,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n, d) and eigenvectors (n, d, d) of ``n`` random
+    separable states (see ``sample_separable_batch``).
 
-    Every draw is a realized ansatz state.  Two sub-families alternate:
-    generic mixtures of independent Haar product vectors with softmax
-    weights, and Dirichlet-weighted diagonal mixtures in a random product
-    basis.  The second family contains the closest separable state of
-    every pure state (a weighted product-basis diagonal), which makes the
-    sampled minimum a usefully tight upper bound.
+    The generic family is realized and decomposed; the product-basis
+    family is drawn as its eigenpairs, the Dirichlet weights and the
+    product basis, and never realized.  Eigenvalues come unsorted.
     """
-    k, da, db = components, cut.dim_a, cut.dim_b
+    k, da, db, d = components, cut.dim_a, cut.dim_b, cut.dim
     n_diag = n // 2
     n_gen = n - n_diag
-    out = np.empty((n, cut.dim, cut.dim), dtype=complex)
-
-    def realize_into(dest, logits, a, b):
-        for lo in range(0, len(dest), 1024):  # chunks bound the kernel's temporaries
-            hi = lo + 1024
-            dest[lo:hi] = _mixtures(logits[lo:hi], a[lo:hi], b[lo:hi])[0]
+    ws = np.empty((n, d))
+    vs = np.empty((n, d, d), dtype=complex)
 
     logits = rng.normal(size=(n_gen, k))
     a = rng.normal(size=(n_gen, k, da)) + 1j * rng.normal(size=(n_gen, k, da))
     b = rng.normal(size=(n_gen, k, db)) + 1j * rng.normal(size=(n_gen, k, db))
-    realize_into(out[:n_gen], logits, a, b)
+    for lo in range(0, n_gen, 1024):  # chunks bound the kernel's temporaries
+        hi = min(lo + 1024, n_gen)
+        sig = _mixtures(logits[lo:hi], a[lo:hi], b[lo:hi])[0]
+        ws[lo:hi], vs[lo:hi] = np.linalg.eigh(0.5 * (sig + sig.conj().swapaxes(1, 2)))
 
     if n_diag:
         ga = rng.normal(size=(n_diag, da, da)) + 1j * rng.normal(size=(n_diag, da, da))
@@ -509,12 +509,27 @@ def sample_separable_batch(cut: Bipartition, n: int, components: int,
         qa = np.linalg.qr(ga)[0]
         qb = np.linalg.qr(gb)[0]
         # sparse weights reach the low-rank corners where optima live
-        w = rng.dirichlet(np.full(cut.dim, 0.35), size=n_diag)
-        # component i * db + j is column i of qa times column j of qb
-        realize_into(out[n_gen:], np.log(w),
-                     np.repeat(qa.swapaxes(1, 2), db, axis=1),
-                     np.tile(qb.swapaxes(1, 2), (1, da, 1)))
-    return 0.5 * (out + out.conj().transpose(0, 2, 1))
+        ws[n_gen:] = rng.dirichlet(np.full(d, 0.35), size=n_diag)
+        # column i * db + j is column i of qa times column j of qb
+        vs[n_gen:] = (qa[:, :, None, :, None]
+                      * qb[:, None, :, None, :]).reshape(n_diag, d, d)
+    return ws, vs
+
+
+def sample_separable_batch(cut: Bipartition, n: int, components: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n`` random separable states as an (n, d, d) stack, each
+    V diag(w) V^dag of its eigenpairs from ``_sample_eigenpairs``.
+
+    Two sub-families alternate: generic mixtures of independent Haar
+    product vectors with softmax weights, and Dirichlet-weighted diagonal
+    mixtures in a random product basis.  The second family contains the
+    closest separable state of every pure state (a weighted product-basis
+    diagonal), which makes the sampled minimum a usefully tight upper
+    bound.
+    """
+    ws, vs = _sample_eigenpairs(cut, n, components, rng)
+    return (vs * ws[:, None, :]) @ vs.conj().swapaxes(1, 2)
 
 
 def sample_upper_bound(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
@@ -523,7 +538,9 @@ def sample_upper_bound(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
 
     Every sample is separable by construction, so the result upper-bounds
     the true REE (and hence any correct optimizer output, within
-    tolerance).  Deterministic for a fixed seed.
+    tolerance).  Deterministic for a fixed seed.  The samples are those of
+    ``sample_separable_batch``, scored from their eigenpairs: the
+    product-basis family from the weights and basis it is drawn as.
     """
     rho = np.asarray(rho, dtype=complex)
     _check_ree_args(rho, cut, p)
@@ -536,8 +553,7 @@ def sample_upper_bound(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
     remaining = n_samples
     while remaining > 0:
         bsz = min(remaining, 4096)
-        sig = sample_separable_batch(cut, bsz, k, rng)
-        vals = div.value(*np.linalg.eigh(sig))
+        vals = div.value(*_sample_eigenpairs(cut, bsz, k, rng))
         best = min(best, float(vals.min()))
         remaining -= bsz
     return best

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import pathlib
@@ -146,10 +147,11 @@ class TestMonogamyShortcuts:
         """E(1:23) of a pure state is S_beta of its Schmidt weights, and
         no higher than the descent or the sampling oracle."""
         beta = schmidt_beta(p)
-        # at traditional alpha = 2 the value weighs the ~1e-17 rounding of
-        # <v|rho^2|v> on sigma's mixing-level eigenvectors (1e-9/8) by
-        # sigma^(-1): up to ~4e-7 over 200 random states
-        tol = 1e-6 if (p.variant, p.alpha) == ("traditional", 2.0) else 1e-8
+        # every order, traditional alpha = 2 included, where sigma^(-1)
+        # weighs the occupations of sigma's mixing-level eigenvectors
+        # (1e-9/8) by 8e9: they are sums of non-negative |<v|psi>|^2, with
+        # no rounding of rho's null space to amplify
+        tol = 1e-8
         rng = np.random.default_rng(12)
         for _ in range(3):
             psi = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -350,14 +352,15 @@ class TestSweep:
         assert open(cfg.out).read() == first_csv
         assert len(rows) == 2
 
-    def test_corrupt_cache_entry_skipped(self, tmp_path):
+    def test_corrupt_cache_entry_skipped(self, tmp_path, caplog):
         cache = tmp_path / "cache"
         cache.mkdir()
         (cache / "entries-bad.jsonl").write_text("{not json}\n")
         cfg = parse_config(TINY_CONFIG)
         cfg.cache_dir = str(cache)
-        with pytest.warns(UserWarning, match="corrupt"):
+        with caplog.at_level(logging.WARNING, logger="qree.entscan"):
             rows = sweep(cfg)
+        assert "corrupt" in caplog.text
         assert len(rows) == 2
 
     def test_cache_round_trips_infinite_rows(self, tmp_path):
@@ -549,6 +552,20 @@ class TestCli:
         assert cli_main(["sweep", str(cfg)]) == 1
         assert re.search(r"line \d+: alpha must be finite and positive, got nan",
                          capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edits", [
+        [("grid = 1.0, 2.0", "grid = nan")],
+        [("sweep = temp", "sweep = delta"), ("temp = 1.0", "temp = nan")],
+        [("grid = 1.0, 2.0", "grid = 0.5 : inf : 3")]],
+        ids=["swept-nan", "fixed-nan", "linspace-to-inf"])
+    def test_sweep_non_finite_temperature_exit(self, tmp_path, capsys, edits):
+        text = TINY_CONFIG
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(text)
+        assert cli_main(["sweep", str(cfg)]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_sweep_missing_file_exit(self):
         assert cli_main(["sweep", "/no/such/file.cfg"]) == 3

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import fractional_matrix_power, logm
+from scipy.linalg import fractional_matrix_power, logm, svdvals
 
 from qree.qmat import Bipartition, kron, projector, random_density_matrix, random_unitary, validate_density
 from qree.renyi import Divergence, RenyiParameter, rel_entropy
-from qree.sepstates import (CLOSEST_STATE_MIXING, FD_STEP, LADDER,
-                            OptimizerOptions, _line_search,
-                            _mixtures, _Objective, pure_ree, ree,
+from qree.sepstates import (CLOSEST_STATE_MIXING, COMPONENTS_PER_DIM,
+                            FD_STEP, LADDER, OptimizerOptions, _line_search,
+                            _mixtures, _Objective, _sample_eigenpairs,
+                            pure_ree, ree,
                             sample_separable_batch, sample_upper_bound,
                             schmidt_entropy)
 from qree.statezoo import ghz, reduced_pair, star, w, w_reduced
@@ -113,7 +114,7 @@ class TestReeOracles:
         (projector(ghz()) + np.triu(np.full((8, 8), 1e-3), 1), "Hermitian"),
         (projector(ghz()) + np.diag([math.nan] + [0.0] * 7), "non-finite")])
     def test_invalid_state_rejected(self, fast_opts, rho, named):
-        p = RenyiParameter(1.5, "sand")   # its set-up never decomposes rho
+        p = RenyiParameter(1.5, "sand")
         with pytest.raises(ValueError, match=named):
             ree(rho, CUT_123, p, fast_opts)
         with pytest.raises(ValueError, match=named):
@@ -138,6 +139,23 @@ class TestSeparableDetection:
             sigma = random_separable(CUT_22, 6, rng)
             res = ree(sigma, CUT_22, p, opts)
             assert res.value <= 1e-4
+
+
+def replay_product_family(cut, n, k, seed):
+    """The second half of ``sample_separable_batch(cut, n, k, rng(seed))``,
+    sum_k w_k |qa e_i (x) qb e_j><.| in a random product basis, rebuilt by
+    replaying the generator's draws."""
+    da, db = cut.dim_a, cut.dim_b
+    rng = np.random.default_rng(seed)
+    for shape in [(k,), (k, da), (k, da), (k, db), (k, db)]:
+        rng.normal(size=(n - n // 2,) + shape)    # the generic family
+    qa, qb = (np.linalg.qr(rng.normal(size=(n // 2, d, d))
+                           + 1j * rng.normal(size=(n // 2, d, d)))[0]
+              for d in (da, db))
+    w = rng.dirichlet(np.full(cut.dim, 0.35), size=n // 2)
+    return [sum(w[s, i * db + j] * projector(kron(qa[s][:, i], qb[s][:, j]))
+                for i in range(da) for j in range(db))
+            for s in range(n // 2)]
 
 
 class TestSampleUpperBound:
@@ -166,21 +184,35 @@ class TestSampleUpperBound:
 
     @pytest.mark.parametrize("cut", [CUT_22, CUT_123])
     def test_product_basis_family(self, cut):
-        # the second half of a batch is sum_k w_k |qa e_i (x) qb e_j><.| in
-        # a random product basis; replay the generator's draws to rebuild it
-        n, k, da, db = 6, 5, cut.dim_a, cut.dim_b
+        n, k = 6, 5
         got = sample_separable_batch(cut, n, k, np.random.default_rng(8))[n // 2:]
-        rng = np.random.default_rng(8)
-        for shape in [(k,), (k, da), (k, da), (k, db), (k, db)]:
-            rng.normal(size=(n - n // 2,) + shape)    # the generic family
-        qa, qb = (np.linalg.qr(rng.normal(size=(n // 2, d, d))
-                               + 1j * rng.normal(size=(n // 2, d, d)))[0]
-                  for d in (da, db))
-        w = rng.dirichlet(np.full(cut.dim, 0.35), size=n // 2)
-        for s in range(n // 2):
-            want = sum(w[s, i * db + j] * projector(kron(qa[s][:, i], qb[s][:, j]))
-                       for i in range(da) for j in range(db))
-            assert np.abs(got[s] - want).max() < 1e-12
+        for g, want in zip(got, replay_product_family(cut, n, k, 8)):
+            assert np.abs(g - want).max() < 1e-12
+
+    @pytest.mark.parametrize("cut", [CUT_22, CUT_123])
+    def test_product_basis_eigenpairs(self, cut):
+        # the product-basis family is drawn as eigenpairs, never decomposed
+        n, k = 6, 5
+        ws, vs = _sample_eigenpairs(cut, n, k, np.random.default_rng(8))
+        for w_s, v_s, sigma in zip(ws[n // 2:], vs[n // 2:],
+                                   replay_product_family(cut, n, k, 8)):
+            assert np.abs(v_s.conj().T @ v_s - np.eye(cut.dim)).max() <= 1e-12
+            assert np.abs(sigma @ v_s - v_s * w_s).max() <= 1e-12
+
+    @pytest.mark.parametrize("cut", [CUT_22, CUT_123])
+    @pytest.mark.parametrize("p", [RenyiParameter(1.0),
+                                   RenyiParameter(1.5, "trad"),
+                                   RenyiParameter(3.0, "sand")])
+    def test_bound_is_minimum_over_decomposed_samples(self, cut, p):
+        # scoring the sampler's eigenpairs gives what a full decomposition
+        # of its states gives, chunk by chunk as the oracle draws them
+        rho = random_density_matrix(cut.dim, 2, 13)
+        n, k = 5000, COMPONENTS_PER_DIM * cut.dim
+        div, rng = Divergence(rho, p), np.random.default_rng(6)
+        want = min(div.value(*np.linalg.eigh(
+            sample_separable_batch(cut, m, k, rng))).min() for m in (4096, n - 4096))
+        got = sample_upper_bound(rho, cut, p, n, seed=6)
+        assert abs(got - want) <= 1e-12
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
@@ -190,12 +222,23 @@ class TestSampleUpperBound:
 def dense_divergence(rho, sigma, p):
     a = p.alpha
     if p.is_kl:
-        return np.trace(rho @ (logm(rho) - logm(sigma))).real
+        # Tr rho ln rho from rho's eigenvalues: logm fails on a singular rho
+        lam = np.linalg.eigvalsh(rho)
+        lam = lam[lam > 1e-12]
+        return np.sum(lam * np.log(lam)) - np.trace(rho @ logm(sigma)).real
     if p.variant == "traditional":
         q = fractional_matrix_power(rho, a) @ fractional_matrix_power(sigma, 1 - a)
     else:
         s = fractional_matrix_power(sigma, (1 - a) / (2 * a))
-        q = fractional_matrix_power(s @ rho @ s, a)
+        r = np.linalg.matrix_rank(rho)
+        if r == len(rho):
+            q = fractional_matrix_power(s @ rho @ s, a)
+        else:
+            # s rho s = (s G)(s G)^dag for a rank-r factor G of rho: its
+            # nonzero spectrum is the squared singular values of s G, which
+            # the dense spectrum buries under rounding of its null space
+            lam, vec = np.linalg.eigh(rho)
+            q = np.diag(svdvals(s @ (vec[:, -r:] * np.sqrt(lam[-r:]))) ** (2 * a))
     return math.log(np.trace(q).real) / (a - 1)
 
 
@@ -208,15 +251,16 @@ class TestBatchedObjective:
                                    RenyiParameter(3.0, "sand")])
     def test_batched_value_matches_rel_entropy(self, cut, p):
         # against dense scipy matrix functions, independent of the
-        # eigenpair evaluation under test
-        rho = random_density_matrix(cut.dim, cut.dim, 21)
+        # eigenpair evaluation under test, at rho of rank 1, 2 and d
         sigmas = sample_separable_batch(cut, 40, 4 * cut.dim,
                                         np.random.default_rng(4))
         sigmas = sigmas[np.linalg.eigvalsh(sigmas)[:, 0] > 1e-6]
         assert len(sigmas) >= 20
-        got = Divergence(rho, p).value(*np.linalg.eigh(sigmas))
-        want = [dense_divergence(rho, s, p) for s in sigmas]
-        assert np.abs(got - want).max() <= 1e-9
+        for rank in (1, 2, cut.dim):
+            rho = random_density_matrix(cut.dim, rank, 21)
+            got = Divergence(rho, p).value(*np.linalg.eigh(sigmas))
+            want = [dense_divergence(rho, s, p) for s in sigmas]
+            assert np.abs(got - want).max() <= 1e-9, rank
 
     def test_realize_is_a_batch_of_one(self):
         rng = np.random.default_rng(8)
@@ -253,13 +297,14 @@ class TestGradients:
                                    RenyiParameter(1.5, "sand"),
                                    RenyiParameter(4.0, "sand")])
     def test_analytic_matches_finite_differences(self, p):
-        rho = random_density_matrix(8, 8, 5)
-        obj = _Objective(rho, CUT_123, p)
-        rng = np.random.default_rng(11)
-        theta = random_rows(CUT_123, 6, rng)
-        ga = obj.gradient(obj.value(theta)[1])
-        gf = obj._fd_grad(theta, FD_STEP)
-        assert np.abs(ga - gf).max() <= 1e-4 * max(np.abs(gf).max(), 1e-12)
+        # at rho of rank 1, 2 and 8: the rank sets the shape of every
+        # evaluation (see ``Divergence``)
+        theta = random_rows(CUT_123, 6, np.random.default_rng(11))
+        for rank in (1, 2, 8):
+            obj = _Objective(random_density_matrix(8, rank, 5), CUT_123, p)
+            ga = obj.gradient(obj.value(theta)[1])
+            gf = obj._fd_grad(theta, FD_STEP)
+            assert np.abs(ga - gf).max() <= 1e-4 * max(np.abs(gf).max(), 1e-12), rank
 
     def test_fd_richardson_second_order(self):
         # central differences: error(h) ~ C h^2, so the decrement ratio
