@@ -32,7 +32,7 @@ import numpy as np
 from .qmat import Bipartition, partial_trace, partial_transpose
 from .renyi import RenyiParameter, rel_entropy
 from .sepstates import (ALGORITHM_VERSION, OptimizerOptions, REEResult,
-                        pure_ree, ree)
+                        pure_ree, ree, ree_batch)
 from .spinchain import ModelParams, hamiltonian, thermal_state
 
 log = logging.getLogger(__name__)
@@ -45,6 +45,11 @@ CUT_PAIR = Bipartition(2, 2)
 PPT_ROUNDING = CUT_PAIR.dim * np.finfo(float).eps
 # largest entry difference at which rho_13 counts as rho_12 up to SWAP
 SWAP_MATCH_TOL = 1e-12
+# a sweep gathers the points of one parameter into chunks of at most
+# max(1, SWEEP_BATCH_ROWS // restarts) points, whose descents of one cut
+# run as one batch: per-row cost falls from 3 rows to some tens of rows
+# and rises again beyond about a hundred
+SWEEP_BATCH_ROWS = 48
 
 CSV_HEADER = ("model,param_name,param_value,temp,alpha,variant,"
               "e_1_23,e_1_2,e_1_3,m,converged,restarts_used,seed,walltime_ms")
@@ -87,16 +92,21 @@ def _swap_qubits(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
 
-def _swap_result(rho13: np.ndarray, rho12: np.ndarray, r12: REEResult,
-                 p: RenyiParameter) -> REEResult | None:
-    """E(1:3) from E(1:2)'s closest state when rho13 is rho12 or
-    SWAP rho12 SWAP within SWAP_MATCH_TOL per entry; None otherwise."""
-    for match, sigma in ((rho12, r12.closest_state),
-                         (_swap_qubits(rho12), _swap_qubits(r12.closest_state))):
+def _swap_match(rho13: np.ndarray, rho12: np.ndarray) -> bool | None:
+    """False when rho13 is rho12 and True when it is SWAP rho12 SWAP,
+    within SWAP_MATCH_TOL per entry; None when it is neither."""
+    for swapped, match in ((False, rho12), (True, _swap_qubits(rho12))):
         if np.abs(rho13 - match).max() <= SWAP_MATCH_TOL:
-            return replace(r12, value=rel_entropy(rho13, sigma, p),
-                           closest_state=sigma, path="swap")
+            return swapped
     return None
+
+
+def _swap_result(rho13: np.ndarray, r12: REEResult, swapped: bool,
+                 p: RenyiParameter) -> REEResult:
+    """E(1:3) from E(1:2)'s closest state, SWAPped when ``swapped``."""
+    sigma = _swap_qubits(r12.closest_state) if swapped else r12.closest_state
+    return replace(r12, value=rel_entropy(rho13, sigma, p),
+                   closest_state=sigma, path="swap")
 
 
 def monogamy(rho3: np.ndarray, p: RenyiParameter,
@@ -128,22 +138,53 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
       it stays an upper bound reproducible from ``closest_state``; when
       rho_13 equals rho_12 exactly it is bit-identical to E(1:2).
 
-    Any other state goes to the descent.
+    Any other state goes to the descent.  A batch of one (see
+    ``monogamy_batch``).
     """
-    rho3 = np.asarray(rho3, dtype=complex)
-    if rho3.shape != (8, 8):
+    return monogamy_batch([(rho3, opts.seed)], p, opts)[0]
+
+
+def monogamy_batch(jobs: list[tuple[np.ndarray, int]], p: RenyiParameter,
+                   opts: OptimizerOptions = OptimizerOptions()) -> list[MonogamyResult]:
+    """``monogamy`` of every (rho3, seed) in ``jobs`` at ``p``, each equal
+    bit for bit to ``monogamy(rho3, p, replace(opts, seed=seed))``.
+
+    The exact paths of every cut of every point are decided first; the
+    swap test needs only rho_12 and rho_13.  The remaining descents then
+    run as two ``sepstates.ree_batch`` calls: every E(1:23), and every
+    E(1:2) with every E(1:3).
+    """
+    rhos = [np.asarray(rho3, dtype=complex) for rho3, _ in jobs]
+    if any(rho3.shape != (8, 8) for rho3 in rhos):
         raise ValueError("monogamy expects an 8x8 three-qubit state")
-    r123 = pure_ree(rho3, CUT_1_23, p) or ree(rho3, CUT_1_23, p, opts)
-    rho12 = partial_trace(rho3, [2, 2, 2], [0, 1])
-    rho13 = partial_trace(rho3, [2, 2, 2], [0, 2])
-    r12 = (_ppt_result(rho12) or pure_ree(rho12, CUT_PAIR, p)
-           or ree(rho12, CUT_PAIR, p, opts))
-    r13 = (_ppt_result(rho13) or pure_ree(rho13, CUT_PAIR, p)
-           or _swap_result(rho13, rho12, r12, p)
-           or ree(rho13, CUT_PAIR, p, opts))
-    m = r123.value - r12.value - r13.value
-    return MonogamyResult(e_1_23=r123.value, e_1_2=r12.value, e_1_3=r13.value,
-                          m=m, detail_1_23=r123, detail_1_2=r12, detail_1_3=r13)
+    seeds = [seed for _, seed in jobs]
+    r123 = [pure_ree(rho3, CUT_1_23, p) for rho3 in rhos]
+    rho12 = [partial_trace(rho3, [2, 2, 2], [0, 1]) for rho3 in rhos]
+    rho13 = [partial_trace(rho3, [2, 2, 2], [0, 2]) for rho3 in rhos]
+    r12 = [_ppt_result(rho) or pure_ree(rho, CUT_PAIR, p) for rho in rho12]
+    r13 = [_ppt_result(rho) or pure_ree(rho, CUT_PAIR, p) for rho in rho13]
+    swapped = [None if r is not None else _swap_match(b, a)
+               for r, a, b in zip(r13, rho12, rho13)]
+    # (result list, point, state) of every descent, by cut
+    pending = (
+        (CUT_1_23, [(r123, i, rhos[i]) for i, r in enumerate(r123) if r is None]),
+        (CUT_PAIR, [(r12, i, rho12[i]) for i, r in enumerate(r12) if r is None]
+         + [(r13, i, rho13[i]) for i, r in enumerate(r13)
+            if r is None and swapped[i] is None]),
+    )
+    for cut, slots in pending:
+        done = ree_batch([(rho, seeds[i]) for _, i, rho in slots], cut, p, opts)
+        for (results, i, _), res in zip(slots, done):
+            results[i] = res
+    out = []
+    for i in range(len(rhos)):
+        if r13[i] is None:
+            r13[i] = _swap_result(rho13[i], r12[i], swapped[i], p)
+        m = r123[i].value - r12[i].value - r13[i].value
+        out.append(MonogamyResult(
+            e_1_23=r123[i].value, e_1_2=r12[i].value, e_1_3=r13[i].value, m=m,
+            detail_1_23=r123[i], detail_1_2=r12[i], detail_1_3=r13[i]))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -317,38 +358,47 @@ class SweepCache:
 # ----------------------------------------------------------------------
 # the sweep itself
 
-def _evaluate_point(config: SweepConfig, grid_idx: int, alpha_idx: int) -> SweepRow:
-    value = config.grid[grid_idx]
+def _evaluate_chunk(config: SweepConfig, alpha_idx: int,
+                    grid_idxs: list[int]) -> list[SweepRow]:
+    """The rows of grid points ``grid_idxs`` at one alpha entry, their
+    monogamy evaluated as one batch.  Each row's walltime_ms is the chunk's
+    wall time divided by its points."""
     p = config.alphas[alpha_idx]
-    params = config.point_params(value)
-    temp = config.point_temp(value)
-    seed = _point_seed(config.seed, grid_idx, alpha_idx)
-    opts = replace(config.opts, seed=seed)
+    seeds = [_point_seed(config.seed, gi, alpha_idx) for gi in grid_idxs]
     t0 = time.perf_counter()
-    rho = thermal_state(hamiltonian(params), temp).rho
-    res = monogamy(rho, p, opts)
-    walltime_ms = (time.perf_counter() - t0) * 1000.0
-    return SweepRow(
-        model=config.model, param_name=config.sweep_param, param_value=value,
-        temp=temp, alpha=p.alpha, variant=p.variant,
-        e_1_23=res.e_1_23, e_1_2=res.e_1_2, e_1_3=res.e_1_3, m=res.m,
-        converged=res.converged, restarts_used=config.opts.restarts,
-        seed=seed, walltime_ms=round(walltime_ms, 3),
-    )
+    rhos = [thermal_state(hamiltonian(config.point_params(config.grid[gi])),
+                          config.point_temp(config.grid[gi])).rho
+            for gi in grid_idxs]
+    results = monogamy_batch(list(zip(rhos, seeds)), p, config.opts)
+    walltime_ms = (time.perf_counter() - t0) * 1000.0 / len(grid_idxs)
+    return [SweepRow(
+        model=config.model, param_name=config.sweep_param,
+        param_value=config.grid[gi], temp=config.point_temp(config.grid[gi]),
+        alpha=p.alpha, variant=p.variant, e_1_23=res.e_1_23, e_1_2=res.e_1_2,
+        e_1_3=res.e_1_3, m=res.m, converged=res.converged,
+        restarts_used=config.opts.restarts, seed=seed,
+        walltime_ms=round(walltime_ms, 3),
+    ) for gi, seed, res in zip(grid_idxs, seeds, results)]
 
 
 def sweep(config: SweepConfig) -> list[SweepRow]:
     """Run every (grid point x alpha) job, reusing cached points.
 
-    Rows come back sorted by (grid index, alpha index) regardless of the
-    execution order; when ``config.out`` is set the CSV is (re)written.
+    The uncached points of each alpha entry run through ``monogamy_batch``
+    in chunks of at most max(1, SWEEP_BATCH_ROWS // restarts) points, so
+    their descents of one cut share a batch; with ``workers`` > 1 a thread
+    pool runs the chunks.  A row does not depend on its chunk or on the
+    worker count, except for walltime_ms, which is its chunk's wall time
+    divided by the chunk's points.  Rows come back sorted by (grid index,
+    alpha index) regardless of the execution order; when ``config.out`` is
+    set the CSV is (re)written.
     """
     cache = SweepCache(config.cache_dir) if config.cache_dir else None
-    jobs: list[tuple[int, int, str | None]] = []
+    pending: dict[int, list[int]] = {}
+    keys: dict[tuple[int, int], str] = {}
     rows: dict[tuple[int, int], SweepRow] = {}
     for gi in range(len(config.grid)):
         for ai in range(len(config.alphas)):
-            key = None
             if cache is not None:
                 seed = _point_seed(config.seed, gi, ai)
                 key = _cache_key(config.model, config.point_params(config.grid[gi]),
@@ -358,21 +408,26 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
                 if hit is not None:
                     rows[(gi, ai)] = hit
                     continue
-            jobs.append((gi, ai, key))
+                keys[(gi, ai)] = key
+            pending.setdefault(ai, []).append(gi)
 
-    def run(job):
-        gi, ai, key = job
-        return gi, ai, key, _evaluate_point(config, gi, ai)
+    size = max(1, SWEEP_BATCH_ROWS // config.opts.restarts)
+    chunks = [(ai, gis[lo:lo + size]) for ai, gis in pending.items()
+              for lo in range(0, len(gis), size)]
 
-    if config.workers > 1 and len(jobs) > 1:
+    def run(chunk):
+        return _evaluate_chunk(config, *chunk)
+
+    if config.workers > 1 and len(chunks) > 1:
         with concurrent.futures.ThreadPoolExecutor(config.workers) as pool:
-            done = list(pool.map(run, jobs))
+            done = list(pool.map(run, chunks))
     else:
-        done = [run(j) for j in jobs]
-    for gi, ai, key, row in done:
-        rows[(gi, ai)] = row
-        if cache is not None and key is not None:
-            cache.put(key, row)
+        done = [run(c) for c in chunks]
+    for (ai, gis), chunk_rows in zip(chunks, done):
+        for gi, row in zip(gis, chunk_rows):
+            rows[(gi, ai)] = row
+            if cache is not None:
+                cache.put(keys[(gi, ai)], row)
 
     ordered = [rows[(gi, ai)] for gi in range(len(config.grid))
                for ai in range(len(config.alphas))]
@@ -407,10 +462,12 @@ def critical_temperature(params: ModelParams, p: RenyiParameter,
                          resolution: int = 16) -> float | None:
     """Smallest temperature where E(1:23) stays below ``threshold``.
 
-    Scans ``resolution`` grid points over ``t_range``, then bisects the
-    bracketing interval down to a width of (range / 2^10).  Returns None
-    when the entanglement never falls below the threshold in range
-    (printed by the CLI as ``none-in-range``).
+    Scans ``resolution`` grid points over ``t_range``, their descents as
+    one ``sepstates.ree_batch``, then bisects the bracketing interval down
+    to a width of (range / 2^10), one point at a time.  Each temperature
+    descends with its own seed (``_temp_seed``).  Returns None when the
+    entanglement never falls below the threshold in range (printed by the
+    CLI as ``none-in-range``).
     """
     lo, hi = t_range
     if not (lo > 0 and hi > lo):
@@ -418,7 +475,10 @@ def critical_temperature(params: ModelParams, p: RenyiParameter,
     if resolution < 4:
         raise ConfigError("resolution must be at least 4 points")
     grid = np.linspace(lo, hi, resolution)
-    vals = [tripartite_entanglement(params, float(t), p, opts) for t in grid]
+    h = hamiltonian(params)
+    scan = [(thermal_state(h, float(t)).rho, _temp_seed(opts.seed, float(t)))
+            for t in grid]
+    vals = [r.value for r in ree_batch(scan, CUT_1_23, p, opts)]
     below = [i for i, v in enumerate(vals) if v < threshold]
     if not below:
         return None

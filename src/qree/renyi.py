@@ -148,7 +148,10 @@ def _gram(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 class Divergence:
     """The divergence D(rho || sigma) selected by ``p`` for one fixed rho,
     evaluated on batches of sigma given by their (B, d) eigenvalues and
-    (B, d, d) eigenvectors.
+    (B, d, d) eigenvectors.  ``of_states`` holds a stack of S states of one
+    rank instead, every per-state array gaining a leading axis of S, and
+    each row of a batch names its state: one batch then serves the
+    descents of several states.
 
     rho is held as its rank-r eigen-factor rho = R diag(lam) R^dag, R of
     shape (d, r), with eigenvalues within rounding of zero dropped (the
@@ -169,14 +172,33 @@ class Divergence:
     """
 
     def __init__(self, rho: np.ndarray, p: RenyiParameter):
+        self._hold(*eig_hermitian(rho), p)
+
+    @classmethod
+    def of_states(cls, w: np.ndarray, v: np.ndarray,
+                  p: RenyiParameter) -> "Divergence":
+        """One Divergence for S states of one rank, from their (S, d)
+        ascending eigenvalues and (S, d, d) eigenvectors; ``value`` and
+        ``sigma_grad`` then take each row's state index.  States whose
+        ranks differ belong to separate Divergences."""
+        div = cls.__new__(cls)
+        div._hold(w, v, p)
+        return div
+
+    def _hold(self, wr: np.ndarray, vr: np.ndarray, p: RenyiParameter) -> None:
         self.alpha = p.alpha
-        wr, vr = eig_hermitian(rho)
         wr = _drop_rounding_zeros(wr)
-        keep = wr > 0
-        lam, self.factor = wr[keep], vr[:, keep]
+        ranks = np.count_nonzero(wr > 0, axis=-1)
+        r = int(np.max(ranks))
+        if np.any(ranks != r):
+            raise ValueError("the states of one Divergence must share their rank")
+        # the kept eigenvalues are the top r (ascending order)
+        lam, self.factor = wr[..., -r:], np.ascontiguousarray(vr[..., -r:])
+        self.weight = self.s_rho = None
         if p.is_kl:
             self.kind = "kl"
-            self.s_rho = float(-np.sum(lam * np.log(lam)))
+            s_rho = [-np.sum(x * np.log(x)) for x in lam.reshape(-1, r)]
+            self.s_rho = float(s_rho[0]) if lam.ndim == 1 else np.array(s_rho)
             self.weight = lam
         elif p.variant == TRADITIONAL:
             self.kind = "trad"
@@ -184,20 +206,32 @@ class Divergence:
         else:
             self.kind = "sand"
             self.c = (1.0 - self.alpha) / (2.0 * self.alpha)
-            self.factor = self.factor * np.sqrt(lam)
+            self.factor = self.factor * np.sqrt(lam)[..., None, :]
 
-    def value(self, ws: np.ndarray, vs: np.ndarray,
-              reported: bool = False) -> np.ndarray:
-        """(B,) divergences, floored unless ``reported`` (see the class)."""
+    def _at(self, state: np.ndarray | None):
+        """Each row's factor, weight and KL entropy term: held once and
+        broadcast over the rows for a single state, else gathered by each
+        row's index in ``state``."""
+        if state is None or self.factor.ndim == 2:
+            return self.factor, self.weight, self.s_rho
+        return tuple(None if a is None else a[state]
+                     for a in (self.factor, self.weight, self.s_rho))
+
+    def value(self, ws: np.ndarray, vs: np.ndarray, reported: bool = False,
+              state: np.ndarray | None = None) -> np.ndarray:
+        """(B,) divergences, floored unless ``reported`` (see the class);
+        ``state`` holds each row's state index when the Divergence holds
+        a stack (see ``of_states``)."""
+        factor, weight, s_rho = self._at(state)
         wf = np.maximum(ws, DEFAULT_FLOOR)
-        x = _adjoint(vs) @ self.factor     # y for the sandwiched form
+        x = _adjoint(vs) @ factor          # y for the sandwiched form
         if self.kind == "sand":
             wm = np.linalg.eigvalsh(_gram(x, wf ** self.c))
             tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
         else:
-            occ = (x.real ** 2 + x.imag ** 2) @ self.weight
+            occ = ((x.real ** 2 + x.imag ** 2) @ weight[..., None])[..., 0]
             if self.kind == "kl":
-                kl = -self.s_rho - (occ * np.log(wf)).sum(axis=1)
+                kl = -s_rho - (occ * np.log(wf)).sum(axis=1)
                 if reported:
                     null = np.where(ws <= DEFAULT_FLOOR, occ, 0.0).sum(axis=1)
                     kl[null > SUPPORT_WEIGHT_TOL] = math.inf
@@ -205,14 +239,16 @@ class Divergence:
             tr = (occ * wf ** (1.0 - self.alpha)).sum(axis=1)
         return np.log(tr) / (self.alpha - 1.0)
 
-    def sigma_grad(self, ws: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    def sigma_grad(self, ws: np.ndarray, vs: np.ndarray,
+                   state: np.ndarray | None = None) -> np.ndarray:
         """(B, d, d) gradients of the floored value in sigma, Hermitian up
-        to rounding."""
+        to rounding; ``state`` as in ``value``."""
+        factor, weight, _ = self._at(state)
         vh = _adjoint(vs)
         f = DEFAULT_FLOOR
         wf = np.maximum(ws, f)
         live = ws > f
-        x = vh @ self.factor
+        x = vh @ factor
         if self.kind == "sand":
             # the derivative of Tr (s rho s)^alpha in s = sigma^c is rho s H
             # + h.c. with H = alpha (s rho s)^(alpha - 1); for M = y^dag
@@ -227,7 +263,7 @@ class Divergence:
             a = (yu * hp[:, None, :]) @ _adjoint(yu)
             occ = a * (g[:, :, None] + g[:, None, :])
         else:
-            occ = (x * self.weight) @ _adjoint(x)
+            occ = (x * weight[..., None, :]) @ _adjoint(x)
             if self.kind == "kl":
                 g, gp = np.log(wf), np.where(live, 1.0 / wf, 0.0)
                 return -(vs @ (occ * _divided_diff(ws, g, gp)) @ vh)

@@ -18,14 +18,16 @@ A candidate exists only as a real parameter row [logits | a | b], the
 complex vector entries stored as (re, im) pairs.  Everything runs on
 batches: one ansatz kernel maps B parameter rows to B states, and the
 objective is a ``renyi.Divergence`` evaluated on those states, B values
-per call.  All restarts of one ``ree`` descend in lockstep as the rows of
-one batch, each with its own Barzilai-Borwein step, Armijo test,
-convergence flag and iteration count, and leave the batch once
-converged.  The line search evaluates a ladder of trial steps
-(t, t/2, t/4) per restart in one call and takes the largest that passes,
-the step halving one trial at a time would take; the gradient there
-continues from that evaluation.  A restart's trajectory does not depend
-on which other restarts share its batch.
+per call.  The restarts of every state in a batch (``ree_batch``: states
+of one rank, across one cut, at one parameter) descend in lockstep as the
+rows of one batch, each row naming its state, with its own
+Barzilai-Borwein step, Armijo test, convergence flag and iteration count,
+and leave the batch once converged.  The line search evaluates a ladder
+of trial steps (t, t/2, t/4) per restart in one call and takes the
+largest that passes, the step halving one trial at a time would take;
+the gradient there continues from that evaluation.  A restart's
+trajectory does not depend on which other restarts, of its own state or
+of others, share its batch, so ``ree`` is a batch of one.
 
 The descent follows the analytic gradient: the divergence's
 sigma-gradient chained through the parametrization.  Central finite
@@ -175,9 +177,13 @@ def _mixtures(logits: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray):
 # the divergence on realized ansatze: values and gradients of parameter rows
 
 class _Objective:
-    def __init__(self, rho: np.ndarray, cut: Bipartition, p: RenyiParameter):
+    """The divergence ``div`` on parameter rows across ``cut``.  When
+    ``div`` holds a stack of states, each row names its state (see
+    ``Divergence.of_states``); a single-state ``div`` ignores the names."""
+
+    def __init__(self, div: Divergence, cut: Bipartition):
         self.cut = cut
-        self.div = Divergence(rho, p)
+        self.div = div
 
     def split(self, theta: np.ndarray):
         """Views (logits, vectors_a, vectors_b) of (B, n) parameter rows."""
@@ -188,17 +194,19 @@ class _Objective:
                 theta[:, k:end_a].view(complex).reshape(rows, k, self.cut.dim_a),
                 theta[:, end_a:].view(complex).reshape(rows, k, self.cut.dim_b))
 
-    def value(self, theta: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """(B,) values of parameter rows, and the evaluation ``gradient``
-        continues from: the rows, the ansatz parts and sigma's eigenpairs."""
+    def value(self, theta: np.ndarray,
+              state: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+        """(B,) values of parameter rows of the given states, and the
+        evaluation ``gradient`` continues from: the rows, the ansatz parts,
+        sigma's eigenpairs and the states."""
         sigma, parts = _mixtures(*self.split(theta))
         ws, vs = np.linalg.eigh(sigma)
-        return self.div.value(ws, vs), (theta, *parts, ws, vs)
+        return self.div.value(ws, vs, state=state), (theta, *parts, ws, vs, state)
 
     def gradient(self, ev: tuple) -> np.ndarray:
         """(B, n) analytic gradients at an evaluation."""
-        theta, p, w, na2, nb2, psi, ws, vs = ev
-        grad_s = self.div.sigma_grad(ws, vs)
+        theta, p, w, na2, nb2, psi, ws, vs, state = ev
+        grad_s = self.div.sigma_grad(ws, vs, state=state)
         _, a, b = self.split(theta)
         rows, k, da = a.shape
         # dD/dp_k = c_k w_k / p_k; in a_k, 2 w_k times the part of r_k =
@@ -233,9 +241,10 @@ class _Objective:
 _RUNGS = 0.5 ** np.arange(LADDER)
 
 
-def _line_search(obj: _Objective, theta: np.ndarray, f: np.ndarray,
-                 g: np.ndarray, gsq: np.ndarray, t: np.ndarray):
-    """Armijo backtracking from trial steps ``t``, one row per restart.
+def _line_search(obj: _Objective, theta: np.ndarray, state: np.ndarray,
+                 f: np.ndarray, g: np.ndarray, gsq: np.ndarray, t: np.ndarray):
+    """Armijo backtracking from trial steps ``t``, one row per restart;
+    ``state`` holds each row's state index.
 
     Each objective call evaluates LADDER halvings of the step for every row
     still searching; a row takes its largest step with sufficient decrease.
@@ -253,7 +262,7 @@ def _line_search(obj: _Objective, theta: np.ndarray, f: np.ndarray,
     for _ in range(MAX_HALVINGS // LADDER):
         steps = t[:, None] * _RUNGS
         trial = theta[todo, None] - steps[..., None] * g[todo, None]
-        vals, ev = obj.value(trial.reshape(-1, n))
+        vals, ev = obj.value(trial.reshape(-1, n), np.repeat(state[todo], LADDER))
         ok = vals.reshape(steps.shape) <= f[todo, None] - 1e-4 * steps * gsq[todo, None]
         evals[todo] += LADDER
         hit = ok.any(axis=1)
@@ -268,8 +277,10 @@ def _line_search(obj: _Objective, theta: np.ndarray, f: np.ndarray,
     return rows, steps, vals, ev, evals
 
 
-def _descend(obj: _Objective, theta: np.ndarray, opts: OptimizerOptions):
-    """Gradient descent with Armijo backtracking, one row per restart.
+def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
+             opts: OptimizerOptions):
+    """Gradient descent with Armijo backtracking, one row per restart, row
+    i a restart of the state ``state[i]``.
 
     A row's trial step is the Barzilai-Borwein estimate from its previous
     accepted step (falling back to doubling).  A row converges, and leaves
@@ -278,7 +289,7 @@ def _descend(obj: _Objective, theta: np.ndarray, opts: OptimizerOptions):
     Returns per-row (value, theta, iterations, evaluations, converged).
     """
     rows = len(theta)
-    f, ev = obj.value(theta)
+    f, ev = obj.value(theta, state)
     g = obj.gradient(ev)
     theta, step, sweep_ref = theta.copy(), np.ones(rows), f.copy()
     iters = np.full(rows, opts.max_iters)
@@ -289,7 +300,7 @@ def _descend(obj: _Objective, theta: np.ndarray, opts: OptimizerOptions):
         ga = g[act]
         gsq = (ga ** 2).sum(axis=1)
         found, t, f_try, ev, n_evals = _line_search(
-            obj, theta[act], f[act], ga, gsq, step[act])
+            obj, theta[act], state[act], f[act], ga, gsq, step[act])
         evals[act] += n_evals
         if found.size < act.size:  # the rest are numerically stationary
             stuck = np.setdiff1d(act, act[found])
@@ -372,16 +383,54 @@ def ree(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
     state with a CLOSEST_STATE_MIXING share of the (separable) maximally
     mixed state, lifting eigenvalues the floored objective cannot tell from
     zero, where a KL value would be infinite; the mixing raises the value
-    by at most -ln(1 - CLOSEST_STATE_MIXING).
+    by at most -ln(1 - CLOSEST_STATE_MIXING).  A batch of one (see
+    ``ree_batch``).
     """
-    rho = np.asarray(rho, dtype=complex)
-    _check_ree_args(rho, cut, p)
-    obj = _Objective(rho, cut, p)
-    k = opts.n_components(cut)
-    seeds = [_restart_seed(opts.seed, r) for r in range(opts.restarts)]
-    theta = np.stack([_initial_ansatz(rho, cut, k, r, np.random.default_rng(s))
-                      for r, s in enumerate(seeds)])
-    f, theta, iters, evals, conv = _descend(obj, theta, opts)
+    return ree_batch([(rho, opts.seed)], cut, p, opts)[0]
+
+
+def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
+              p: RenyiParameter,
+              opts: OptimizerOptions = OptimizerOptions()) -> list[REEResult]:
+    """``ree`` of every (rho, seed) in ``jobs``, all across ``cut`` at
+    ``p`` with the restarts, iteration cap and components of ``opts``
+    (whose own seed is unused).
+
+    Each result equals ``ree(rho, cut, p, replace(opts, seed=seed))`` bit
+    for bit: a restart's trajectory does not depend on its batch.  The
+    restarts of every state of one rank descend as the rows of one batch;
+    states of different ranks descend in separate batches.
+    """
+    rhos = [np.asarray(rho, dtype=complex) for rho, _ in jobs]
+    for rho in rhos:
+        _check_ree_args(rho, cut, p)
+    if not rhos:
+        return []
+    w, v = np.linalg.eigh(np.stack(rhos))
+    ranks = np.count_nonzero(_drop_rounding_zeros(w) > 0, axis=1)
+    k, n_restarts = opts.n_components(cut), opts.restarts
+    results: list[REEResult] = [None] * len(rhos)
+    for rank in dict.fromkeys(ranks.tolist()):
+        members = np.flatnonzero(ranks == rank)
+        held = members if len(members) > 1 else members[0]
+        obj = _Objective(Divergence.of_states(w[held], v[held], p), cut)
+        seeds = [[_restart_seed(jobs[i][1], r) for r in range(n_restarts)]
+                 for i in members]
+        theta = np.stack([_initial_ansatz(rhos[i], cut, k, r, np.random.default_rng(s))
+                          for i, row_seeds in zip(members, seeds)
+                          for r, s in enumerate(row_seeds)])
+        state = np.repeat(np.arange(len(members)), n_restarts)
+        f, theta, iters, evals, conv = _descend(obj, theta, state, opts)
+        for j, i in enumerate(members):
+            rows = slice(j * n_restarts, (j + 1) * n_restarts)
+            results[i] = _descent_result(rhos[i], p, obj, seeds[j], f[rows],
+                                         theta[rows], iters[rows], evals[rows],
+                                         conv[rows])
+    return results
+
+
+def _descent_result(rho, p, obj, seeds, f, theta, iters, evals, conv) -> REEResult:
+    """One state's REEResult from the final rows of its restarts."""
     best = int(np.argmin(f))
     sigma = _closest_state(_mixtures(*obj.split(theta[best:best + 1]))[0][0])
     records = tuple(map(RestartRecord, seeds, f.tolist(), iters.tolist(),

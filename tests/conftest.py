@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qree.qmat import Bipartition
-from qree.renyi import RenyiParameter
+from qree.renyi import Divergence, RenyiParameter
 from qree.sepstates import OptimizerOptions, _initial_ansatz, _mixtures, _Objective
 
 
@@ -46,7 +46,7 @@ def random_rows(cut: Bipartition, k: int, rng: np.random.Generator,
 
 def row_states(cut: Bipartition, theta: np.ndarray) -> np.ndarray:
     """The (B, d, d) separable states of (B, len) parameter rows."""
-    obj = _Objective(np.eye(cut.dim) / cut.dim, cut, RenyiParameter(1.0))
+    obj = _Objective(Divergence(np.eye(cut.dim) / cut.dim, RenyiParameter(1.0)), cut)
     return _mixtures(*obj.split(theta))[0]
 
 

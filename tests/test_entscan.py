@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qree.qmat import (Bipartition, kron, partial_trace, partial_transpose,
                        projector)
 from qree.renyi import RenyiParameter, min_entropy, rel_entropy, renyi_entropy
 from qree.sepstates import OptimizerOptions, ree, sample_upper_bound
-from qree.spinchain import ModelParams
+from qree.spinchain import ModelParams, hamiltonian, thermal_state
 from qree.statezoo import ghz, star, w
 
 from conftest import random_separable
@@ -29,6 +30,19 @@ FAST = OptimizerOptions(restarts=2, max_iters=300, components=12, seed=3)
 QUICK = OptimizerOptions(restarts=1, max_iters=30, components=4, seed=0)
 TEN_PARAMS = ([RenyiParameter(a, "trad") for a in (0.3, 0.7, 1.0, 1.5, 2.0)]
               + [RenyiParameter(a, "sand") for a in (0.5, 1.0, 2.0, 4.0, 8.0)])
+
+def count_points(monkeypatch) -> dict:
+    """Count the points ``sweep`` evaluates, through ``monogamy_batch``."""
+    points = {"n": 0}
+    real = entscan.monogamy_batch
+
+    def counting(jobs, *args, **kwargs):
+        points["n"] += len(jobs)
+        return real(jobs, *args, **kwargs)
+
+    monkeypatch.setattr(entscan, "monogamy_batch", counting)
+    return points
+
 
 TINY_CONFIG = """
 # minimal sweep
@@ -339,16 +353,9 @@ class TestSweep:
         sweep(cfg)
         first_csv = open(cfg.out).read()
 
-        calls = {"n": 0}
-        real = entscan.monogamy
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(entscan, "monogamy", counting)
+        points = count_points(monkeypatch)
         rows = sweep(cfg)
-        assert calls["n"] == 0
+        assert points["n"] == 0
         assert open(cfg.out).read() == first_csv
         assert len(rows) == 2
 
@@ -380,18 +387,11 @@ class TestSweep:
             m.setattr(entscan, "ALGORITHM_VERSION", entscan.ALGORITHM_VERSION - 1)
             sweep(cfg)
 
-        calls = {"n": 0}
-        real = entscan.monogamy
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(entscan, "monogamy", counting)
+        points = count_points(monkeypatch)
         sweep(cfg)
-        assert calls["n"] == 2
+        assert points["n"] == 2
         sweep(cfg)
-        assert calls["n"] == 2
+        assert points["n"] == 2
 
     def test_parallel_workers_match_serial(self, tmp_path):
         cfg = parse_config(TINY_CONFIG)
@@ -401,6 +401,28 @@ class TestSweep:
         parallel = sweep(cfg2)
         for a, b in zip(serial, parallel):
             assert a.e_1_23 == b.e_1_23 and a.m == b.m
+
+    def test_rows_match_pointwise_monogamy(self, monkeypatch):
+        # TFI at lam = 0.5 and low T has entangled pairs, so both batches
+        # of a chunk descend; 3 points a chunk split each alpha's 4
+        monkeypatch.setattr(entscan, "SWEEP_BATCH_ROWS", 6)
+        cfg = entscan.SweepConfig(
+            model="tfi", fixed={"lam": 0.5}, sweep_param="temp",
+            grid=[0.05, 0.2, 0.4, 1.5],
+            alphas=[RenyiParameter(1.5), RenyiParameter(4.0, "sand")],
+            opts=OptimizerOptions(restarts=2, max_iters=60, components=8), seed=2)
+        rows = sweep(cfg)
+        assert any(r.e_1_2 > 0 for r in rows)
+        for row in rows:
+            rho = thermal_state(hamiltonian(cfg.point_params(row.param_value)),
+                                row.temp).rho
+            res = monogamy(rho, RenyiParameter(row.alpha, row.variant),
+                           replace(cfg.opts, seed=row.seed))
+            assert (row.e_1_23, row.e_1_2, row.e_1_3, row.m, row.converged) == (
+                res.e_1_23, res.e_1_2, res.e_1_3, res.m, res.converged)
+        cfg.workers = 3
+        untimed = [replace(r, walltime_ms=0.0) for r in rows]
+        assert [replace(r, walltime_ms=0.0) for r in sweep(cfg)] == untimed
 
     def test_unwritable_output(self, tmp_path):
         cfg = parse_config(TINY_CONFIG)

@@ -35,3 +35,14 @@ def test_spin_model_sweeps(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     assert [p.name for p in out.iterdir()] == ["xyz_T_jz0.5.csv"]
     assert first_line(out / "xyz_T_jz0.5.csv") == CSV_HEADER
+
+
+def test_parity_dump(monkeypatch, capsys):
+    run_script(monkeypatch, "parity_dump.py", "--restarts", 1, "--max-iters", 5,
+               "--components", 4, "--samples", 8)
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(ln.startswith("zoo ") for ln in lines) == 15
+    sweep_lines = [ln for ln in lines if ln.startswith("sweep ")]
+    assert sweep_lines[0] == "sweep " + CSV_HEADER.rpartition(",")[0]
+    assert len(sweep_lines) == 5
+    assert sum(ln.startswith("oracle ") for ln in lines) == 27

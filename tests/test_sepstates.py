@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from qree.renyi import Divergence, RenyiParameter, rel_entropy
 from qree.sepstates import (CLOSEST_STATE_MIXING, COMPONENTS_PER_DIM,
                             FD_STEP, LADDER, OptimizerOptions, _line_search,
                             _mixtures, _Objective, _sample_eigenpairs,
-                            pure_ree, ree,
+                            pure_ree, ree, ree_batch,
                             sample_separable_batch, sample_upper_bound,
                             schmidt_entropy)
 from qree.statezoo import ghz, reduced_pair, star, w, w_reduced
@@ -265,22 +266,23 @@ class TestBatchedObjective:
     def test_realize_is_a_batch_of_one(self):
         rng = np.random.default_rng(8)
         theta = random_rows(CUT_123, 5, rng, 3)
-        obj = _Objective(np.eye(8) / 8, CUT_123, RenyiParameter(1.0))
+        obj = _Objective(Divergence(np.eye(8) / 8, RenyiParameter(1.0)), CUT_123)
         values = obj.value(theta)[0]
         for row, v in zip(theta, values):
             assert v == obj.value(row[None])[0][0]
 
 
     def test_ladder_takes_the_step_halving_takes(self):
-        obj = _Objective(random_density_matrix(8, 8, 9), CUT_123,
-                         RenyiParameter(1.5, "sand"))
+        obj = _Objective(Divergence(random_density_matrix(8, 8, 9),
+                                    RenyiParameter(1.5, "sand")), CUT_123)
         rng = np.random.default_rng(2)
         theta = random_rows(CUT_123, 6, rng, 4)
         f, ev = obj.value(theta)
         g = obj.gradient(ev)
         gsq = (g * g).sum(axis=1)
         t0 = np.array([1e4, 30.0, 1.0, 1e-2])
-        rows, steps, _, _, evals = _line_search(obj, theta, f, g, gsq, t0)
+        rows, steps, _, _, evals = _line_search(obj, theta, np.zeros(4, int),
+                                                f, g, gsq, t0)
         assert sorted(rows) == [0, 1, 2, 3] and evals.max() > LADDER
         for row, step in zip(rows, steps):
             t = t0[row]
@@ -301,7 +303,7 @@ class TestGradients:
         # evaluation (see ``Divergence``)
         theta = random_rows(CUT_123, 6, np.random.default_rng(11))
         for rank in (1, 2, 8):
-            obj = _Objective(random_density_matrix(8, rank, 5), CUT_123, p)
+            obj = _Objective(Divergence(random_density_matrix(8, rank, 5), p), CUT_123)
             ga = obj.gradient(obj.value(theta)[1])
             gf = obj._fd_grad(theta, FD_STEP)
             assert np.abs(ga - gf).max() <= 1e-4 * max(np.abs(gf).max(), 1e-12), rank
@@ -311,7 +313,7 @@ class TestGradients:
         # (D(h) - D(h/2)) / (D(h/2) - D(h/4)) approaches 4
         rho = random_density_matrix(8, 8, 6)
         p = RenyiParameter(1.5, "trad")
-        obj = _Objective(rho, CUT_123, p)
+        obj = _Objective(Divergence(rho, p), CUT_123)
         rng = np.random.default_rng(7)
         checked = 0
         attempts = 0
@@ -396,6 +398,44 @@ class TestOptimizerBehavior:
             alone = ree(rho, CUT_123, p, OptimizerOptions(
                 restarts=r + 1, max_iters=200, components=12, seed=7))
             assert alone.restarts[r] == full.restarts[r]
+
+    @staticmethod
+    def assert_same_result(got, want):
+        assert got.value == want.value
+        assert np.array_equal(got.closest_state, want.closest_state)
+        assert got.restarts == want.restarts
+        assert ((got.converged, got.iterations, got.evaluations, got.path)
+                == (want.converged, want.iterations, want.evaluations, want.path))
+
+    @pytest.mark.parametrize("p", [RenyiParameter(1.0),
+                                   RenyiParameter(1.5, "trad"),
+                                   RenyiParameter(3.0, "sand")])
+    def test_ree_batch_matches_solo(self, p):
+        # mixed states and seeds in one call: each result is bitwise the
+        # result of its own ree
+        opts = OptimizerOptions(restarts=2, max_iters=150, components=8, seed=99)
+        jobs = [(reduced_pair(w(), 12), 5), (reduced_pair(star(), 12), 6),
+                (reduced_pair(star(), 13), 6), (random_density_matrix(4, 4, 7), 8)]
+        for (rho, seed), got in zip(jobs, ree_batch(jobs, CUT_22, p, opts)):
+            self.assert_same_result(got, ree(rho, CUT_22, p, replace(opts, seed=seed)))
+
+    def test_ree_batch_separates_ranks(self, monkeypatch):
+        import qree.sepstates as sepstates
+        ranks, real = [], sepstates._descend
+
+        def recording(obj, theta, state, opts):
+            ranks.append(obj.div.factor.shape)
+            return real(obj, theta, state, opts)
+
+        monkeypatch.setattr(sepstates, "_descend", recording)
+        opts = OptimizerOptions(restarts=2, max_iters=100, components=8, seed=1)
+        p = RenyiParameter(0.7, "trad")
+        jobs = [(random_density_matrix(4, 2, 3), 1), (random_density_matrix(4, 4, 4), 2)]
+        results = ree_batch(jobs, CUT_22, p, opts)
+        assert ranks == [(4, 2), (4, 4)]
+        monkeypatch.setattr(sepstates, "_descend", real)
+        for (rho, seed), got in zip(jobs, results):
+            self.assert_same_result(got, ree(rho, CUT_22, p, replace(opts, seed=seed)))
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
