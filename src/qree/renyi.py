@@ -145,6 +145,15 @@ def _gram(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _adjoint(y) @ (y * (g * g)[:, :, None])
 
 
+def _scaled_power_sum(mu: np.ndarray, alpha: float):
+    """(top, rest) with sum_i mu_i^alpha = top^alpha rest along the last
+    axis, top the largest mu (ascending) and rounding zeros dropped: the
+    sum in log space, alpha ln top + ln rest, stays finite at a large
+    alpha where mu^alpha overflows, as in ``renyi_entropy``."""
+    top = mu[:, -1]
+    return top, ((_drop_rounding_zeros(mu) / top[:, None]) ** alpha).sum(axis=1)
+
+
 class Divergence:
     """The divergence D(rho || sigma) selected by ``p`` for one fixed rho,
     evaluated on batches of sigma given by their (B, d) eigenvalues and
@@ -227,7 +236,8 @@ class Divergence:
         x = _adjoint(vs) @ factor          # y for the sandwiched form
         if self.kind == "sand":
             wm = np.linalg.eigvalsh(_gram(x, wf ** self.c))
-            tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
+            top, rest = _scaled_power_sum(wm, self.alpha)
+            return (self.alpha * np.log(top) + np.log(rest)) / (self.alpha - 1.0)
         else:
             occ = ((x.real ** 2 + x.imag ** 2) @ weight[..., None])[..., 0]
             if self.kind == "kl":
@@ -257,8 +267,10 @@ class Divergence:
             # null space of s rho s, so that adds nothing
             g, gp = wf ** self.c, np.where(live, self.c * wf ** (self.c - 1.0), 0.0)
             wm, vm = np.linalg.eigh(_gram(x, g))
-            tr = (_drop_rounding_zeros(wm) ** self.alpha).sum(axis=1)
-            hp = self.alpha * np.maximum(wm, f) ** (self.alpha - 1.0)
+            # H and the trace both scaled by top^(1 - alpha), as in value
+            top, rest = _scaled_power_sum(wm, self.alpha)
+            tr = top * rest
+            hp = self.alpha * (np.maximum(wm, f) / top[:, None]) ** (self.alpha - 1.0)
             yu = x @ vm
             a = (yu * hp[:, None, :]) @ _adjoint(yu)
             occ = a * (g[:, :, None] + g[:, None, :])

@@ -86,8 +86,10 @@ TOL_OBJECTIVE = 1e-7
 # (``pure_ree``) now gives the value; version 5 evaluated the divergence
 # from rho itself, whose ~1e-17 rounding components ``renyi.Divergence``
 # now drops with its rank-r eigen-factor, which moves descents at rounding
-# level.
-ALGORITHM_VERSION = 6
+# level; version 6 summed the sandwiched Tr (s rho s)^alpha in linear
+# space, which overflows near SANDWICHED_ALPHA_CAP and moves every
+# sandwiched value at rounding level now that it is summed in log space.
+ALGORITHM_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,18 @@ class TestSandwiched:
         with pytest.raises(ValueError):
             sand_rel_entropy(np.eye(2) / 2, np.eye(2) / 2, 0.4)
 
+    @pytest.mark.parametrize("eps, want", [(1e-6, 13.11), (1e-9, 20.02)])
+    def test_large_alpha_stays_finite(self, eps, want):
+        # rho = |+><+| is pure, so Tr (s rho s)^alpha = <+|sigma^(2c)|+>^alpha,
+        # about 1e12^64 summed term by term: it overflows unless summed in
+        # log space
+        alpha, plus = 64.0, np.full((2, 2), 0.5, dtype=complex)
+        exact = alpha / (alpha - 1) * math.log(
+            0.5 * ((1 - eps) ** ((1 - alpha) / alpha) + eps ** ((1 - alpha) / alpha)))
+        got = sand_rel_entropy(plus, diag_state(1 - eps, eps), alpha)
+        assert got == pytest.approx(exact, rel=1e-12)
+        assert round(got, 2) == want
+
     def test_kl_limit(self):
         rho = random_density_matrix(4, 4, 51)
         sig = 0.5 * random_density_matrix(4, 4, 52) + 0.5 * np.eye(4) / 4

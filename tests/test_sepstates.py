@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.linalg import fractional_matrix_power, logm, svdvals
 from qree.qmat import Bipartition, kron, projector, random_density_matrix, random_unitary, validate_density
 from qree.renyi import Divergence, RenyiParameter, rel_entropy
 from qree.sepstates import (CLOSEST_STATE_MIXING, COMPONENTS_PER_DIM,
-                            FD_STEP, LADDER, OptimizerOptions, _line_search,
+                            FD_STEP, LADDER, SANDWICHED_ALPHA_CAP, OptimizerOptions, _line_search,
                             _mixtures, _Objective, _sample_eigenpairs,
                             pure_ree, ree, ree_batch,
                             sample_separable_batch, sample_upper_bound,
@@ -122,6 +123,17 @@ class TestReeOracles:
             sample_upper_bound(rho, CUT_123, p, 10, seed=0)
         with pytest.raises(ValueError, match=named):
             pure_ree(rho, CUT_123, p)
+
+    def test_descent_at_the_sandwiched_cap_stays_finite(self, fast_opts):
+        # at alpha = 64 the floored eigenvalues lift Tr (s rho s)^alpha
+        # past the float range unless it is summed in log space; summed
+        # term by term, this seed's descent overflows
+        p = RenyiParameter(SANDWICHED_ALPHA_CAP, "sand")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = ree(w_reduced(), CUT_22, p, replace(fast_opts, seed=2))
+        assert all(math.isfinite(r.value) for r in res.restarts)
+        assert 0 < res.value < math.inf
 
     def test_sandwiched_alpha_cap(self, fast_opts):
         with pytest.raises(ValueError, match="cap"):
