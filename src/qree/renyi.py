@@ -238,15 +238,14 @@ class Divergence:
             wm = np.linalg.eigvalsh(_gram(x, wf ** self.c))
             top, rest = _scaled_power_sum(wm, self.alpha)
             return (self.alpha * np.log(top) + np.log(rest)) / (self.alpha - 1.0)
-        else:
-            occ = ((x.real ** 2 + x.imag ** 2) @ weight[..., None])[..., 0]
-            if self.kind == "kl":
-                kl = -s_rho - (occ * np.log(wf)).sum(axis=1)
-                if reported:
-                    null = np.where(ws <= DEFAULT_FLOOR, occ, 0.0).sum(axis=1)
-                    kl[null > SUPPORT_WEIGHT_TOL] = math.inf
-                return kl
-            tr = (occ * wf ** (1.0 - self.alpha)).sum(axis=1)
+        occ = ((x.real ** 2 + x.imag ** 2) @ weight[..., None])[..., 0]
+        if self.kind == "kl":
+            kl = -s_rho - (occ * np.log(wf)).sum(axis=1)
+            if reported:
+                null = np.where(ws <= DEFAULT_FLOOR, occ, 0.0).sum(axis=1)
+                kl[null > SUPPORT_WEIGHT_TOL] = math.inf
+            return kl
+        tr = (occ * wf ** (1.0 - self.alpha)).sum(axis=1)
         return np.log(tr) / (self.alpha - 1.0)
 
     def sigma_grad(self, ws: np.ndarray, vs: np.ndarray,
