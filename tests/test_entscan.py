@@ -31,6 +31,7 @@ QUICK = OptimizerOptions(restarts=1, max_iters=30, components=4, seed=0)
 TEN_PARAMS = ([RenyiParameter(a, "trad") for a in (0.3, 0.7, 1.0, 1.5, 2.0)]
               + [RenyiParameter(a, "sand") for a in (0.5, 1.0, 2.0, 4.0, 8.0)])
 
+
 def count_points(monkeypatch) -> dict:
     """Count the points ``sweep`` evaluates, through ``monogamy_batch``."""
     points = {"n": 0}
@@ -393,14 +394,16 @@ class TestSweep:
         sweep(cfg)
         assert points["n"] == 2
 
-    def test_parallel_workers_match_serial(self, tmp_path):
+    def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
+        # one point a chunk, so the pool has two chunks to run
+        monkeypatch.setattr(entscan, "SWEEP_BATCH_ROWS", 2)
         cfg = parse_config(TINY_CONFIG)
         serial = sweep(cfg)
         cfg2 = parse_config(TINY_CONFIG)
         cfg2.workers = 3
         parallel = sweep(cfg2)
-        for a, b in zip(serial, parallel):
-            assert a.e_1_23 == b.e_1_23 and a.m == b.m
+        assert ([replace(r, walltime_ms=0.0) for r in parallel]
+                == [replace(r, walltime_ms=0.0) for r in serial])
 
     def test_rows_match_pointwise_monogamy(self, monkeypatch):
         # TFI at lam = 0.5 and low T has entangled pairs, so both batches
@@ -413,6 +416,8 @@ class TestSweep:
             opts=OptimizerOptions(restarts=2, max_iters=60, components=8), seed=2)
         rows = sweep(cfg)
         assert any(r.e_1_2 > 0 for r in rows)
+        # rows (grid index, alpha index) = (0, 0), (1, 0), (2, 0) share a chunk
+        assert rows[0].walltime_ms == rows[2].walltime_ms == rows[4].walltime_ms
         for row in rows:
             rho = thermal_state(hamiltonian(cfg.point_params(row.param_value)),
                                 row.temp).rho
@@ -420,9 +425,6 @@ class TestSweep:
                            replace(cfg.opts, seed=row.seed))
             assert (row.e_1_23, row.e_1_2, row.e_1_3, row.m, row.converged) == (
                 res.e_1_23, res.e_1_2, res.e_1_3, res.m, res.converged)
-        cfg.workers = 3
-        untimed = [replace(r, walltime_ms=0.0) for r in rows]
-        assert [replace(r, walltime_ms=0.0) for r in sweep(cfg)] == untimed
 
     def test_unwritable_output(self, tmp_path):
         cfg = parse_config(TINY_CONFIG)

@@ -11,8 +11,9 @@ from scipy.linalg import fractional_matrix_power, logm, svdvals
 from qree.qmat import Bipartition, kron, projector, random_density_matrix, random_unitary, validate_density
 from qree.renyi import Divergence, RenyiParameter, rel_entropy
 from qree.sepstates import (CLOSEST_STATE_MIXING, COMPONENTS_PER_DIM,
-                            FD_STEP, LADDER, SANDWICHED_ALPHA_CAP, OptimizerOptions, _line_search,
-                            _mixtures, _Objective, _sample_eigenpairs,
+                            FD_STEP, LADDER, SANDWICHED_ALPHA_CAP,
+                            OptimizerOptions, _line_search, _mixtures,
+                            _Objective, _sample_eigenpairs,
                             pure_ree, ree, ree_batch,
                             sample_separable_batch, sample_upper_bound,
                             schmidt_entropy)
