@@ -425,22 +425,16 @@ def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
         f, theta, iters, evals, conv = _descend(obj, theta, state, opts)
         for j, i in enumerate(members):
             rows = slice(j * n_restarts, (j + 1) * n_restarts)
-            results[i] = _descent_result(rhos[i], p, obj, seeds[j], f[rows],
-                                         theta[rows], iters[rows], evals[rows],
-                                         conv[rows])
+            best = j * n_restarts + int(np.argmin(f[rows]))
+            sigma = _closest_state(_mixtures(*obj.split(theta[best:best + 1]))[0][0])
+            records = tuple(map(RestartRecord, seeds[j], f[rows].tolist(),
+                                iters[rows].tolist(), evals[rows].tolist(),
+                                conv[rows].tolist()))
+            results[i] = REEResult(
+                value=float(rel_entropy(rhos[i], sigma, p)), closest_state=sigma,
+                converged=bool(conv[best]), iterations=int(iters[best]),
+                evaluations=int(evals[rows].sum()), restarts=records)
     return results
-
-
-def _descent_result(rho, p, obj, seeds, f, theta, iters, evals, conv) -> REEResult:
-    """One state's REEResult from the final rows of its restarts."""
-    best = int(np.argmin(f))
-    sigma = _closest_state(_mixtures(*obj.split(theta[best:best + 1]))[0][0])
-    records = tuple(map(RestartRecord, seeds, f.tolist(), iters.tolist(),
-                        evals.tolist(), conv.tolist()))
-    return REEResult(value=float(rel_entropy(rho, sigma, p)),
-                     closest_state=sigma, converged=bool(conv[best]),
-                     iterations=int(iters[best]), evaluations=int(evals.sum()),
-                     restarts=records)
 
 
 def schmidt_closest_state(psi: np.ndarray, cut: Bipartition,
