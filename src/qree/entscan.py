@@ -48,7 +48,11 @@ SWAP_MATCH_TOL = 1e-12
 # a sweep gathers the points of one parameter into chunks of at most
 # max(1, SWEEP_BATCH_ROWS // restarts) points, whose descents of one cut
 # run as one batch: per-row cost falls from 3 rows to some tens of rows
-# and rises again beyond about a hundred
+# and rises again beyond about a hundred.  The cap holds for the E(1:23)
+# batch; E(1:2) and E(1:3) share the pair batch, which can reach twice
+# the cap.  One value + gradient per row, one BLAS thread, K = 16: 2x4
+# 44-51 us/row at 48 rows and 50-53 at 144; 2x2 19-31 us/row at 48,
+# 13-19 at 96 and 14-25 at 144
 SWEEP_BATCH_ROWS = 48
 
 CSV_HEADER = ("model,param_name,param_value,temp,alpha,variant,"

@@ -414,8 +414,7 @@ def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
     results: list[REEResult] = [None] * len(rhos)
     for rank in dict.fromkeys(ranks.tolist()):
         members = np.flatnonzero(ranks == rank)
-        held = members if len(members) > 1 else members[0]
-        obj = _Objective(Divergence.of_states(w[held], v[held], p), cut)
+        obj = _Objective(Divergence.of_states(w[members], v[members], p), cut)
         seeds = [[_restart_seed(jobs[i][1], r) for r in range(n_restarts)]
                  for i in members]
         theta = np.stack([_initial_ansatz(rhos[i], cut, k, r, np.random.default_rng(s))

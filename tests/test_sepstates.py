@@ -276,6 +276,28 @@ class TestBatchedObjective:
             want = [dense_divergence(rho, s, p) for s in sigmas]
             assert np.abs(got - want).max() <= 1e-9, rank
 
+    @pytest.mark.parametrize("cut", [CUT_22, CUT_123])
+    @pytest.mark.parametrize("p", [RenyiParameter(1.0),
+                                   RenyiParameter(1.5, "trad"),
+                                   RenyiParameter(3.0, "sand")])
+    def test_stacked_states_match_single_states(self, cut, p):
+        # a stack gathers each row's factor where a single state broadcasts
+        # it; every value and gradient must agree bit for bit
+        w, v = np.linalg.eigh(np.stack([random_density_matrix(cut.dim, 2, s)
+                                        for s in (3, 4, 5)]))
+        sigmas = sample_separable_batch(cut, 12, 2 * cut.dim,
+                                        np.random.default_rng(7))
+        ws, vs = np.linalg.eigh(sigmas)
+        state = np.arange(12) % 3
+        stacked = Divergence.of_states(w, v, p)
+        got_f = stacked.value(ws, vs, state=state)
+        got_g = stacked.sigma_grad(ws, vs, state=state)
+        for i in range(3):
+            rows = state == i
+            single = Divergence.of_states(w[i], v[i], p)
+            assert np.array_equal(got_f[rows], single.value(ws[rows], vs[rows]))
+            assert np.array_equal(got_g[rows], single.sigma_grad(ws[rows], vs[rows]))
+
     def test_realize_is_a_batch_of_one(self):
         rng = np.random.default_rng(8)
         theta = random_rows(CUT_123, 5, rng, 3)
@@ -445,7 +467,7 @@ class TestOptimizerBehavior:
         p = RenyiParameter(0.7, "trad")
         jobs = [(random_density_matrix(4, 2, 3), 1), (random_density_matrix(4, 4, 4), 2)]
         results = ree_batch(jobs, CUT_22, p, opts)
-        assert ranks == [(4, 2), (4, 4)]
+        assert ranks == [(1, 4, 2), (1, 4, 4)]
         monkeypatch.setattr(sepstates, "_descend", real)
         for (rho, seed), got in zip(jobs, results):
             self.assert_same_result(got, ree(rho, CUT_22, p, replace(opts, seed=seed)))
