@@ -8,12 +8,14 @@ completed points keyed by everything that determines them, so reruns are
 free.  ``critical_temperature`` locates the temperature where the
 tripartite entanglement first drops below a zero threshold.
 
-CSV schema (header exactly)::
+CSV schema: one column per ``SweepRow`` field, in declaration order, the
+header naming them::
 
     model,param_name,param_value,temp,alpha,variant,e_1_23,e_1_2,e_1_3,m,
     converged,restarts_used,seed,walltime_ms
 
-Floats are printed with 9 significant digits; infinities as ``inf``.
+Floats are printed with 9 significant digits, infinities as ``inf``;
+booleans as ``true``/``false``.
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ SWAP_MATCH_TOL = 1e-12
 # 44-51 us/row at 48 rows and 50-53 at 144; 2x2 19-31 us/row at 48,
 # 13-19 at 96 and 14-25 at 144
 SWEEP_BATCH_ROWS = 48
-
-CSV_HEADER = ("model,param_name,param_value,temp,alpha,variant,"
-              "e_1_23,e_1_2,e_1_3,m,converged,restarts_used,seed,walltime_ms")
 
 
 class ConfigError(ValueError):
@@ -270,15 +269,21 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+# (format, parse) of a CSV cell by the annotation of its SweepRow field
+_CELL = {
+    "float": (_fmt, float),
+    "bool": (lambda b: "true" if b else "false", lambda s: s == "true"),
+    "int": (str, int),
+    "str": (str, str),
+}
+_COLUMNS = [(f.name, *_CELL[f.type]) for f in fields(SweepRow)]
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
+
+
 def emit_rows(rows: list[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join([
-            r.model, r.param_name, _fmt(r.param_value), _fmt(r.temp),
-            _fmt(r.alpha), r.variant, _fmt(r.e_1_23), _fmt(r.e_1_2),
-            _fmt(r.e_1_3), _fmt(r.m), "true" if r.converged else "false",
-            str(r.restarts_used), str(r.seed), _fmt(r.walltime_ms),
-        ]))
+        lines.append(",".join(fmt(getattr(r, name)) for name, fmt, _ in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -289,16 +294,10 @@ def parse_rows(text: str) -> list[SweepRow]:
     rows = []
     for ln in lines[1:]:
         f = ln.split(",")
-        if len(f) != 14:
-            raise ConfigError(f"expected 14 fields, got {len(f)}: {ln!r}")
-        rows.append(SweepRow(
-            model=f[0], param_name=f[1], param_value=float(f[2]),
-            temp=float(f[3]), alpha=float(f[4]), variant=f[5],
-            e_1_23=float(f[6]), e_1_2=float(f[7]), e_1_3=float(f[8]),
-            m=float(f[9]), converged=f[10] == "true",
-            restarts_used=int(f[11]), seed=int(f[12]),
-            walltime_ms=float(f[13]),
-        ))
+        if len(f) != len(_COLUMNS):
+            raise ConfigError(f"expected {len(_COLUMNS)} fields, got {len(f)}: {ln!r}")
+        rows.append(SweepRow(**{name: parse(cell) for (name, _, parse), cell
+                                in zip(_COLUMNS, f)}))
     return rows
 
 
@@ -522,7 +521,7 @@ def critical_temperature(params: ModelParams, p: RenyiParameter,
 #
 # Unknown keys are errors; every diagnostic carries the line number.
 
-_OPT_INT_KEYS = {"restarts", "max_iters", "components"}
+_INT_KEYS = {"restarts", "max_iters", "components", "seed", "workers"}
 
 
 def _parse_grid(raw: str, line_no: int) -> list[float]:
@@ -563,6 +562,16 @@ def _parse_alphas(raw: str, line_no: int) -> list[RenyiParameter]:
     return out
 
 
+def _number(key: str, value: str, line_no: int, kind: type):
+    """``value`` as a ``kind`` (float or int), or a ConfigError naming the
+    line and the key."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"line {line_no}: {key} must be {noun}, got {value!r}")
+
+
 def parse_config(text: str) -> SweepConfig:
     """Parse the key=value sweep format documented above."""
     raw: dict[str, tuple[str, int]] = {}
@@ -578,8 +587,8 @@ def parse_config(text: str) -> SweepConfig:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
         raw[key] = (value, line_no)
 
-    known = ({"model", "sweep", "grid", "alphas", "seed", "workers", "out",
-              "cache_dir"} | SWEEPABLE | _OPT_INT_KEYS)
+    known = ({"model", "sweep", "grid", "alphas", "out", "cache_dir"}
+             | SWEEPABLE | _INT_KEYS)
     for key, (_, line_no) in raw.items():
         if key not in known:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
@@ -587,43 +596,16 @@ def parse_config(text: str) -> SweepConfig:
         if req not in raw:
             raise ConfigError(f"missing required key {req!r}")
 
-    def take(key: str, default=None):
-        return raw.pop(key, (default, 0))[0]
-
-    model = take("model")
-    sweep_param = take("sweep").lower()
-    grid = _parse_grid(*raw.pop("grid"))
-    alphas = _parse_alphas(*raw.pop("alphas"))
-
-    fixed: dict[str, float] = {}
-    for key in list(raw):
-        if key in SWEEPABLE:
-            value, line_no = raw.pop(key)
-            try:
-                fixed[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {line_no}: {key} must be a number, "
-                                  f"got {value!r}")
-
-    def take_int(key: str, default: int | None) -> int | None:
-        value, line_no = raw.pop(key, (None, 0))
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: {key} must be an integer, "
-                              f"got {value!r}")
-
-    opt_kwargs = {key: take_int(key, None) for key in list(raw)
-                  if key in _OPT_INT_KEYS}
-
-    seed = take_int("seed", 0)
-    workers = take_int("workers", 1)
-    out = take("out")
-    cache_dir = take("cache_dir")
+    grid = _parse_grid(*raw["grid"])
+    alphas = _parse_alphas(*raw["alphas"])
+    fixed = {key: _number(key, *raw[key], float) for key in raw if key in SWEEPABLE}
+    ints = {key: _number(key, *raw[key], int) for key in raw if key in _INT_KEYS}
+    seed, workers = ints.pop("seed", 0), ints.pop("workers", 1)
+    model, sweep_param = raw["model"][0], raw["sweep"][0].lower()
+    out = raw.get("out", (None, 0))[0]
+    cache_dir = raw.get("cache_dir", (None, 0))[0]
     try:
-        opts = OptimizerOptions(seed=seed, **opt_kwargs)
+        opts = OptimizerOptions(seed=seed, **ints)
     except ValueError as exc:
         raise ConfigError(str(exc))
     try:

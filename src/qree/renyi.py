@@ -5,11 +5,12 @@ prefactor, so they are non-negative and reduce to the Kullback-Leibler
 quantum relative entropy as alpha -> 1; alpha = 1 is always routed to the
 exact KL expression instead of a numerical limit.
 
-Every divergence is evaluated by ``Divergence``, which holds rho as its
-rank-r eigen-factor and evaluates batches of sigma from their
-eigenpairs: the floored values and their sigma-gradient that a minimizer
-descends on, and the reported value.  ``rel_entropy`` and the
-``*_rel_entropy`` functions are batches of one.
+Every divergence is evaluated by ``Divergence``, which holds a stack of
+states of one rank, each as its rank-r eigen-factor, and evaluates
+batches of sigma from their eigenpairs: the floored values and their
+sigma-gradient that a minimizer descends on, and the reported value.
+``rel_entropy`` and the ``*_rel_entropy`` functions are a stack of one
+state and a batch of one sigma.
 
 An infinite divergence (KL with a support mismatch) is reported as
 ``math.inf``, never as an exception.
@@ -115,9 +116,9 @@ def min_entropy(rho: np.ndarray) -> float:
 
 
 def max_entropy(rho: np.ndarray) -> float:
-    """S_max = ln rank(rho), eigenvalues above 1e-10 (alpha -> 0 limit)."""
-    w = eig_hermitian(rho).eigenvalues
-    return float(np.log(np.count_nonzero(w > 1e-10)))
+    """S_max = ln rank(rho) (alpha -> 0 limit), the rank counted with
+    rounding zeros dropped, as in ``renyi_entropy``."""
+    return float(np.log(len(_state_eigs(rho))))
 
 
 def collision_entropy(rho: np.ndarray) -> float:
@@ -155,21 +156,22 @@ def _scaled_power_sum(mu: np.ndarray, alpha: float):
 
 
 class Divergence:
-    """The divergence D(rho || sigma) selected by ``p`` for one fixed rho,
-    evaluated on batches of sigma given by their (B, d) eigenvalues and
-    (B, d, d) eigenvectors.  ``of_states`` holds a stack of S states of one
-    rank instead, every per-state array gaining a leading axis of S, and
-    each row of a batch names its state: one batch then serves the
-    descents of several states.
+    """The divergence D(rho || sigma) selected by ``p`` for a stack of S
+    fixed states rho of one rank, evaluated on batches of sigma given by
+    their (B, d) eigenvalues and (B, d, d) eigenvectors.  ``Divergence(rho,
+    p)`` is a stack of one, which broadcasts against every row of a batch;
+    with ``of_states`` each row of a batch names its state, and one batch
+    serves the descents of several states.
 
-    rho is held as its rank-r eigen-factor rho = R diag(lam) R^dag, R of
-    shape (d, r), with eigenvalues within rounding of zero dropped (the
-    rule of ``_drop_rounding_zeros``).  Every evaluation works in sigma's
-    eigenbasis through x = V^dag R, of shape (B, d, r): the occupations
-    <v_i|rho^a|v_i> are sums of the non-negative |x_ik|^2 lam_k^a, and the
-    sandwiched trace is Tr (y^dag diag(w^2c) y)^alpha with y = x
-    sqrt(lam), an r x r matrix with the nonzero spectrum of s rho s, s =
-    sigma^c.  ``factor`` holds R, or R sqrt(lam) for the sandwiched form.
+    Each rho is held as its rank-r eigen-factor rho = R diag(lam) R^dag, R
+    of shape (d, r), with eigenvalues within rounding of zero dropped (the
+    rule of ``_drop_rounding_zeros``); every per-state array has a leading
+    axis of S.  Every evaluation works in sigma's eigenbasis through x =
+    V^dag R, of shape (B, d, r): the occupations <v_i|rho^a|v_i> are sums
+    of the non-negative |x_ik|^2 lam_k^a, and the sandwiched trace is Tr
+    (y^dag diag(w^2c) y)^alpha with y = x sqrt(lam), an r x r matrix with
+    the nonzero spectrum of s rho s, s = sigma^c.  ``factor`` holds R, or
+    R sqrt(lam) for the sandwiched form.
 
     sigma's eigenvalues are floored at ``qmat.DEFAULT_FLOOR`` inside logs
     and powers, so the values and the gradient are finite everywhere: a KL
@@ -181,7 +183,8 @@ class Divergence:
     """
 
     def __init__(self, rho: np.ndarray, p: RenyiParameter):
-        self._hold(*eig_hermitian(rho), p)
+        w, v = eig_hermitian(rho)
+        self._hold(w[None], v[None], p)
 
     @classmethod
     def of_states(cls, w: np.ndarray, v: np.ndarray,
@@ -206,8 +209,7 @@ class Divergence:
         self.weight = self.s_rho = None
         if p.is_kl:
             self.kind = "kl"
-            s_rho = [-np.sum(x * np.log(x)) for x in lam.reshape(-1, r)]
-            self.s_rho = float(s_rho[0]) if lam.ndim == 1 else np.array(s_rho)
+            self.s_rho = -(lam * np.log(lam)).sum(axis=-1)
             self.weight = lam
         elif p.variant == TRADITIONAL:
             self.kind = "trad"
@@ -218,10 +220,10 @@ class Divergence:
             self.factor = self.factor * np.sqrt(lam)[..., None, :]
 
     def _at(self, state: np.ndarray | None):
-        """Each row's factor, weight and KL entropy term: held once and
-        broadcast over the rows for a single state, else gathered by each
-        row's index in ``state``."""
-        if state is None or self.factor.ndim == 2:
+        """Each row's factor, weight and KL entropy term, gathered by each
+        row's index in ``state``; with no ``state``, a stack of one
+        broadcasts over the rows."""
+        if state is None:
             return self.factor, self.weight, self.s_rho
         return tuple(None if a is None else a[state]
                      for a in (self.factor, self.weight, self.s_rho))
@@ -229,8 +231,8 @@ class Divergence:
     def value(self, ws: np.ndarray, vs: np.ndarray, reported: bool = False,
               state: np.ndarray | None = None) -> np.ndarray:
         """(B,) divergences, floored unless ``reported`` (see the class);
-        ``state`` holds each row's state index when the Divergence holds
-        a stack (see ``of_states``)."""
+        ``state`` holds each row's state index, and may be left out for a
+        stack of one."""
         factor, weight, s_rho = self._at(state)
         wf = np.maximum(ws, DEFAULT_FLOOR)
         x = _adjoint(vs) @ factor          # y for the sandwiched form

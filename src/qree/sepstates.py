@@ -76,19 +76,7 @@ FD_STEP = 1e-5
 TOL_OBJECTIVE = 1e-7
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
-# result.  Version 1 ran restarts one after another, one trial step a call;
-# version 2 counted rounding-level eigenvalues of rho in the traditional
-# rho^alpha, which moves alpha < 1 values of low-rank rho by up to ~1e-5;
-# version 3 ran a descent for every pair cut of a monogamy point, where
-# PPT pairs now return 0 and E(1:3) reuses E(1:2)'s closest state when
-# rho_13 is rho_12 up to a SWAP; version 4 ran a descent for every rank-1
-# cut of a monogamy point, where the Schmidt-diagonal closest state
-# (``pure_ree``) now gives the value; version 5 evaluated the divergence
-# from rho itself, whose ~1e-17 rounding components ``renyi.Divergence``
-# now drops with its rank-r eigen-factor, which moves descents at rounding
-# level; version 6 summed the sandwiched Tr (s rho s)^alpha in linear
-# space, which overflows near SANDWICHED_ALPHA_CAP and moves every
-# sandwiched value at rounding level now that it is summed in log space.
+# result, even at rounding level (CHANGES.md says what moved each version).
 ALGORITHM_VERSION = 7
 
 
@@ -179,9 +167,9 @@ def _mixtures(logits: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray):
 # the divergence on realized ansatze: values and gradients of parameter rows
 
 class _Objective:
-    """The divergence ``div`` on parameter rows across ``cut``.  When
-    ``div`` holds a stack of states, each row names its state (see
-    ``Divergence.of_states``); a single-state ``div`` ignores the names."""
+    """The divergence ``div`` on parameter rows across ``cut``, each row
+    naming its state in ``div``'s stack; rows of a stack of one may leave
+    the names out (see ``Divergence``)."""
 
     def __init__(self, div: Divergence, cut: Bipartition):
         self.cut = cut
@@ -436,19 +424,11 @@ def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
     return results
 
 
-def schmidt_closest_state(psi: np.ndarray, cut: Bipartition,
-                          beta: float) -> tuple[float, np.ndarray]:
-    """The Renyi entropy S_beta of the Schmidt weights of a normalized pure
-    state across ``cut``, and the Schmidt-diagonal separable state
-
-        sigma_beta = sum_i q_i |a_i b_i><a_i b_i|,   q_i ~ lambda_i^beta,
-
-    built from its Schmidt decomposition psi = sum_i sqrt(lambda_i) a_i (x) b_i.
-    Weights within rounding of zero (below min(dim_a, dim_b) eps) are
-    dropped.  ``beta = math.inf`` puts all of q on the largest weight
-    (S_min = -ln lambda_1).  For the matching divergence order (see
-    ``pure_ree``), D(psi || sigma_beta) = S_beta.
-    """
+def _schmidt(psi: np.ndarray, cut: Bipartition):
+    """The Schmidt decomposition psi = sum_i sqrt(lambda_i) a_i (x) b_i of
+    a normalized pure state across ``cut``: the weights lambda, descending,
+    and the (n, dim_a) and (n, dim_b) Schmidt vectors, with weights within
+    rounding of zero (below min(dim_a, dim_b) eps) dropped."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("state vector is not normalized")
@@ -457,19 +437,8 @@ def schmidt_closest_state(psi: np.ndarray, cut: Bipartition,
     u, s, vh = np.linalg.svd(psi.reshape(cut.dim_a, cut.dim_b),
                              full_matrices=False)
     lam = s * s   # descending, so the kept weights are a prefix
-    n = (1 if beta == math.inf
-         else np.count_nonzero(lam > len(lam) * np.finfo(float).eps))
-    logs = np.log(lam[:n])
-    if beta == 1.0:
-        entropy = -float(np.sum(lam[:n] * logs))
-    elif beta == math.inf:
-        entropy = -float(logs[0])
-    else:   # log-sum-exp, so a large beta does not underflow
-        m = beta * logs[0]
-        entropy = (m + math.log(np.sum(np.exp(beta * logs - m)))) / (1.0 - beta)
-    logits = beta * logs if n > 1 else np.zeros(1)
-    sigma = _mixtures(logits[None], u.T[None, :n], vh[None, :n])[0][0]
-    return entropy, sigma
+    n = np.count_nonzero(lam > len(lam) * np.finfo(float).eps)
+    return lam[:n], u.T[:n], vh[:n]
 
 
 def schmidt_entropy(psi: np.ndarray, cut: Bipartition) -> float:
@@ -478,7 +447,8 @@ def schmidt_entropy(psi: np.ndarray, cut: Bipartition) -> float:
     Independent oracle for ree at alpha = 1 on pure states: the REE of a
     pure bipartite state is the entropy of its Schmidt weights.
     """
-    return schmidt_closest_state(psi, cut, 1.0)[0]
+    lam = _schmidt(psi, cut)[0]
+    return -float(np.sum(lam * np.log(lam)))
 
 
 def _schmidt_order(p: RenyiParameter) -> float:
@@ -499,13 +469,19 @@ def pure_ree(rho: np.ndarray, cut: Bipartition,
 
     rho counts as rank 1 when its second eigenvalue is within rounding of
     zero, lambda_2 <= d eps lambda_1 (the rounding rule of ``renyi``).
-    The closest state is sigma_beta of rho's top eigenvector at
-    beta = ``_schmidt_order(p)``, mixed with CLOSEST_STATE_MIXING as in
-    ``ree``, and the value is the divergence re-evaluated there.  For a
-    pure psi, rho^alpha = rho, so the traditional Q = sum_i lambda_i
-    q_i^(1-alpha) and the sandwiched Q = <psi| sigma^((1-alpha)/alpha)
-    |psi>^alpha; one Lagrange step over Schmidt-diagonal q gives q ~
-    lambda^beta and D = S_beta(lambda).  That this is the minimum over all
+    With rho's top eigenvector psi = sum_i sqrt(lambda_i) a_i (x) b_i (see
+    ``_schmidt``) and beta = ``_schmidt_order(p)``, the closest state is
+    the Schmidt-diagonal separable state
+
+        sigma_beta = sum_i q_i |a_i b_i><a_i b_i|,   q_i ~ lambda_i^beta,
+
+    all of q on the largest weight at beta = infinity, mixed with
+    CLOSEST_STATE_MIXING as in ``ree``; the value is the divergence
+    re-evaluated there.  For a pure psi, rho^alpha = rho, so the
+    traditional Q = sum_i lambda_i q_i^(1-alpha) and the sandwiched Q =
+    <psi| sigma^((1-alpha)/alpha) |psi>^alpha; one Lagrange step over
+    Schmidt-diagonal q gives q ~ lambda^beta and D = S_beta(lambda), the
+    Renyi entropy of the Schmidt weights.  That this is the minimum over all
     separable states is proved for KL (Vedral & Plenio, PRA 57, 1619
     (1998)) and for sandwiched alpha = 1/2, the geometric measure (Wei &
     Goldbart, PRA 68, 042307 (2003)).  Elsewhere sigma_beta is still
@@ -517,8 +493,12 @@ def pure_ree(rho: np.ndarray, cut: Bipartition,
     w, v = eig_hermitian(rho)
     if np.count_nonzero(_drop_rounding_zeros(w)) > 1:
         return None
-    _, sigma = schmidt_closest_state(v[:, -1], cut, _schmidt_order(p))
-    sigma = _closest_state(sigma)
+    beta = _schmidt_order(p)
+    lam, a, b = _schmidt(v[:, -1], cut)
+    if beta == math.inf:
+        lam, a, b = lam[:1], a[:1], b[:1]
+    logits = beta * np.log(lam) if len(lam) > 1 else np.zeros(1)
+    sigma = _closest_state(_mixtures(logits[None], a[None], b[None])[0][0])
     return REEResult(value=rel_entropy(rho, sigma, p), closest_state=sigma,
                      converged=True, iterations=0, evaluations=0, restarts=(),
                      path="pure")

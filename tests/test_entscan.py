@@ -335,6 +335,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("model xyz\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("jx = abc", "jx must be a number, got 'abc'"),
+        ("restarts = 2.5", "restarts must be an integer, got '2.5'"),
+        ("seed = x", "seed must be an integer, got 'x'"),
+        ("workers = y", "workers must be an integer, got 'y'"),
+        ("grid = 1 : 2", "bad grid '1 : 2': linspace grid needs start : stop : count"),
+        ("grid = 1 : 2 : 0", "bad grid '1 : 2 : 0': grid count must be >= 1"),
+    ])
+    def test_bad_value_reports_line(self, line, message):
+        key = line.split("=")[0]
+        lines = [ln for ln in TINY_CONFIG.splitlines() if not ln.startswith(key)]
+        lines.append(line)
+        with pytest.raises(ConfigError) as err:
+            parse_config("\n".join(lines) + "\n")
+        assert str(err.value) == f"line {len(lines)}: {message}"
+
 
 class TestSweep:
     def test_rows_ordered_and_deterministic(self, tmp_path):

@@ -51,9 +51,13 @@ class TestRenyiEntropy:
                        - von_neumann_entropy(rho)) < 1e-4
 
     def test_alpha_limits_on_random_states(self):
-        for seed in range(10):
-            d = 2 + seed % 7
-            rho = random_density_matrix(d, d, seed)
+        rhos = [random_density_matrix(2 + seed % 7, 2 + seed % 7, seed)
+                for seed in range(10)]
+        # an eigenvalue of 1e-12 is far above rounding (d eps lambda_max ~
+        # 4e-16), so it counts in the rank: S_max = ln 4
+        rhos.append(diag_state(0.5, 0.3, 0.2 - 1e-12, 1e-12))
+        for rho in rhos:
+            d = len(rho)
             assert abs(renyi_entropy(rho, 1e-6) - max_entropy(rho)) < 1e-4
             assert renyi_entropy(rho, 2.0) == pytest.approx(
                 collision_entropy(rho), abs=1e-10)

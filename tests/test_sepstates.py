@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import fractional_matrix_power, logm, svdvals
 
-from qree.qmat import Bipartition, kron, projector, random_density_matrix, random_unitary, validate_density
-from qree.renyi import Divergence, RenyiParameter, rel_entropy
+from qree.qmat import Bipartition, kron, partial_trace, projector, random_density_matrix, random_unitary, validate_density
+from qree.renyi import Divergence, RenyiParameter, rel_entropy, von_neumann_entropy
 from qree.sepstates import (CLOSEST_STATE_MIXING, COMPONENTS_PER_DIM,
                             FD_STEP, LADDER, SANDWICHED_ALPHA_CAP,
                             OptimizerOptions, _line_search, _mixtures,
@@ -86,6 +86,16 @@ class TestSchmidtEntropy:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             schmidt_entropy(np.ones(8), CUT_123)
+
+    @pytest.mark.parametrize("cut", [CUT_123, CUT_22])
+    def test_matches_entropy_of_reduced_state(self, cut):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            psi = rng.normal(size=cut.dim) + 1j * rng.normal(size=cut.dim)
+            psi /= np.linalg.norm(psi)
+            reduced = partial_trace(projector(psi), [cut.dim_a, cut.dim_b], [0])
+            assert abs(schmidt_entropy(psi, cut)
+                       - von_neumann_entropy(reduced)) <= 1e-12
 
 
 class TestReeOracles:
@@ -281,8 +291,9 @@ class TestBatchedObjective:
                                    RenyiParameter(1.5, "trad"),
                                    RenyiParameter(3.0, "sand")])
     def test_stacked_states_match_single_states(self, cut, p):
-        # a stack gathers each row's factor where a single state broadcasts
-        # it; every value and gradient must agree bit for bit
+        """A stack of three states, each row's factor gathered by its
+        state index, against each state as a stack of one broadcast over
+        its rows: every value and gradient agrees bit for bit."""
         w, v = np.linalg.eigh(np.stack([random_density_matrix(cut.dim, 2, s)
                                         for s in (3, 4, 5)]))
         sigmas = sample_separable_batch(cut, 12, 2 * cut.dim,
@@ -294,7 +305,7 @@ class TestBatchedObjective:
         got_g = stacked.sigma_grad(ws, vs, state=state)
         for i in range(3):
             rows = state == i
-            single = Divergence.of_states(w[i], v[i], p)
+            single = Divergence.of_states(w[i:i + 1], v[i:i + 1], p)
             assert np.array_equal(got_f[rows], single.value(ws[rows], vs[rows]))
             assert np.array_equal(got_g[rows], single.sigma_grad(ws[rows], vs[rows]))
 
