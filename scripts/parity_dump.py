@@ -10,7 +10,12 @@ their bytes):
 - ``sweep``: the CSV of a small XYZ thermal sweep (two temperatures x two
   parameters) without its walltime_ms column;
 - ``oracle``: ``sample_upper_bound`` on GHZ, W and star at every cut and at
-  KL, traditional 1.5 and sandwiched 3.
+  KL, traditional 1.5 and sandwiched 3;
+
+and a last ``totals`` line over the zoo block's descents: how many
+descents and restarts ran, and the restarts' iterations, objective
+evaluations and unconverged count.  These counts do not depend on the
+hardware, so they compare the optimizer's work across versions.
 
 Run it on two versions of the code and diff the outputs::
 
@@ -59,12 +64,15 @@ def main() -> None:
     states = {"ghz": projector(ghz()), "w": projector(w()),
               "star": projector(star())}
 
+    descents = []
     for name, rho in states.items():
         for p in ZOO_PARAMS:
             res = monogamy(rho, p, OptimizerOptions(seed=SEED, **knobs))
             print(f"zoo {name} {label(p)} m={res.m!r}")
             for cut, r in (("1:23", res.detail_1_23), ("1:2", res.detail_1_2),
                            ("1:3", res.detail_1_3)):
+                if r.path == "descent":
+                    descents.append(r)
                 print(f"  {cut} {r.path} value={r.value!r} "
                       f"sigma={state_hash(r.closest_state)} "
                       f"converged={r.converged} iterations={r.iterations} "
@@ -94,6 +102,12 @@ def main() -> None:
                     bip = Bipartition(2, 2)
                 bound = sample_upper_bound(target, bip, p, args.samples, SEED)
                 print(f"oracle {name} {cut} {label(p)} {bound!r}")
+
+    records = [rec for r in descents for rec in r.restarts]
+    print(f"totals descents={len(descents)} restarts={len(records)} "
+          f"iterations={sum(rec.iterations for rec in records)} "
+          f"evaluations={sum(rec.evaluations for rec in records)} "
+          f"unconverged={sum(not rec.converged for rec in records)}")
 
 
 if __name__ == "__main__":

@@ -43,6 +43,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: seeds feed numpy's SeedSequence, which takes only
+    non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_model_args(p: argparse.ArgumentParser, **model_kw) -> None:
     p.add_argument("--model", choices=("xyz", "xxz", "xy", "tfi"), **model_kw)
     p.add_argument("--jx", type=float, default=0.0)
@@ -69,7 +82,7 @@ def _add_opt_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--components", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _model_params(args) -> ModelParams:
@@ -302,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="closed-form vs numeric self-tests")
     p.add_argument("--n", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_check)
     return ap
 

@@ -601,6 +601,9 @@ def parse_config(text: str) -> SweepConfig:
     fixed = {key: _number(key, *raw[key], float) for key in raw if key in SWEEPABLE}
     ints = {key: _number(key, *raw[key], int) for key in raw if key in _INT_KEYS}
     seed, workers = ints.pop("seed", 0), ints.pop("workers", 1)
+    if seed < 0:
+        raise ConfigError(f"line {raw['seed'][1]}: seed must be non-negative, "
+                          f"got {seed}")
     model, sweep_param = raw["model"][0], raw["sweep"][0].lower()
     out = raw.get("out", (None, 0))[0]
     cache_dir = raw.get("cache_dir", (None, 0))[0]

@@ -9,10 +9,11 @@ states across a fixed bipartition,
 parametrized without constraints: mixture weights through a softmax over
 logits and component vectors through explicit normalization.  Pure product
 components lose no generality (every separable state is such a mixture),
-and the unconstrained parametrization lets plain gradient descent with a
-backtracking line search do the minimization.  Non-convexity in the
-parameters is handled by independent seeded restarts; the reported value
-is the best restart, which upper-bounds the true minimum.
+and the unconstrained parametrization lets a quasi-Newton descent
+(L-BFGS) with a backtracking line search do the minimization.
+Non-convexity in the parameters is handled by independent seeded
+restarts; the reported value is the best restart, which upper-bounds the
+true minimum.
 
 A candidate exists only as a real parameter row [logits | a | b], the
 complex vector entries stored as (re, im) pairs.  Everything runs on
@@ -20,14 +21,14 @@ batches: one ansatz kernel maps B parameter rows to B states, and the
 objective is a ``renyi.Divergence`` evaluated on those states, B values
 per call.  The restarts of every state in a batch (``ree_batch``: states
 of one rank, across one cut, at one parameter) descend in lockstep as the
-rows of one batch, each row naming its state, with its own
-Barzilai-Borwein step, Armijo test, convergence flag and iteration count,
+rows of one batch, each row naming its state, with its own L-BFGS
+memory and direction, Armijo test, convergence flag and iteration count,
 and leave the batch once converged.  The line search evaluates a ladder
-of trial steps (t, t/2, t/4) per restart in one call and takes the
-largest that passes, the step halving one trial at a time would take;
-the gradient there continues from that evaluation.  A restart's
-trajectory does not depend on which other restarts, of its own state or
-of others, share its batch, so ``ree`` is a batch of one.
+of trial steps (t, t/2, t/4) along each restart's direction in one call
+and takes the largest that passes, the step halving one trial at a time
+would take; the gradient there continues from that evaluation.  A
+restart's trajectory does not depend on which other restarts, of its own
+state or of others, share its batch, so ``ree`` is a batch of one.
 
 The descent follows the analytic gradient: the divergence's
 sigma-gradient chained through the parametrization.  Central finite
@@ -58,6 +59,8 @@ SANDWICHED_ALPHA_CAP = 64.0
 # restart counts as stationary (a multiple of LADDER)
 LADDER = 3
 MAX_HALVINGS = 60
+# (s, y) pairs each restart keeps for its L-BFGS direction
+LBFGS_MEMORY = 5
 
 # default mixture components K per dimension of the cut, for the descent
 # and the sampling oracle alike
@@ -77,7 +80,7 @@ TOL_OBJECTIVE = 1e-7
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result, even at rounding level (CHANGES.md says what moved each version).
-ALGORITHM_VERSION = 7
+ALGORITHM_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -232,28 +235,30 @@ _RUNGS = 0.5 ** np.arange(LADDER)
 
 
 def _line_search(obj: _Objective, theta: np.ndarray, state: np.ndarray,
-                 f: np.ndarray, g: np.ndarray, gsq: np.ndarray, t: np.ndarray):
-    """Armijo backtracking from trial steps ``t``, one row per restart;
-    ``state`` holds each row's state index.
+                 f: np.ndarray, d: np.ndarray, slope: np.ndarray, t: np.ndarray):
+    """Armijo backtracking along directions ``d`` from trial steps ``t``,
+    one row per restart; ``slope`` holds each row's g.d < 0 and ``state``
+    its state index.
 
     Each objective call evaluates LADDER halvings of the step for every row
-    still searching; a row takes its largest step with sufficient decrease.
-    Returns the rows that found a step (none with a vanishing gradient or
-    after MAX_HALVINGS trials) in the order found, their steps, values and
-    evaluations there, and the objective evaluations spent on every row.
+    still searching; a row takes its largest step t with sufficient
+    decrease, f(theta + t d) <= f + 1e-4 t g.d.  Returns the rows that
+    found a step (none with a vanishing slope or after MAX_HALVINGS
+    trials) in the order found, their steps, values and evaluations there,
+    and the objective evaluations spent on every row.
     """
     n = theta.shape[1]
     evals = np.zeros(len(theta), dtype=int)
-    todo = np.flatnonzero(gsq >= 1e-28)
+    todo = np.flatnonzero(slope <= -1e-28)
     if not todo.size:
         return todo, None, None, None, evals
     t = t[todo]
     found = []
     for _ in range(MAX_HALVINGS // LADDER):
         steps = t[:, None] * _RUNGS
-        trial = theta[todo, None] - steps[..., None] * g[todo, None]
+        trial = theta[todo, None] + steps[..., None] * d[todo, None]
         vals, ev = obj.value(trial.reshape(-1, n), np.repeat(state[todo], LADDER))
-        ok = vals.reshape(steps.shape) <= f[todo, None] - 1e-4 * steps * gsq[todo, None]
+        ok = vals.reshape(steps.shape) <= f[todo, None] + 1e-4 * steps * slope[todo, None]
         evals[todo] += LADDER
         hit = ok.any(axis=1)
         pick = np.flatnonzero(hit) * LADDER + ok.argmax(axis=1)[hit]
@@ -267,42 +272,108 @@ def _line_search(obj: _Objective, theta: np.ndarray, state: np.ndarray,
     return rows, steps, vals, ev, evals
 
 
+def _lbfgs_direction(g: np.ndarray, s: np.ndarray, y: np.ndarray,
+                     r: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The L-BFGS direction -H g of each row by the two-loop recursion
+    (Nocedal & Wright, Numerical Optimization, Algorithm 7.4).
+
+    ``s`` and ``y`` are (rows, LBFGS_MEMORY, n) pairs, oldest to newest,
+    ``r`` their (rows, LBFGS_MEMORY) 1 / s.y and ``gamma`` the initial
+    scaling H0 = gamma I.  An empty slot is all zeros with r = 0, so it
+    changes nothing, and a row with an empty memory and gamma = 1 gets
+    exactly -g.
+    """
+    q = g.copy()
+    a = np.empty(r.shape)
+    for i in range(LBFGS_MEMORY - 1, -1, -1):
+        a[:, i] = r[:, i] * (s[:, i] * q).sum(axis=1)
+        q -= a[:, i, None] * y[:, i]
+    q *= gamma[:, None]
+    for i in range(LBFGS_MEMORY):
+        b = r[:, i] * (y[:, i] * q).sum(axis=1)
+        q += (a[:, i] - b)[:, None] * s[:, i]
+    return -q
+
+
+def _empty_memory(rows: int, n: int):
+    """``rows`` empty L-BFGS memories (s, y, r, gamma), laid out as
+    ``_lbfgs_direction`` reads them."""
+    return (np.zeros((rows, LBFGS_MEMORY, n)), np.zeros((rows, LBFGS_MEMORY, n)),
+            np.zeros((rows, LBFGS_MEMORY)), np.ones(rows))
+
+
+def _forget(memory, rows: np.ndarray) -> None:
+    """Empty the memories of ``rows``: their direction becomes -g."""
+    mem_s, mem_y, mem_r, gamma = memory
+    mem_s[rows] = mem_y[rows] = mem_r[rows] = 0.0
+    gamma[rows] = 1.0
+
+
+def _remember(memory, rows: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
+    """Shift the pair (s[i], y[i]) into the memory of row ``rows[i]`` as
+    its newest, dropping the oldest, and rescale gamma to s.y / y.y;
+    a pair with s.y <= 1e-12 |s| |y| is not stored."""
+    mem_s, mem_y, mem_r, gamma = memory
+    sy = (s * y).sum(axis=1)
+    yy = (y * y).sum(axis=1)
+    keep = sy > 1e-12 * np.sqrt((s * s).sum(axis=1) * yy)
+    if keep.any():
+        new = rows[keep]
+        mem_s[new] = np.concatenate([mem_s[new, 1:], s[keep, None]], axis=1)
+        mem_y[new] = np.concatenate([mem_y[new, 1:], y[keep, None]], axis=1)
+        mem_r[new] = np.concatenate([mem_r[new, 1:], 1.0 / sy[keep, None]], axis=1)
+        gamma[new] = sy[keep] / yy[keep]
+
+
 def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
              opts: OptimizerOptions):
-    """Gradient descent with Armijo backtracking, one row per restart, row
-    i a restart of the state ``state[i]``.
+    """L-BFGS with Armijo backtracking (Liu & Nocedal, Math. Program. 45,
+    503 (1989)), one row per restart, row i a restart of the state
+    ``state[i]``.
 
-    A row's trial step is the Barzilai-Borwein estimate from its previous
-    accepted step (falling back to doubling).  A row converges, and leaves
-    the batch, when no step along its gradient descends or its objective
-    improves by less than TOL_OBJECTIVE over a sweep of 10 iterations.
-    Returns per-row (value, theta, iterations, evaluations, converged).
+    Each row keeps its own last LBFGS_MEMORY (s, y) pairs, oldest to
+    newest, and stores a new pair only when s.y > 1e-12 |s| |y|.  A row
+    with a memory searches from a unit step along its two-loop direction
+    (``_lbfgs_direction``, scaled by the newest pair's s.y / y.y).  A row
+    whose direction does not descend clears its memory; a row with an
+    empty memory searches along -g from twice its last accepted step (1 at
+    the start).  A row converges, and leaves the batch, when its line
+    search finds no step or its objective improves by less than
+    TOL_OBJECTIVE over a sweep of 10 iterations.  Returns per-row (value,
+    theta, iterations, evaluations, converged).
     """
-    rows = len(theta)
+    rows, n = theta.shape
     f, ev = obj.value(theta, state)
     g = obj.gradient(ev)
     theta, step, sweep_ref = theta.copy(), np.ones(rows), f.copy()
+    memory = _empty_memory(rows, n)
     iters = np.full(rows, opts.max_iters)
     evals = np.ones(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
     act = np.arange(rows)
     for it in range(1, opts.max_iters + 1):
         ga = g[act]
-        gsq = (ga ** 2).sum(axis=1)
+        d = _lbfgs_direction(ga, *(m[act] for m in memory))
+        slope = (ga * d).sum(axis=1)
+        uphill = slope >= 0
+        if uphill.any():
+            _forget(memory, act[uphill])
+            d[uphill] = -ga[uphill]
+            slope[uphill] = -(ga[uphill] ** 2).sum(axis=1)
+        # a row with pairs, r > 0 in its newest slot, tries t = 1 first
+        t0 = np.where(memory[2][act, -1] > 0, 1.0, step[act])
         found, t, f_try, ev, n_evals = _line_search(
-            obj, theta[act], state[act], f[act], ga, gsq, step[act])
+            obj, theta[act], state[act], f[act], d, slope, t0)
         evals[act] += n_evals
         if found.size < act.size:  # the rest are numerically stationary
             stuck = np.setdiff1d(act, act[found])
             converged[stuck], iters[stuck] = True, it
-        act, ga, gsq = act[found], ga[found], gsq[found]
+        act, ga = act[found], ga[found]
         if not act.size:
             break
         g_new = obj.gradient(ev)
-        curv = -t * (ga * (g_new - ga)).sum(axis=1)
-        step[act] = np.where(curv > 1e-30,
-                             (t * t * gsq / np.maximum(curv, 1e-30)).clip(1e-10, 1e4),
-                             np.minimum(t * 2.0, 1e4))
+        _remember(memory, act, ev[0] - theta[act], g_new - ga)
+        step[act] = np.minimum(t * 2.0, 1e4)
         theta[act], f[act], g[act] = ev[0], f_try, g_new
         if it % 10 == 0:
             stalled = sweep_ref[act] - f[act] < TOL_OBJECTIVE

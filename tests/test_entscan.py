@@ -607,6 +607,22 @@ class TestCli:
         assert cli_main(["sweep", str(cfg)]) == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_sweep_negative_seed_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(TINY_CONFIG.replace("seed = 4", "seed = -1"))
+        assert cli_main(["sweep", str(cfg)]) == 1
+        assert re.search(r"line \d+: seed must be non-negative, got -1",
+                         capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [["check", "--seed", "-1"],
+                                      ["tc", "--model", "tfi", "--seed", "-1"]],
+                             ids=["check", "tc"])
+    def test_negative_seed_flag_exit(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+        assert "seed must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
     def test_sweep_missing_file_exit(self):
         assert cli_main(["sweep", "/no/such/file.cfg"]) == 3
 

@@ -2,6 +2,7 @@
 public names, which no other test would notice going missing."""
 
 import pathlib
+import re
 import runpy
 import sys
 
@@ -46,3 +47,5 @@ def test_parity_dump(monkeypatch, capsys):
     assert sweep_lines[0] == "sweep " + CSV_HEADER.rpartition(",")[0]
     assert len(sweep_lines) == 5
     assert sum(ln.startswith("oracle ") for ln in lines) == 27
+    assert re.fullmatch(r"totals descents=15 restarts=15 iterations=\d+ "
+                        r"evaluations=\d+ unconverged=\d+", lines[-1])

@@ -11,8 +11,10 @@ from scipy.linalg import fractional_matrix_power, logm, svdvals
 from qree.qmat import Bipartition, kron, partial_trace, projector, random_density_matrix, random_unitary, validate_density
 from qree.renyi import Divergence, RenyiParameter, rel_entropy, von_neumann_entropy
 from qree.sepstates import (CLOSEST_STATE_MIXING, COMPONENTS_PER_DIM,
-                            FD_STEP, LADDER, SANDWICHED_ALPHA_CAP,
-                            OptimizerOptions, _line_search, _mixtures,
+                            FD_STEP, LADDER, LBFGS_MEMORY,
+                            SANDWICHED_ALPHA_CAP, OptimizerOptions,
+                            _empty_memory, _forget, _lbfgs_direction,
+                            _line_search, _mixtures, _remember,
                             _Objective, _sample_eigenpairs,
                             pure_ree, ree, ree_batch,
                             sample_separable_batch, sample_upper_bound,
@@ -328,7 +330,7 @@ class TestBatchedObjective:
         gsq = (g * g).sum(axis=1)
         t0 = np.array([1e4, 30.0, 1.0, 1e-2])
         rows, steps, _, _, evals = _line_search(obj, theta, np.zeros(4, int),
-                                                f, g, gsq, t0)
+                                                f, -g, -gsq, t0)
         assert sorted(rows) == [0, 1, 2, 3] and evals.max() > LADDER
         for row, step in zip(rows, steps):
             t = t0[row]
@@ -336,6 +338,104 @@ class TestBatchedObjective:
                    > f[row] - 1e-4 * t * gsq[row]):
                 t *= 0.5
             assert step == t
+
+    def test_ladder_along_a_direction_that_is_not_the_gradient(self):
+        obj = _Objective(Divergence(random_density_matrix(8, 8, 9),
+                                    RenyiParameter(1.5, "sand")), CUT_123)
+        rng = np.random.default_rng(3)
+        theta = random_rows(CUT_123, 6, rng, 4)
+        f, ev = obj.value(theta)
+        g = obj.gradient(ev)
+        # -g scaled per coordinate: a descent direction, not the gradient's
+        d = -g * rng.uniform(0.1, 10.0, size=g.shape)
+        slope = (g * d).sum(axis=1)
+        assert (slope < 0).all()
+        t0 = np.array([1e4, 30.0, 1.0, 1e-2])
+        rows, steps, _, _, evals = _line_search(obj, theta, np.zeros(4, int),
+                                                f, d, slope, t0)
+        assert sorted(rows) == [0, 1, 2, 3] and evals.max() > LADDER
+        for row, step in zip(rows, steps):
+            t = t0[row]
+            while (obj.value(theta[row:row + 1] + t * d[row:row + 1])[0][0]
+                   > f[row] + 1e-4 * t * slope[row]):
+                t *= 0.5
+            assert step == t
+
+
+class TestLbfgsDirection:
+    """The two-loop direction against the dense BFGS inverse Hessian built
+    from the same pairs: H <- (I - r s y^T) H (I - r y s^T) + r s s^T,
+    r = 1 / s.y, from H = gamma I, gamma = s.y / y.y of the newest pair."""
+
+    N = 7
+
+    @staticmethod
+    def dense_direction(g, pairs):
+        n = len(g)
+        if not pairs:
+            return -g
+        s_new, y_new = pairs[-1]
+        h = (s_new @ y_new) / (y_new @ y_new) * np.eye(n)
+        for s, y in pairs:
+            r = 1.0 / (s @ y)
+            left = np.eye(n) - r * np.outer(s, y)
+            h = left @ h @ left.T + r * np.outer(s, s)
+        return -h @ g
+
+    def curved_pairs(self, rng, count):
+        """Pairs (s, A s) of a random positive definite A, so s.y > 0."""
+        m = rng.normal(size=(self.N, self.N))
+        a = m @ m.T + self.N * np.eye(self.N)
+        return [(s, a @ s) for s in rng.normal(size=(count, self.N))]
+
+    def memory_of(self, rows_of_pairs):
+        """Each row's pairs remembered in order, as the descent does."""
+        memory = _empty_memory(len(rows_of_pairs), self.N)
+        for i, pairs in enumerate(rows_of_pairs):
+            for s, y in pairs:
+                _remember(memory, np.array([i]), s[None], y[None])
+        return memory
+
+    def test_matches_dense_bfgs(self):
+        rng = np.random.default_rng(4)
+        # more pairs than the memory holds (the oldest drop out), a full
+        # memory, fewer pairs than LBFGS_MEMORY, one pair, none
+        rows_of_pairs = [self.curved_pairs(rng, LBFGS_MEMORY + 2),
+                         self.curved_pairs(rng, LBFGS_MEMORY),
+                         self.curved_pairs(rng, 2), self.curved_pairs(rng, 1), []]
+        g = rng.normal(size=(len(rows_of_pairs), self.N))
+        d = _lbfgs_direction(g, *self.memory_of(rows_of_pairs))
+        for i, pairs in enumerate(rows_of_pairs):
+            want = self.dense_direction(g[i], pairs[-LBFGS_MEMORY:])
+            assert np.linalg.norm(d[i] - want) <= 1e-10 * np.linalg.norm(want)
+            assert g[i] @ d[i] < 0
+
+    def test_cleared_memory_gives_minus_gradient(self):
+        rng = np.random.default_rng(5)
+        memory = self.memory_of([self.curved_pairs(rng, 3)] * 2)
+        _forget(memory, np.array([1]))
+        g = rng.normal(size=(2, self.N))
+        d = _lbfgs_direction(g, *memory)
+        assert np.array_equal(d[1], -g[1])
+        assert not np.array_equal(d[0], -g[0])
+
+    @pytest.mark.parametrize("flip", [-1.0, 0.0])
+    def test_pair_without_curvature_not_stored(self, flip):
+        rng = np.random.default_rng(6)
+        pairs = self.curved_pairs(rng, 3)
+        memory = self.memory_of([pairs])
+        before = [m.copy() for m in memory]
+        s = rng.normal(size=self.N)
+        # s.y = flip |s|^2 <= 0
+        y = flip * s + (np.eye(self.N) - np.outer(s, s) / (s @ s)) @ rng.normal(size=self.N)
+        assert s @ y <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y)
+        _remember(memory, np.array([0]), s[None], y[None])
+        for m, was in zip(memory, before):
+            assert np.array_equal(m, was)
+        g = rng.normal(size=(1, self.N))
+        want = self.dense_direction(g[0], pairs)
+        got = _lbfgs_direction(g, *memory)[0]
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestGradients:
