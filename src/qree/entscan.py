@@ -221,6 +221,8 @@ class SweepConfig:
                               f"choose one of {sorted(SWEEPABLE)}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for value in self.grid:
             self.point_params(value)  # validates ModelParams invariants
             t = self.point_temp(value)
@@ -473,8 +475,11 @@ def critical_temperature(params: ModelParams, p: RenyiParameter,
     CLI as ``none-in-range``).
     """
     lo, hi = t_range
-    if not (lo > 0 and hi > lo):
-        raise ConfigError("t_range must be ascending and positive")
+    if not (lo > 0 and hi > lo and math.isfinite(hi)):
+        raise ConfigError("t_range must be finite, ascending and positive, "
+                          f"got {t_range}")
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
     if resolution < 4:
         raise ConfigError("resolution must be at least 4 points")
     grid = np.linspace(lo, hi, resolution)

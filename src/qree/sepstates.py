@@ -23,12 +23,12 @@ per call.  The restarts of every state in a batch (``ree_batch``: states
 of one rank, across one cut, at one parameter) descend in lockstep as the
 rows of one batch, each row naming its state, with its own L-BFGS
 memory and direction, Armijo test, convergence flag and iteration count,
-and leave the batch once converged.  The line search evaluates a ladder
-of trial steps (t, t/2, t/4) along each restart's direction in one call
-and takes the largest that passes, the step halving one trial at a time
-would take; the gradient there continues from that evaluation.  A
-restart's trajectory does not depend on which other restarts, of its own
-state or of others, share its batch, so ``ree`` is a batch of one.
+and leave the batch once converged.  Each line-search call evaluates one
+trial step along the direction of every restart still searching, halving
+the step of those it fails; the gradient at an accepted step continues
+from that evaluation.  A restart's trajectory does not depend on which
+other restarts, of its own state or of others, share its batch, so
+``ree`` is a batch of one.
 
 The descent follows the analytic gradient: the divergence's
 sigma-gradient chained through the parametrization.  Central finite
@@ -55,9 +55,8 @@ from .renyi import (SANDWICHED, Divergence, RenyiParameter,
 # alpha -> infinity limit; refuse rather than return noise
 SANDWICHED_ALPHA_CAP = 64.0
 
-# trial steps t, t/2, ... per line-search call, and per iteration before a
-# restart counts as stationary (a multiple of LADDER)
-LADDER = 3
+# trial steps t, t/2, ... per iteration before a restart counts as
+# stationary
 MAX_HALVINGS = 60
 # (s, y) pairs each restart keeps for its L-BFGS direction
 LBFGS_MEMORY = 5
@@ -102,6 +101,8 @@ class OptimizerOptions:
             raise ValueError("restarts and max_iters must be >= 1")
         if self.components is not None and self.components < 1:
             raise ValueError("components must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def n_components(self, cut: Bipartition) -> int:
         return self.components or COMPONENTS_PER_DIM * cut.dim
@@ -111,7 +112,7 @@ class OptimizerOptions:
 class RestartRecord:
     """How one restart ended.  ``value`` is its floored objective, which
     ranks restarts; ``evaluations`` counts the parameter rows the objective
-    was evaluated at: the start and each ladder rung."""
+    was evaluated at: the start and each trial step."""
 
     seed: int
     value: float
@@ -231,40 +232,31 @@ class _Objective:
 # ----------------------------------------------------------------------
 # descent loop
 
-_RUNGS = 0.5 ** np.arange(LADDER)
-
-
 def _line_search(obj: _Objective, theta: np.ndarray, state: np.ndarray,
                  f: np.ndarray, d: np.ndarray, slope: np.ndarray, t: np.ndarray):
     """Armijo backtracking along directions ``d`` from trial steps ``t``,
     one row per restart; ``slope`` holds each row's g.d < 0 and ``state``
     its state index.
 
-    Each objective call evaluates LADDER halvings of the step for every row
-    still searching; a row takes its largest step t with sufficient
-    decrease, f(theta + t d) <= f + 1e-4 t g.d.  Returns the rows that
-    found a step (none with a vanishing slope or after MAX_HALVINGS
-    trials) in the order found, their steps, values and evaluations there,
-    and the objective evaluations spent on every row.
+    Each objective call evaluates one trial step for every row still
+    searching; a row takes its first step t with sufficient decrease,
+    f(theta + t d) <= f + 1e-4 t g.d, and the others halve t.  Returns the
+    rows that found a step (none with a vanishing slope or after
+    MAX_HALVINGS trials) in the order found, their steps, values and
+    evaluations there, and the objective evaluations spent on every row.
     """
-    n = theta.shape[1]
     evals = np.zeros(len(theta), dtype=int)
     todo = np.flatnonzero(slope <= -1e-28)
     if not todo.size:
         return todo, None, None, None, evals
     t = t[todo]
     found = []
-    for _ in range(MAX_HALVINGS // LADDER):
-        steps = t[:, None] * _RUNGS
-        trial = theta[todo, None] + steps[..., None] * d[todo, None]
-        vals, ev = obj.value(trial.reshape(-1, n), np.repeat(state[todo], LADDER))
-        ok = vals.reshape(steps.shape) <= f[todo, None] + 1e-4 * steps * slope[todo, None]
-        evals[todo] += LADDER
-        hit = ok.any(axis=1)
-        pick = np.flatnonzero(hit) * LADDER + ok.argmax(axis=1)[hit]
-        found.append((todo[hit], steps.ravel()[pick], vals[pick],
-                      *(x[pick] for x in ev)))
-        todo, t = todo[~hit], steps[~hit, -1] * 0.5
+    for _ in range(MAX_HALVINGS):
+        vals, ev = obj.value(theta[todo] + t[:, None] * d[todo], state[todo])
+        hit = vals <= f[todo] + 1e-4 * t * slope[todo]
+        evals[todo] += 1
+        found.append((todo[hit], t[hit], vals[hit], *(x[hit] for x in ev)))
+        todo, t = todo[~hit], t[~hit] * 0.5
         if not todo.size:
             break
     rows, steps, vals, *ev = (found[0] if len(found) == 1 else

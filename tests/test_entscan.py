@@ -351,6 +351,12 @@ class TestConfigParsing:
             parse_config("\n".join(lines) + "\n")
         assert str(err.value) == f"line {len(lines)}: {message}"
 
+    def test_negative_seed_in_sweep_config(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            entscan.SweepConfig(model="xxz", fixed={"j": 1.0, "delta": 0.5},
+                                sweep_param="temp", grid=[1.0],
+                                alphas=[RenyiParameter(1.0)], seed=-1)
+
 
 class TestSweep:
     def test_rows_ordered_and_deterministic(self, tmp_path):
@@ -564,6 +570,12 @@ class TestCli:
         assert cli_main(["tc", "--model", "tfi", "--t-min", "2",
                          "--t-max", "1"]) == 1
         assert "t_range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--t-max", "inf", "t_range"), ("--threshold", "nan", "threshold")])
+    def test_tc_non_finite_is_config_error(self, capsys, flag, value, named):
+        assert cli_main(["tc", "--model", "tfi", flag, value]) == 1
+        assert f"{named} must be finite" in capsys.readouterr().err
 
     def test_sweep_config_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

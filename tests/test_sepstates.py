@@ -11,7 +11,7 @@ from scipy.linalg import fractional_matrix_power, logm, svdvals
 from qree.qmat import Bipartition, kron, partial_trace, projector, random_density_matrix, random_unitary, validate_density
 from qree.renyi import Divergence, RenyiParameter, rel_entropy, von_neumann_entropy
 from qree.sepstates import (CLOSEST_STATE_MIXING, COMPONENTS_PER_DIM,
-                            FD_STEP, LADDER, LBFGS_MEMORY,
+                            FD_STEP, LBFGS_MEMORY,
                             SANDWICHED_ALPHA_CAP, OptimizerOptions,
                             _empty_memory, _forget, _lbfgs_direction,
                             _line_search, _mixtures, _remember,
@@ -320,46 +320,33 @@ class TestBatchedObjective:
             assert v == obj.value(row[None])[0][0]
 
 
-    def test_ladder_takes_the_step_halving_takes(self):
+    @pytest.mark.parametrize("rescaled", [False, True],
+                             ids=["minus-gradient", "rescaled-gradient"])
+    def test_line_search_takes_the_step_halving_takes(self, rescaled):
         obj = _Objective(Divergence(random_density_matrix(8, 8, 9),
                                     RenyiParameter(1.5, "sand")), CUT_123)
-        rng = np.random.default_rng(2)
+        rng = np.random.default_rng(3 if rescaled else 2)
         theta = random_rows(CUT_123, 6, rng, 4)
         f, ev = obj.value(theta)
         g = obj.gradient(ev)
-        gsq = (g * g).sum(axis=1)
-        t0 = np.array([1e4, 30.0, 1.0, 1e-2])
-        rows, steps, _, _, evals = _line_search(obj, theta, np.zeros(4, int),
-                                                f, -g, -gsq, t0)
-        assert sorted(rows) == [0, 1, 2, 3] and evals.max() > LADDER
-        for row, step in zip(rows, steps):
-            t = t0[row]
-            while (obj.value(theta[row:row + 1] - t * g[row:row + 1])[0][0]
-                   > f[row] - 1e-4 * t * gsq[row]):
-                t *= 0.5
-            assert step == t
-
-    def test_ladder_along_a_direction_that_is_not_the_gradient(self):
-        obj = _Objective(Divergence(random_density_matrix(8, 8, 9),
-                                    RenyiParameter(1.5, "sand")), CUT_123)
-        rng = np.random.default_rng(3)
-        theta = random_rows(CUT_123, 6, rng, 4)
-        f, ev = obj.value(theta)
-        g = obj.gradient(ev)
-        # -g scaled per coordinate: a descent direction, not the gradient's
-        d = -g * rng.uniform(0.1, 10.0, size=g.shape)
+        d = -g
+        if rescaled:
+            # -g scaled per coordinate: a descent direction, not the gradient's
+            d = d * rng.uniform(0.1, 10.0, size=g.shape)
         slope = (g * d).sum(axis=1)
         assert (slope < 0).all()
         t0 = np.array([1e4, 30.0, 1.0, 1e-2])
         rows, steps, _, _, evals = _line_search(obj, theta, np.zeros(4, int),
                                                 f, d, slope, t0)
-        assert sorted(rows) == [0, 1, 2, 3] and evals.max() > LADDER
+        assert sorted(rows) == [0, 1, 2, 3] and evals.max() > 1
         for row, step in zip(rows, steps):
-            t = t0[row]
+            t, trials = t0[row], 1
             while (obj.value(theta[row:row + 1] + t * d[row:row + 1])[0][0]
                    > f[row] + 1e-4 * t * slope[row]):
                 t *= 0.5
+                trials += 1
             assert step == t
+            assert evals[row] == trials
 
 
 class TestLbfgsDirection:
@@ -588,3 +575,5 @@ class TestOptimizerBehavior:
             OptimizerOptions(restarts=0)
         with pytest.raises(ValueError):
             OptimizerOptions(components=0)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            OptimizerOptions(seed=-1)
