@@ -13,9 +13,13 @@ their bytes):
   KL, traditional 1.5 and sandwiched 3;
 
 and a last ``totals`` line over the zoo block's descents: how many
-descents and restarts ran, and the restarts' iterations, objective
-evaluations and unconverged count.  These counts do not depend on the
-hardware, so they compare the optimizer's work across versions.
+descents and restarts ran; the restarts' iterations, objective
+evaluations and unconverged count; ``lockstep``, the iterations the
+descent batches ran (per zoo point, the most iterations of a restart in
+each ``ree_batch`` call, summed); and ``pruned``, the restarts stopped
+unconverged before the iteration cap because a sibling had stopped lower.
+These counts do not depend on the hardware, so they compare the
+optimizer's work across versions.
 
 Run it on two versions of the code and diff the outputs::
 
@@ -64,10 +68,15 @@ def main() -> None:
     states = {"ghz": projector(ghz()), "w": projector(w()),
               "star": projector(star())}
 
-    descents = []
+    descents, lockstep = [], 0
     for name, rho in states.items():
         for p in ZOO_PARAMS:
             res = monogamy(rho, p, OptimizerOptions(seed=SEED, **knobs))
+            # monogamy runs E(1:23) in one ree_batch call, the pair cuts in another
+            for batch in ((res.detail_1_23,), (res.detail_1_2, res.detail_1_3)):
+                lockstep += max((rec.iterations for r in batch
+                                 if r.path == "descent" for rec in r.restarts),
+                                default=0)
             print(f"zoo {name} {label(p)} m={res.m!r}")
             for cut, r in (("1:23", res.detail_1_23), ("1:2", res.detail_1_2),
                            ("1:3", res.detail_1_3)):
@@ -104,10 +113,13 @@ def main() -> None:
                 print(f"oracle {name} {cut} {label(p)} {bound!r}")
 
     records = [rec for r in descents for rec in r.restarts]
+    pruned = sum(not rec.converged and rec.iterations < args.max_iters
+                 for rec in records)
     print(f"totals descents={len(descents)} restarts={len(records)} "
           f"iterations={sum(rec.iterations for rec in records)} "
           f"evaluations={sum(rec.evaluations for rec in records)} "
-          f"unconverged={sum(not rec.converged for rec in records)}")
+          f"unconverged={sum(not rec.converged for rec in records)} "
+          f"lockstep={lockstep} pruned={pruned}")
 
 
 if __name__ == "__main__":

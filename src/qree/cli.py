@@ -19,7 +19,7 @@ import numpy as np
 from . import entscan, statezoo
 from .qmat import partial_trace, projector, random_density_matrix
 from .renyi import RenyiParameter, sand_rel_entropy, trad_rel_entropy
-from .sepstates import OptimizerOptions, ree
+from .sepstates import OptimizerOptions, check_parameter, ree
 from .spinchain import (ModelParams, analytic_partition, hamiltonian,
                         tfi_analytic, thermal_state, xyz_analytic)
 
@@ -99,6 +99,12 @@ def _build_state(args) -> np.ndarray:
     return thermal_state(hamiltonian(_model_params(args)), args.temp).rho
 
 
+def _parameter(args) -> RenyiParameter:
+    p = RenyiParameter(args.alpha, args.variant)
+    check_parameter(p)
+    return p
+
+
 def _options(args) -> OptimizerOptions:
     return OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
                             components=args.components, seed=args.seed)
@@ -156,7 +162,7 @@ def cmd_state(args) -> int:
 def cmd_ree(args) -> int:
     with _inputs():
         rho = _build_state(args)
-        p, opts = RenyiParameter(args.alpha, args.variant), _options(args)
+        p, opts = _parameter(args), _options(args)
     cut = CUTS[args.cut]
     if cut.dim != rho.shape[0]:
         if args.cut == "1:23":
@@ -175,7 +181,7 @@ def cmd_ree(args) -> int:
 def cmd_monogamy(args) -> int:
     with _inputs():
         rho = _build_state(args)
-        p, opts = RenyiParameter(args.alpha, args.variant), _options(args)
+        p, opts = _parameter(args), _options(args)
     res = entscan.monogamy(rho, p, opts)
     _emit({"alpha": args.alpha, "variant": args.variant,
            "e_1_23": res.e_1_23, "e_1_2": res.e_1_2, "e_1_3": res.e_1_3,
@@ -208,7 +214,7 @@ def cmd_sweep(args) -> int:
 def cmd_tc(args) -> int:
     with _inputs():
         params = _model_params(args)
-        p, opts = RenyiParameter(args.alpha, args.variant), _options(args)
+        p, opts = _parameter(args), _options(args)
     tc = entscan.critical_temperature(
         params, p, opts, threshold=args.threshold,
         t_range=(args.t_min, args.t_max), resolution=args.resolution)

@@ -34,7 +34,7 @@ import numpy as np
 from .qmat import Bipartition, partial_trace, partial_transpose
 from .renyi import RenyiParameter, rel_entropy
 from .sepstates import (ALGORITHM_VERSION, OptimizerOptions, REEResult,
-                        pure_ree, ree, ree_batch)
+                        check_parameter, pure_ree, ree, ree_batch)
 from .spinchain import ModelParams, hamiltonian, thermal_state
 
 log = logging.getLogger(__name__)
@@ -561,9 +561,11 @@ def _parse_alphas(raw: str, line_no: int) -> list[RenyiParameter]:
             raise ConfigError(f"line {line_no}: alpha entry {chunk!r} must be "
                               "'<alpha> <variant>'")
         try:
-            out.append(RenyiParameter(float(bits[0]), bits[1]))
+            p = RenyiParameter(float(bits[0]), bits[1])
+            check_parameter(p)
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: {exc}")
+        out.append(p)
     return out
 
 

@@ -23,12 +23,15 @@ per call.  The restarts of every state in a batch (``ree_batch``: states
 of one rank, across one cut, at one parameter) descend in lockstep as the
 rows of one batch, each row naming its state, with its own L-BFGS
 memory and direction, Armijo test, convergence flag and iteration count,
-and leave the batch once converged.  Each line-search call evaluates one
-trial step along the direction of every restart still searching, halving
-the step of those it fails; the gradient at an accepted step continues
-from that evaluation.  A restart's trajectory does not depend on which
-other restarts, of its own state or of others, share its batch, so
-``ree`` is a batch of one.
+and leave the batch once converged, or once they cannot catch up with a
+restart of their own state that has stopped lower (``_descend``).  Each
+line-search call evaluates one trial step along the direction of every
+restart still searching, halving the step of those it fails; the
+gradient at an accepted step continues from that evaluation.  A
+restart's trajectory does not depend on the restarts of other states
+that share its batch, so ``ree`` is a batch of one; its own siblings can
+only stop it early, and a stopped trajectory is a prefix of the one it
+would have run alone.
 
 The descent follows the analytic gradient: the divergence's
 sigma-gradient chained through the parametrization.  Central finite
@@ -76,10 +79,13 @@ FD_STEP = 1e-5
 # a restart whose objective improves by less than this over a sweep of 10
 # iterations counts as converged
 TOL_OBJECTIVE = 1e-7
+# a running restart stops, unconverged, once even this many times its last
+# sweep's gain over each remaining sweep leaves it above a stopped sibling
+CATCH_UP_FACTOR = 3.0
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result, even at rounding level (CHANGES.md says what moved each version).
-ALGORITHM_VERSION = 8
+ALGORITHM_VERSION = 9
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,9 @@ class OptimizerOptions:
 class RestartRecord:
     """How one restart ended.  ``value`` is its floored objective, which
     ranks restarts; ``evaluations`` counts the parameter rows the objective
-    was evaluated at: the start and each trial step."""
+    was evaluated at: the start and each trial step.  An unconverged
+    restart with fewer than ``max_iters`` iterations was pruned: it stopped
+    where it could no longer catch up with a sibling (see ``_descend``)."""
 
     seed: int
     value: float
@@ -242,25 +250,37 @@ def _line_search(obj: _Objective, theta: np.ndarray, state: np.ndarray,
     searching; a row takes its first step t with sufficient decrease,
     f(theta + t d) <= f + 1e-4 t g.d, and the others halve t.  Returns the
     rows that found a step (none with a vanishing slope or after
-    MAX_HALVINGS trials) in the order found, their steps, values and
+    MAX_HALVINGS trials) in ascending order, their steps, values and
     evaluations there, and the objective evaluations spent on every row.
     """
     evals = np.zeros(len(theta), dtype=int)
     todo = np.flatnonzero(slope <= -1e-28)
-    if not todo.size:
-        return todo, None, None, None, evals
-    t = t[todo]
+    if todo.size < len(theta):
+        if not todo.size:
+            return todo, None, None, None, evals
+        theta, state, f, d, slope, t = (
+            x[todo] for x in (theta, state, f, d, slope, t))
     found = []
     for _ in range(MAX_HALVINGS):
-        vals, ev = obj.value(theta[todo] + t[:, None] * d[todo], state[todo])
-        hit = vals <= f[todo] + 1e-4 * t * slope[todo]
+        vals, ev = obj.value(theta + t[:, None] * d, state)
+        hit = vals <= f + 1e-4 * t * slope
         evals[todo] += 1
+        if hit.all():
+            found.append((todo, t, vals, *ev))
+            break
         found.append((todo[hit], t[hit], vals[hit], *(x[hit] for x in ev)))
-        todo, t = todo[~hit], t[~hit] * 0.5
+        miss = ~hit
+        todo, theta, state, f, d, slope, t = (
+            x[miss] for x in (todo, theta, state, f, d, slope, t))
+        t = t * 0.5
         if not todo.size:
             break
-    rows, steps, vals, *ev = (found[0] if len(found) == 1 else
-                              [np.concatenate(x) for x in zip(*found)])
+    if len(found) == 1:
+        rows, steps, vals, *ev = found[0]
+    else:
+        parts = [np.concatenate(x) for x in zip(*found)]
+        order = np.argsort(parts[0])
+        rows, steps, vals, *ev = (x[order] for x in parts)
     return rows, steps, vals, ev, evals
 
 
@@ -301,20 +321,19 @@ def _forget(memory, rows: np.ndarray) -> None:
     gamma[rows] = 1.0
 
 
-def _remember(memory, rows: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
-    """Shift the pair (s[i], y[i]) into the memory of row ``rows[i]`` as
-    its newest, dropping the oldest, and rescale gamma to s.y / y.y;
-    a pair with s.y <= 1e-12 |s| |y| is not stored."""
+def _remember(memory, s: np.ndarray, y: np.ndarray) -> None:
+    """Shift the pair (s[i], y[i]) into the memory of row i as its newest,
+    dropping the oldest, and rescale gamma to s.y / y.y; a pair with
+    s.y <= 1e-12 |s| |y| is not stored."""
     mem_s, mem_y, mem_r, gamma = memory
     sy = (s * y).sum(axis=1)
     yy = (y * y).sum(axis=1)
     keep = sy > 1e-12 * np.sqrt((s * s).sum(axis=1) * yy)
-    if keep.any():
-        new = rows[keep]
-        mem_s[new] = np.concatenate([mem_s[new, 1:], s[keep, None]], axis=1)
-        mem_y[new] = np.concatenate([mem_y[new, 1:], y[keep, None]], axis=1)
-        mem_r[new] = np.concatenate([mem_r[new, 1:], 1.0 / sy[keep, None]], axis=1)
-        gamma[new] = sy[keep] / yy[keep]
+    rows = slice(None) if keep.all() else keep  # a slice shifts in place
+    for mem, new in ((mem_s, s[rows]), (mem_y, y[rows]), (mem_r, 1.0 / sy[rows])):
+        mem[rows, :-1] = mem[rows, 1:]
+        mem[rows, -1] = new
+    gamma[rows] = sy[rows] / yy[rows]
 
 
 def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
@@ -331,50 +350,87 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
     empty memory searches along -g from twice its last accepted step (1 at
     the start).  A row converges, and leaves the batch, when its line
     search finds no step or its objective improves by less than
-    TOL_OBJECTIVE over a sweep of 10 iterations.  Returns per-row (value,
-    theta, iterations, evaluations, converged).
+    TOL_OBJECTIVE over a sweep of 10 iterations.
+
+    A row that cannot catch up also leaves, unconverged, in the spirit of
+    successive halving (Jamieson & Talwalkar, AISTATS 2016): at the end
+    of a sweep, with gain Delta over the sweep and ``it`` < max_iters
+    iterations done, a row whose f - CATCH_UP_FACTOR Delta (max_iters -
+    it) / 10 still lies above the least f of a converged restart of its
+    own state (this sweep's included).  Restarts of other states never
+    meet in this test, so a row's trajectory does not depend on them; its
+    own siblings can only cut it short.
+
+    The working state (parameters, values, gradients, steps, memories)
+    holds the running rows only, compacted when rows leave.  Returns
+    per-row (value, theta, iterations, evaluations, converged).
     """
     rows, n = theta.shape
+    f_out, theta_out = np.empty(rows), np.empty_like(theta)
+    iters = np.full(rows, opts.max_iters)
+    evals_out = np.empty(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    # least value of a stopped restart, per state
+    best_stopped = np.full(state.max() + 1, np.inf)
+
     f, ev = obj.value(theta, state)
     g = obj.gradient(ev)
-    theta, step, sweep_ref = theta.copy(), np.ones(rows), f.copy()
-    memory = _empty_memory(rows, n)
-    iters = np.full(rows, opts.max_iters)
-    evals = np.ones(rows, dtype=int)
-    converged = np.zeros(rows, dtype=bool)
-    act = np.arange(rows)
+    act, step, evals = np.arange(rows), np.ones(rows), np.ones(rows, dtype=int)
+    work = [act, state, theta, f, g, step, f, evals, *_empty_memory(rows, n)]
+
+    def leave(gone: np.ndarray, it: int, conv: bool) -> list:
+        """Record the running rows ``gone`` (a mask) as stopped at ``it``,
+        converged or not, and return the working state of the others."""
+        act, state, theta, f, _, _, _, evals = work[:8]
+        out = act[gone]
+        f_out[out], theta_out[out], evals_out[out] = f[gone], theta[gone], evals[gone]
+        iters[out], converged[out] = it, conv
+        if conv:
+            np.minimum.at(best_stopped, state[gone], f[gone])
+        return [x[~gone] for x in work]
+
     for it in range(1, opts.max_iters + 1):
-        ga = g[act]
-        d = _lbfgs_direction(ga, *(m[act] for m in memory))
-        slope = (ga * d).sum(axis=1)
+        act, state, theta, f, g, step, sweep_ref, evals, *memory = work
+        d = _lbfgs_direction(g, *memory)
+        slope = (g * d).sum(axis=1)
         uphill = slope >= 0
         if uphill.any():
-            _forget(memory, act[uphill])
-            d[uphill] = -ga[uphill]
-            slope[uphill] = -(ga[uphill] ** 2).sum(axis=1)
+            _forget(memory, uphill)
+            d[uphill] = -g[uphill]
+            slope[uphill] = -(g[uphill] ** 2).sum(axis=1)
         # a row with pairs, r > 0 in its newest slot, tries t = 1 first
-        t0 = np.where(memory[2][act, -1] > 0, 1.0, step[act])
-        found, t, f_try, ev, n_evals = _line_search(
-            obj, theta[act], state[act], f[act], d, slope, t0)
-        evals[act] += n_evals
+        t0 = np.where(memory[2][:, -1] > 0, 1.0, step)
+        found, t, f_try, ev, n_evals = _line_search(obj, theta, state, f, d,
+                                                    slope, t0)
+        evals += n_evals
         if found.size < act.size:  # the rest are numerically stationary
-            stuck = np.setdiff1d(act, act[found])
-            converged[stuck], iters[stuck] = True, it
-        act, ga = act[found], ga[found]
-        if not act.size:
-            break
-        g_new = obj.gradient(ev)
-        _remember(memory, act, ev[0] - theta[act], g_new - ga)
-        step[act] = np.minimum(t * 2.0, 1e4)
-        theta[act], f[act], g[act] = ev[0], f_try, g_new
-        if it % 10 == 0:
-            stalled = sweep_ref[act] - f[act] < TOL_OBJECTIVE
-            converged[act[stalled]], iters[act[stalled]] = True, it
-            sweep_ref[act] = f[act]
-            act = act[~stalled]
-            if not act.size:
+            stuck = np.ones(act.size, dtype=bool)
+            stuck[found] = False
+            work = leave(stuck, it, True)
+            if not found.size:
                 break
-    return f, theta, iters, evals, converged
+            act, state, theta, f, g, step, sweep_ref, evals, *memory = work
+        g_new = obj.gradient(ev)
+        _remember(memory, ev[0] - theta, g_new - g)
+        theta, f, g, step = ev[0], f_try, g_new, np.minimum(t * 2.0, 1e4)
+        work = [act, state, theta, f, g, step, sweep_ref, evals, *memory]
+        if it % 10 == 0:
+            gain = sweep_ref - f
+            work[6] = f  # the next sweep's reference
+            stalled = gain < TOL_OBJECTIVE
+            if stalled.any():
+                work = leave(stalled, it, True)
+                f, gain, state = f[~stalled], gain[~stalled], state[~stalled]
+            if it < opts.max_iters:  # the cap stops every row anyway
+                lost = (f - CATCH_UP_FACTOR * gain * (opts.max_iters - it) / 10
+                        > best_stopped[state])
+                if lost.any():
+                    work = leave(lost, it, False)
+            if not work[0].size:
+                break
+    act, _, theta, f, _, _, _, evals = work[:8]
+    f_out[act], theta_out[act], evals_out[act] = f, theta, evals
+    return f_out, theta_out, iters, evals_out, converged
 
 
 def _restart_seed(seed: int, restart: int) -> int:
@@ -408,13 +464,20 @@ def _initial_ansatz(rho: np.ndarray, cut: Bipartition, k: int, restart: int,
     return np.concatenate([logits, va.ravel().view(float), vb.ravel().view(float)])
 
 
+def check_parameter(p: RenyiParameter) -> None:
+    """Refuse a parameter no minimization here accepts: a sandwiched
+    alpha above SANDWICHED_ALPHA_CAP."""
+    if p.variant == SANDWICHED and p.alpha > SANDWICHED_ALPHA_CAP:
+        raise ValueError(f"sandwiched alpha capped at {SANDWICHED_ALPHA_CAP:g}, "
+                         f"got {p.alpha:g}")
+
+
 def _check_ree_args(rho: np.ndarray, cut: Bipartition, p: RenyiParameter) -> None:
     if rho.shape[0] != cut.dim:
         raise ValueError(f"state dim {rho.shape[0]} does not match cut "
                          f"{cut.dim_a}x{cut.dim_b}")
     validate_density(rho)
-    if p.variant == SANDWICHED and p.alpha > SANDWICHED_ALPHA_CAP:
-        raise ValueError(f"sandwiched alpha capped at {SANDWICHED_ALPHA_CAP}")
+    check_parameter(p)
 
 
 def _closest_state(sigma: np.ndarray) -> np.ndarray:
@@ -450,7 +513,9 @@ def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
     (whose own seed is unused).
 
     Each result equals ``ree(rho, cut, p, replace(opts, seed=seed))`` bit
-    for bit: a restart's trajectory does not depend on its batch.  The
+    for bit: a restart's trajectory does not depend on the restarts of
+    other states in its batch, and the catch-up test that can stop it
+    early compares it with its own siblings only.  The
     restarts of every state of one rank descend as the rows of one batch;
     states of different ranks descend in separate batches.
     """

@@ -331,6 +331,17 @@ class TestConfigParsing:
             parse_config(TINY_CONFIG.replace("alphas = 1 trad",
                                              "alphas = 3 trad"))
 
+    def test_sandwiched_alpha_above_cap_reports_line(self):
+        # 1 trad passes and 70 sand is refused while the file is parsed,
+        # not when the sweep reaches it
+        lines = TINY_CONFIG.splitlines()
+        line_no = lines.index("alphas = 1 trad") + 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(TINY_CONFIG.replace("alphas = 1 trad",
+                                             "alphas = 1 trad, 70 sand"))
+        assert str(err.value) == (f"line {line_no}: sandwiched alpha capped "
+                                  "at 64, got 70")
+
     def test_bad_line_shape(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("model xyz\n")
@@ -597,6 +608,23 @@ class TestCli:
         cfg.write_text(TINY_CONFIG)
         assert cli_main(["sweep", str(cfg), "--workers", workers]) == 1
         assert "workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["ree", "--state", "w"],
+                                      ["monogamy", "--state", "w"],
+                                      ["tc", "--model", "tfi"]],
+                             ids=["ree", "monogamy", "tc"])
+    def test_sandwiched_alpha_above_cap_is_config_error(self, capsys, argv):
+        assert cli_main(argv + ["--alpha", "65", "--variant", "sand"]) == 1
+        assert ("config error: sandwiched alpha capped at 64, got 65"
+                in capsys.readouterr().err)
+
+    def test_sweep_sandwiched_alpha_above_cap_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(TINY_CONFIG.replace("alphas = 1 trad",
+                                           "alphas = 1 trad, 70 sand"))
+        assert cli_main(["sweep", str(cfg)]) == 1
+        assert re.search(r"line \d+: sandwiched alpha capped at 64, got 70",
+                         capsys.readouterr().err)
 
     def test_sweep_non_finite_alpha_exit(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"

@@ -48,4 +48,5 @@ def test_parity_dump(monkeypatch, capsys):
     assert len(sweep_lines) == 5
     assert sum(ln.startswith("oracle ") for ln in lines) == 27
     assert re.fullmatch(r"totals descents=15 restarts=15 iterations=\d+ "
-                        r"evaluations=\d+ unconverged=\d+", lines[-1])
+                        r"evaluations=\d+ unconverged=\d+ lockstep=\d+ pruned=0",
+                        lines[-1])

@@ -377,11 +377,13 @@ class TestLbfgsDirection:
 
     def memory_of(self, rows_of_pairs):
         """Each row's pairs remembered in order, as the descent does."""
-        memory = _empty_memory(len(rows_of_pairs), self.N)
-        for i, pairs in enumerate(rows_of_pairs):
+        memories = []
+        for pairs in rows_of_pairs:
+            memory = _empty_memory(1, self.N)
             for s, y in pairs:
-                _remember(memory, np.array([i]), s[None], y[None])
-        return memory
+                _remember(memory, s[None], y[None])
+            memories.append(memory)
+        return tuple(np.concatenate(parts) for parts in zip(*memories))
 
     def test_matches_dense_bfgs(self):
         rng = np.random.default_rng(4)
@@ -416,7 +418,7 @@ class TestLbfgsDirection:
         # s.y = flip |s|^2 <= 0
         y = flip * s + (np.eye(self.N) - np.outer(s, s) / (s @ s)) @ rng.normal(size=self.N)
         assert s @ y <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y)
-        _remember(memory, np.array([0]), s[None], y[None])
+        _remember(memory, s[None], y[None])
         for m, was in zip(memory, before):
             assert np.array_equal(m, was)
         g = rng.normal(size=(1, self.N))
@@ -522,15 +524,43 @@ class TestOptimizerBehavior:
                                    RenyiParameter(1.5, "sand")])
     def test_restarts_do_not_depend_on_batch(self, p):
         # a restart's trajectory is bitwise the same whether it descends
-        # alone or in lockstep with others, which makes ree monotone in
-        # the number of restarts
+        # with fewer siblings or more, except that a sibling that stopped
+        # lower can cut it short: then its record is a pruned prefix
         rho = projector(w())
         full = ree(rho, CUT_123, p, OptimizerOptions(
             restarts=4, max_iters=200, components=12, seed=7))
         for r in range(4):
-            alone = ree(rho, CUT_123, p, OptimizerOptions(
+            fewer = ree(rho, CUT_123, p, OptimizerOptions(
                 restarts=r + 1, max_iters=200, components=12, seed=7))
-            assert alone.restarts[r] == full.restarts[r]
+            got, alone = full.restarts[r], fewer.restarts[r]
+            if got != alone:
+                assert got.seed == alone.seed and not got.converged
+                assert got.iterations < alone.iterations
+                assert got.evaluations <= alone.evaluations
+                assert got.value >= alone.value
+
+    def test_losing_restart_is_pruned(self, monkeypatch):
+        # star's E(1:2) at trad 1.5: restart 0 (the diagonal start) stalls
+        # near 0.252 while restarts 1 and 2 converge to 0.2502
+        import qree.sepstates as sepstates
+        rho, p = reduced_pair(star(), 12), RenyiParameter(1.5, "trad")
+        opts = OptimizerOptions(restarts=3, max_iters=500, components=16, seed=1)
+        pruned = ree(rho, CUT_22, p, opts)
+        first = pruned.restarts[0]
+        assert not first.converged and first.iterations < opts.max_iters
+        assert first.value > pruned.value
+        monkeypatch.setattr(sepstates, "CATCH_UP_FACTOR", math.inf)
+        full = ree(rho, CUT_22, p, opts)
+        assert full.restarts[0].iterations == opts.max_iters
+        assert full.restarts[1:] == pruned.restarts[1:]
+        assert full.value == pruned.value
+        assert np.array_equal(full.closest_state, pruned.closest_state)
+        assert ((full.converged, full.iterations)
+                == (pruned.converged, pruned.iterations))
+        # a lone restart has no sibling to lose to
+        monkeypatch.undo()
+        alone = ree(rho, CUT_22, p, replace(opts, restarts=1))
+        assert alone.restarts == full.restarts[:1]
 
     @staticmethod
     def assert_same_result(got, want):
