@@ -24,14 +24,17 @@ of one rank, across one cut, at one parameter) descend in lockstep as the
 rows of one batch, each row naming its state, with its own L-BFGS
 memory and direction, Armijo test, convergence flag and iteration count,
 and leave the batch once converged, or once they cannot catch up with a
-restart of their own state that has stopped lower (``_descend``).  Each
-line-search call evaluates one trial step along the direction of every
-restart still searching, halving the step of those it fails; the
-gradient at an accepted step continues from that evaluation.  A
-restart's trajectory does not depend on the restarts of other states
-that share its batch, so ``ree`` is a batch of one; its own siblings can
-only stop it early, and a stopped trajectory is a prefix of the one it
-would have run alone.
+restart of their own state that has stopped lower (``_descend``).  The
+memory is a ring buffer of LBFGS_MEMORY (s, y) pairs per row in the
+compact representation of Byrd, Nocedal & Schnabel (``_remember``), so
+the direction (``_lbfgs_direction``) is a fixed handful of batched
+products however many pairs a row keeps.  Each line-search call
+evaluates one trial step along the direction of every restart still
+searching, halving the step of those it fails; the gradient at an
+accepted step continues from that evaluation.  A restart's trajectory
+does not depend on the restarts of other states that share its batch,
+so ``ree`` is a batch of one; its own siblings can only stop it early,
+and a stopped trajectory is a prefix of the one it would have run alone.
 
 The descent follows the analytic gradient: the divergence's
 sigma-gradient chained through the parametrization.  Central finite
@@ -62,7 +65,7 @@ SANDWICHED_ALPHA_CAP = 64.0
 # stationary
 MAX_HALVINGS = 60
 # (s, y) pairs each restart keeps for its L-BFGS direction
-LBFGS_MEMORY = 5
+LBFGS_MEMORY = 40
 
 # default mixture components K per dimension of the cut, for the descent
 # and the sampling oracle alike
@@ -85,7 +88,7 @@ CATCH_UP_FACTOR = 3.0
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result, even at rounding level (CHANGES.md says what moved each version).
-ALGORITHM_VERSION = 9
+ALGORITHM_VERSION = 10
 
 
 @dataclass(frozen=True)
@@ -284,56 +287,92 @@ def _line_search(obj: _Objective, theta: np.ndarray, state: np.ndarray,
     return rows, steps, vals, ev, evals
 
 
-def _lbfgs_direction(g: np.ndarray, s: np.ndarray, y: np.ndarray,
-                     r: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """The L-BFGS direction -H g of each row by the two-loop recursion
-    (Nocedal & Wright, Numerical Optimization, Algorithm 7.4).
+def _lbfgs_direction(g: np.ndarray, memory) -> np.ndarray:
+    """The L-BFGS direction -H g of each row in compact form (Byrd,
+    Nocedal & Schnabel, Math. Program. 63, 129 (1994), eq. 3.1):
 
-    ``s`` and ``y`` are (rows, LBFGS_MEMORY, n) pairs, oldest to newest,
-    ``r`` their (rows, LBFGS_MEMORY) 1 / s.y and ``gamma`` the initial
-    scaling H0 = gamma I.  An empty slot is all zeros with r = 0, so it
+        H = gamma I + [S  gamma Y] [R^-T (D + gamma Y^T Y) R^-1   -R^-T] [S^T      ]
+                                   [-R^-1                          0   ] [gamma Y^T]
+
+    so with u = R^-1 S^T g and v = R^-T ((D + gamma Y^T Y) u - gamma Y^T
+    g), H g = gamma g + S v - gamma Y u: a fixed number of batched
+    products whatever LBFGS_MEMORY is, and no linear solve.
+
+    ``memory`` (see ``_empty_memory`` and ``_remember``) holds each
+    row's pairs in the slots of a ring buffer: ``pairs`` (rows, 2,
+    LBFGS_MEMORY, n) the s and y of each slot, ``d_diag`` their s.y,
+    ``r_inv`` the inverse of R, R_ij = s_i.y_j for pair i no newer than
+    pair j, and ``yty`` Y^T Y, both (rows, LBFGS_MEMORY, LBFGS_MEMORY) in
+    slot order, and ``gamma``, the scaling H0 = gamma I.  An empty slot is
+    a zero pair with a unit diagonal in R^-1 and zeros elsewhere, so it
     changes nothing, and a row with an empty memory and gamma = 1 gets
     exactly -g.
     """
-    q = g.copy()
-    a = np.empty(r.shape)
-    for i in range(LBFGS_MEMORY - 1, -1, -1):
-        a[:, i] = r[:, i] * (s[:, i] * q).sum(axis=1)
-        q -= a[:, i, None] * y[:, i]
-    q *= gamma[:, None]
-    for i in range(LBFGS_MEMORY):
-        b = r[:, i] * (y[:, i] * q).sum(axis=1)
-        q += (a[:, i] - b)[:, None] * s[:, i]
-    return -q
+    pairs, d_diag, r_inv, yty, _, gamma = memory
+    rows, _, m, n = pairs.shape
+    flat = pairs.reshape(rows, 2 * m, n)
+    proj = (flat @ g[:, :, None])[:, :, 0]          # [S^T g | Y^T g]
+    u = (r_inv @ proj[:, :m, None])[:, :, 0]
+    inner = d_diag * u + gamma[:, None] * ((yty @ u[:, :, None])[:, :, 0] - proj[:, m:])
+    v = (inner[:, None, :] @ r_inv)[:, 0]           # R^-T applied to inner
+    coef = np.concatenate([v, -gamma[:, None] * u], axis=1)
+    return -(gamma[:, None] * g + (coef[:, None, :] @ flat)[:, 0])
 
 
 def _empty_memory(rows: int, n: int):
-    """``rows`` empty L-BFGS memories (s, y, r, gamma), laid out as
-    ``_lbfgs_direction`` reads them."""
-    return (np.zeros((rows, LBFGS_MEMORY, n)), np.zeros((rows, LBFGS_MEMORY, n)),
-            np.zeros((rows, LBFGS_MEMORY)), np.ones(rows))
+    """``rows`` empty L-BFGS memories (pairs, s.y, R^-1, Y^T Y, head,
+    gamma), laid out as ``_lbfgs_direction`` reads them; ``head`` is the
+    slot each row stores its next pair in."""
+    m = LBFGS_MEMORY
+    return (np.zeros((rows, 2, m, n)), np.zeros((rows, m)),
+            np.tile(np.eye(m), (rows, 1, 1)), np.zeros((rows, m, m)),
+            np.zeros(rows, dtype=int), np.ones(rows))
 
 
 def _forget(memory, rows: np.ndarray) -> None:
     """Empty the memories of ``rows``: their direction becomes -g."""
-    mem_s, mem_y, mem_r, gamma = memory
-    mem_s[rows] = mem_y[rows] = mem_r[rows] = 0.0
+    pairs, d_diag, r_inv, yty, head, gamma = memory
+    pairs[rows] = d_diag[rows] = yty[rows] = 0.0
+    r_inv[rows] = np.eye(LBFGS_MEMORY)
+    head[rows] = 0
     gamma[rows] = 1.0
 
 
 def _remember(memory, s: np.ndarray, y: np.ndarray) -> None:
-    """Shift the pair (s[i], y[i]) into the memory of row i as its newest,
-    dropping the oldest, and rescale gamma to s.y / y.y; a pair with
-    s.y <= 1e-12 |s| |y| is not stored."""
-    mem_s, mem_y, mem_r, gamma = memory
+    """Store the pair (s[i], y[i]) in row i's ring-buffer slot ``head``,
+    overwriting that row's oldest pair, advance the head and rescale
+    gamma to s.y / y.y; a pair with s.y <= 1e-12 |s| |y| is not stored.
+
+    R^-1 gains the new pair's column: with r_i = s_i.y over the other
+    slots, the block inverse of R bordered by (r, s.y) gives the column
+    -R^-1 r / s.y and the diagonal 1 / s.y.  The evicted pair was the
+    oldest, so the other slots' block of R^-1 stays the inverse of their
+    R; its row is zeroed (every pair left is newer), and its column is
+    already zero off the diagonal, so its own entry of S^T y drops out of
+    R^-1 r.  Y^T Y gains the new row and column Y^T y.
+    """
+    pairs, d_diag, r_inv, yty, head, gamma = memory
     sy = (s * y).sum(axis=1)
     yy = (y * y).sum(axis=1)
-    keep = sy > 1e-12 * np.sqrt((s * s).sum(axis=1) * yy)
-    rows = slice(None) if keep.all() else keep  # a slice shifts in place
-    for mem, new in ((mem_s, s[rows]), (mem_y, y[rows]), (mem_r, 1.0 / sy[rows])):
-        mem[rows, :-1] = mem[rows, 1:]
-        mem[rows, -1] = new
-    gamma[rows] = sy[rows] / yy[rows]
+    keep = np.flatnonzero(sy > 1e-12 * np.sqrt((s * s).sum(axis=1) * yy))
+    m = LBFGS_MEMORY
+    # S^T y and Y^T y over every row: cheaper than gathering the kept rows
+    proj = (pairs.reshape(len(s), 2 * m, -1) @ y[:, :, None])[keep, :, 0]
+    s, y, sy, yy, slot = s[keep], y[keep], sy[keep], yy[keep], head[keep]
+    at = np.arange(keep.size)
+    column = (r_inv[keep] @ proj[:, :m, None])[:, :, 0] / -sy[:, None]
+    column[at, slot] = 1.0 / sy
+    r_inv[keep, slot, :] = 0.0
+    r_inv[keep, :, slot] = column
+    ty = proj[:, m:]
+    ty[at, slot] = yy
+    yty[keep, slot, :] = ty
+    yty[keep, :, slot] = ty
+    pairs[keep, 0, slot] = s
+    pairs[keep, 1, slot] = y
+    d_diag[keep, slot] = sy
+    head[keep] = (slot + 1) % m
+    gamma[keep] = sy / yy
 
 
 def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
@@ -342,15 +381,15 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
     503 (1989)), one row per restart, row i a restart of the state
     ``state[i]``.
 
-    Each row keeps its own last LBFGS_MEMORY (s, y) pairs, oldest to
-    newest, and stores a new pair only when s.y > 1e-12 |s| |y|.  A row
-    with a memory searches from a unit step along its two-loop direction
-    (``_lbfgs_direction``, scaled by the newest pair's s.y / y.y).  A row
-    whose direction does not descend clears its memory; a row with an
-    empty memory searches along -g from twice its last accepted step (1 at
-    the start).  A row converges, and leaves the batch, when its line
-    search finds no step or its objective improves by less than
-    TOL_OBJECTIVE over a sweep of 10 iterations.
+    Each row keeps its own last LBFGS_MEMORY (s, y) pairs in a ring
+    buffer, a new pair over the oldest, and stores a new pair only when
+    s.y > 1e-12 |s| |y|.  A row with a memory searches from a unit step
+    along its compact-form direction (``_lbfgs_direction``, scaled by the
+    newest pair's s.y / y.y).  A row whose direction does not descend
+    clears its memory; a row with an empty memory searches along -g from
+    twice its last accepted step (1 at the start).  A row converges, and
+    leaves the batch, when its line search finds no step or its objective
+    improves by less than TOL_OBJECTIVE over a sweep of 10 iterations.
 
     A row that cannot catch up also leaves, unconverged, in the spirit of
     successive halving (Jamieson & Talwalkar, AISTATS 2016): at the end
@@ -391,15 +430,15 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
 
     for it in range(1, opts.max_iters + 1):
         act, state, theta, f, g, step, sweep_ref, evals, *memory = work
-        d = _lbfgs_direction(g, *memory)
+        d = _lbfgs_direction(g, memory)
         slope = (g * d).sum(axis=1)
         uphill = slope >= 0
         if uphill.any():
             _forget(memory, uphill)
             d[uphill] = -g[uphill]
             slope[uphill] = -(g[uphill] ** 2).sum(axis=1)
-        # a row with pairs, r > 0 in its newest slot, tries t = 1 first
-        t0 = np.where(memory[2][:, -1] > 0, 1.0, step)
+        # a row with pairs, a positive s.y stored, tries t = 1 first
+        t0 = np.where(memory[1].any(axis=1), 1.0, step)
         found, t, f_try, ev, n_evals = _line_search(obj, theta, state, f, d,
                                                     slope, t0)
         evals += n_evals
