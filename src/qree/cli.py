@@ -169,7 +169,7 @@ def cmd_ree(args) -> int:
             raise entscan.ConfigError("cut 1:23 needs a three-qubit state")
         keep = [0, 1] if args.cut == "1:2" else [0, 2]
         rho = partial_trace(rho, [2, 2, 2], keep)
-    res = ree(rho, cut, p, opts)
+    res = entscan.exact_ree(rho, cut, p) or ree(rho, cut, p, opts)
     _emit({"cut": args.cut, "alpha": args.alpha, "variant": args.variant,
            "value": res.value, "converged": res.converged,
            "restarts_used": len(res.restarts),

@@ -91,6 +91,14 @@ def _ppt_result(rho: np.ndarray) -> REEResult | None:
                      restarts=(), path="ppt")
 
 
+def exact_ree(rho: np.ndarray, cut: Bipartition,
+              p: RenyiParameter) -> REEResult | None:
+    """The REE of rho across ``cut`` by an exact path, ``ppt`` on a pair
+    cut, then ``pure``; None when rho takes neither (see ``monogamy``)."""
+    ppt = _ppt_result(rho) if cut == CUT_PAIR else None
+    return ppt or pure_ree(rho, cut, p)
+
+
 def _swap_qubits(rho: np.ndarray) -> np.ndarray:
     """SWAP rho SWAP for a two-qubit state."""
     return rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
@@ -162,11 +170,11 @@ def monogamy_batch(jobs: list[tuple[np.ndarray, int]], p: RenyiParameter,
     if any(rho3.shape != (8, 8) for rho3 in rhos):
         raise ValueError("monogamy expects an 8x8 three-qubit state")
     seeds = [seed for _, seed in jobs]
-    r123 = [pure_ree(rho3, CUT_1_23, p) for rho3 in rhos]
+    r123 = [exact_ree(rho3, CUT_1_23, p) for rho3 in rhos]
     rho12 = [partial_trace(rho3, [2, 2, 2], [0, 1]) for rho3 in rhos]
     rho13 = [partial_trace(rho3, [2, 2, 2], [0, 2]) for rho3 in rhos]
-    r12 = [_ppt_result(rho) or pure_ree(rho, CUT_PAIR, p) for rho in rho12]
-    r13 = [_ppt_result(rho) or pure_ree(rho, CUT_PAIR, p) for rho in rho13]
+    r12 = [exact_ree(rho, CUT_PAIR, p) for rho in rho12]
+    r13 = [exact_ree(rho, CUT_PAIR, p) for rho in rho13]
     swapped = [None if r is not None else _swap_match(b, a)
                for r, a, b in zip(r13, rho12, rho13)]
     # (result list, point, state) of every descent, by cut

@@ -12,8 +12,10 @@ components lose no generality (every separable state is such a mixture),
 and the unconstrained parametrization lets a quasi-Newton descent
 (L-BFGS) with a backtracking line search do the minimization.
 Non-convexity in the parameters is handled by independent seeded
-restarts; the reported value is the best restart, which upper-bounds the
-true minimum.
+restarts, each starting from the same kind of draw: normal logits and
+Haar-direction vectors scaled to unit norm (``_initial_ansatz``).  The
+reported value is the best restart, which upper-bounds the true
+minimum.
 
 A candidate exists only as a real parameter row [logits | a | b], the
 complex vector entries stored as (re, im) pairs.  Everything runs on
@@ -88,7 +90,7 @@ CATCH_UP_FACTOR = 3.0
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result, even at rounding level (CHANGES.md says what moved each version).
-ALGORITHM_VERSION = 10
+ALGORITHM_VERSION = 11
 
 
 @dataclass(frozen=True)
@@ -476,30 +478,20 @@ def _restart_seed(seed: int, restart: int) -> int:
     return (int(seed) * 1_000_003 + restart) & 0x7FFFFFFF
 
 
-def _initial_ansatz(rho: np.ndarray, cut: Bipartition, k: int, restart: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def _initial_ansatz(cut: Bipartition, k: int, rng: np.random.Generator) -> np.ndarray:
     """A restart's first parameter row [logits | a | b], complex entries as
-    (re, im) pairs, which ``_Objective.split`` views without copying.
-    Restart 0 starts near the computational-basis diagonal of rho (a
-    separable state already); later restarts start fully random:
-    Haar-direction product vectors with softmax-normal weights."""
+    (re, im) pairs, which ``_Objective.split`` views without copying:
+    normal logits and Haar-direction product vectors, each scaled to unit
+    norm.  sigma does not depend on the vectors' norms, so the scaling
+    moves only the coordinates the descent sees; with every norm equal,
+    no component's gradient and curvature are out of scale with the
+    others' (the gradient in a_k scales as 1 / |a_k|)."""
     da, db = cut.dim_a, cut.dim_b
-    if restart > 0:
-        logits = rng.normal(size=k)
-        va = rng.normal(size=(k, da)) + 1j * rng.normal(size=(k, da))
-        vb = rng.normal(size=(k, db)) + 1j * rng.normal(size=(k, db))
-    else:
-        # spare components start at negligible weight so nearly-dead mixture
-        # weight does not have to bleed out through slow softmax dynamics
-        logits = np.full(k, -12.0)
-        va = 0.02 * (rng.normal(size=(k, da)) + 1j * rng.normal(size=(k, da)))
-        vb = 0.02 * (rng.normal(size=(k, db)) + 1j * rng.normal(size=(k, db)))
-        diag = np.clip(np.diagonal(rho).real, 1e-9, None)
-        for idx in range(min(k, da * db)):
-            ia, ib = divmod(idx, db)
-            logits[idx] = math.log(diag[idx])
-            va[idx, ia] += 1.0
-            vb[idx, ib] += 1.0
+    logits = rng.normal(size=k)
+    va = rng.normal(size=(k, da)) + 1j * rng.normal(size=(k, da))
+    vb = rng.normal(size=(k, db)) + 1j * rng.normal(size=(k, db))
+    va /= np.linalg.norm(va, axis=1, keepdims=True)
+    vb /= np.linalg.norm(vb, axis=1, keepdims=True)
     return np.concatenate([logits, va.ravel().view(float), vb.ravel().view(float)])
 
 
@@ -572,9 +564,8 @@ def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
         obj = _Objective(Divergence.of_states(w[members], v[members], p), cut)
         seeds = [[_restart_seed(jobs[i][1], r) for r in range(n_restarts)]
                  for i in members]
-        theta = np.stack([_initial_ansatz(rhos[i], cut, k, r, np.random.default_rng(s))
-                          for i, row_seeds in zip(members, seeds)
-                          for r, s in enumerate(row_seeds)])
+        theta = np.stack([_initial_ansatz(cut, k, np.random.default_rng(s))
+                          for row_seeds in seeds for s in row_seeds])
         state = np.repeat(np.arange(len(members)), n_restarts)
         f, theta, iters, evals, conv = _descend(obj, theta, state, opts)
         for j, i in enumerate(members):

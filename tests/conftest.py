@@ -40,8 +40,8 @@ def brute_partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np
 def random_rows(cut: Bipartition, k: int, rng: np.random.Generator,
                 n: int = 1) -> np.ndarray:
     """(n, len) random K-term parameter rows, each drawn from ``rng`` as
-    ``ree`` draws the start of a random restart."""
-    return np.stack([_initial_ansatz(None, cut, k, 1, rng) for _ in range(n)])
+    ``ree`` draws the start of a restart."""
+    return np.stack([_initial_ansatz(cut, k, rng) for _ in range(n)])
 
 
 def row_states(cut: Bipartition, theta: np.ndarray) -> np.ndarray:

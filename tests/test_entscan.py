@@ -511,14 +511,31 @@ class TestCli:
         assert payload["reduced"]["pair"] == "12"
 
     def test_ree_subcommand(self, capsys):
-        code = cli_main(["ree", "--state", "ghz", "--alpha", "1",
+        # a thermal state is full rank, so its 1:23 cut descends
+        code = cli_main(["ree", "--model", "xxz", "--j", "1", "--delta", "0.5",
+                         "--temp", "1.0", "--alpha", "1",
                          "--restarts", "2", "--max-iters", "300",
                          "--components", "8", "--format", "json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert abs(payload["value"] - math.log(2)) < 1e-3
+        assert payload["value"] > 0
+        assert payload["restarts_used"] == 2
         assert payload["evaluations"] > payload["iterations"] >= 1
         assert payload["path"] == "descent"
+
+    @pytest.mark.parametrize("argv, path, value", [
+        (["--state", "ghz", "--alpha", "1"], "pure", math.log(2)),
+        (["--state", "ghz", "--alpha", "1", "--cut", "1:2"], "ppt", 0.0),
+        # S_beta of W's 1:23 Schmidt weights (1/3, 2/3), beta = 3/5
+        (["--state", "w", "--alpha", "3", "--variant", "sand"], "pure",
+         math.log((1 / 3) ** 0.6 + (2 / 3) ** 0.6) / 0.4),
+    ])
+    def test_ree_subcommand_tries_exact_paths(self, capsys, argv, path, value):
+        assert cli_main(["ree", *argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["path"] == path
+        assert payload["restarts_used"] == payload["iterations"] == 0
+        assert abs(payload["value"] - value) < 1e-8
 
     def test_monogamy_subcommand(self, capsys):
         code = cli_main(["monogamy", "--model", "xxz", "--j", "1",
@@ -554,7 +571,9 @@ class TestCli:
             raise ValueError("matrix is not Hermitian within tolerance")
 
         monkeypatch.setattr(cli, "ree", failing)
-        assert cli_main(["ree", "--state", "ghz"]) == 2
+        # a full-rank state, so the command reaches the descent
+        assert cli_main(["ree", "--model", "xxz", "--j", "1", "--delta", "0.5",
+                         "--temp", "1.0"]) == 2
         assert "numeric error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [

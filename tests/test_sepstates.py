@@ -13,9 +13,10 @@ from qree.renyi import Divergence, RenyiParameter, rel_entropy, von_neumann_entr
 from qree.sepstates import (CLOSEST_STATE_MIXING, COMPONENTS_PER_DIM,
                             FD_STEP, LBFGS_MEMORY,
                             SANDWICHED_ALPHA_CAP, OptimizerOptions,
-                            _empty_memory, _forget, _lbfgs_direction,
+                            _empty_memory, _forget, _initial_ansatz,
+                            _lbfgs_direction,
                             _line_search, _mixtures, _remember,
-                            _Objective, _sample_eigenpairs,
+                            _restart_seed, _Objective, _sample_eigenpairs,
                             pure_ree, ree, ree_batch,
                             sample_separable_batch, sample_upper_bound,
                             schmidt_entropy)
@@ -544,6 +545,54 @@ class TestGradients:
         assert lam_min >= CLOSEST_STATE_MIXING / 8 * (1 - 1e-6)
 
 
+class TestInitialAnsatz:
+    @staticmethod
+    def start_rows(monkeypatch, rho, cut, opts):
+        """The parameter rows ``ree`` hands the descent, one per restart."""
+        import qree.sepstates as sepstates
+        seen = []
+
+        def spy(obj, theta, state, opts):
+            seen.append(theta.copy())
+            return descend(obj, theta, state, opts)
+
+        descend = sepstates._descend
+        monkeypatch.setattr(sepstates, "_descend", spy)
+        ree(rho, cut, RenyiParameter(1.0), opts)
+        return seen[0]
+
+    @pytest.mark.parametrize("cut, rho", [(CUT_123, projector(w())),
+                                          (CUT_22, w_reduced())])
+    def test_every_restart_starts_at_unit_norms(self, monkeypatch, cut, rho):
+        k, da, db = 6, cut.dim_a, cut.dim_b
+        opts = OptimizerOptions(restarts=4, max_iters=1, components=k, seed=3)
+        theta = self.start_rows(monkeypatch, rho, cut, opts)
+        logits, a, b = _Objective(None, cut).split(theta)
+        assert np.abs(np.linalg.norm(a, axis=2) - 1).max() < 1e-12
+        assert np.abs(np.linalg.norm(b, axis=2) - 1).max() < 1e-12
+        # scaling moves the coordinates, not the state: replay each
+        # restart's draw unscaled
+        for r, row_logits in enumerate(logits):
+            rng = np.random.default_rng(_restart_seed(opts.seed, r))
+            raw = rng.normal(size=k)
+            raw_a = rng.normal(size=(k, da)) + 1j * rng.normal(size=(k, da))
+            raw_b = rng.normal(size=(k, db)) + 1j * rng.normal(size=(k, db))
+            assert np.array_equal(row_logits, raw)
+            assert np.abs(mixture(raw, raw_a, raw_b)
+                          - row_states(cut, theta[r:r + 1])[0]).max() < 1e-12
+
+    def test_row_does_not_depend_on_the_restart(self, monkeypatch):
+        # every restart drawing from one seed starts at one row: restart 0
+        # is not special
+        import qree.sepstates as sepstates
+        monkeypatch.setattr(sepstates, "_restart_seed", lambda seed, restart: 7)
+        opts = OptimizerOptions(restarts=3, max_iters=1, components=5)
+        theta = self.start_rows(monkeypatch, w_reduced(), CUT_22, opts)
+        want = _initial_ansatz(CUT_22, 5, np.random.default_rng(7))
+        for row in theta:
+            assert np.array_equal(row, want)
+
+
 class TestOptimizerBehavior:
     def test_monotone_in_restarts(self):
         rho = projector(w())
@@ -600,12 +649,12 @@ class TestOptimizerBehavior:
                 assert got.value >= alone.value
 
     def test_losing_restart_is_pruned(self, monkeypatch):
-        # star's E(1:3) at sand 3: restart 0 (the diagonal start) is still
-        # near 0.310 when restarts 1 and 2 have converged to 0.30378, and
-        # unpruned it runs to the iteration cap
+        # star's E(1:3) at trad 2, seed 5: restart 0 is pruned at 250
+        # iterations once restarts 1 and 2 have converged near 0.28212,
+        # and unpruned it runs to the iteration cap
         import qree.sepstates as sepstates
-        rho, p = reduced_pair(star(), 13), RenyiParameter(3.0, "sand")
-        opts = OptimizerOptions(restarts=3, max_iters=500, components=16, seed=1)
+        rho, p = reduced_pair(star(), 13), RenyiParameter(2.0, "trad")
+        opts = OptimizerOptions(restarts=3, max_iters=500, components=16, seed=5)
         pruned = ree(rho, CUT_22, p, opts)
         first = pruned.restarts[0]
         assert not first.converged and first.iterations < opts.max_iters
