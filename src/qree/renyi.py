@@ -180,6 +180,12 @@ class Divergence:
     divergence, which differs only there: KL is ``math.inf`` when rho
     carries more than SUPPORT_WEIGHT_TOL of weight on eigenvectors of
     sigma at or below the floor.
+
+    ``lower_bound`` bounds the floored value from below in closed form,
+    from Tr(rho sigma) of a sigma given as weighted product vectors, with
+    no eigendecomposition; the sampling oracle
+    (``sepstates.sample_upper_bound``) scores only the samples it cannot
+    rule out.
     """
 
     def __init__(self, rho: np.ndarray, p: RenyiParameter):
@@ -207,6 +213,7 @@ class Divergence:
         # the kept eigenvalues are the top r (ascending order)
         lam, self.factor = wr[..., -r:], np.ascontiguousarray(vr[..., -r:])
         self.weight = self.s_rho = None
+        self.lam = lam
         if p.is_kl:
             self.kind = "kl"
             self.s_rho = -(lam * np.log(lam)).sum(axis=-1)
@@ -249,6 +256,71 @@ class Divergence:
             return kl
         tr = (occ * wf ** (1.0 - self.alpha)).sum(axis=1)
         return np.log(tr) / (self.alpha - 1.0)
+
+    def lower_bound(self, psi: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(B,) lower bounds on the floored ``value`` of a stack of one at
+        the states sigma = sum_k w_k |psi_k><psi_k| of (B, K, d) vectors
+        ``psi`` and (B, K) weights ``w``, which are neither realized nor
+        decomposed.
+
+        With rho's kept eigenvalues lam (``_hold``), s = sum lam, r its
+        rank and f = ``qmat.DEFAULT_FLOOR``, the bound is
+
+            KL:                L = -S(rho) - s ln(Tr(rho sigma) / s + f)
+            traditional alpha: L = ln T / (alpha - 1)
+                                   - ln(Tr(rho^alpha sigma) / T + f),
+                               T = Tr rho^alpha
+            sandwiched alpha:  L = alpha ln s / (alpha - 1) + L_1 (alpha > 1)
+                                   or - ln(r (Tr(rho sigma) / s + f)) (alpha < 1),
+                               L_1 = -S(rho) / s - ln s - ln(Tr(rho sigma) / s + f)
+
+        where Tr(rho^a sigma) = sum_k w_k <psi_k|rho^a|psi_k> comes from
+        the rank-r factor, as the occupations of ``value`` do.
+
+        Why it holds.  Let sigma = sum_i mu_i |v_i><v_i| and let f_i =
+        max(mu_i, f) <= mu_i + f be the floored eigenvalues ``value``
+        uses; the occupations o_i = <v_i|rho^a|v_i> sum to s (a = 1) or T.
+        KL and traditional: Jensen's inequality over the f_i, weighted by
+        o_i / s or o_i / T.  -ln is convex, so sum o_i ln f_i <= s ln(sum
+        o_i f_i / s); x^(1 - alpha) is convex for alpha > 1 and concave
+        for alpha < 1, and the sign of 1 / (alpha - 1) makes both a lower
+        bound on ln(sum o_i f_i^(1 - alpha)) / (alpha - 1); and sum o_i f_i
+        <= Tr(rho^a sigma) + f sum o_i.  Sandwiched: with rho = s rho_1,
+        the value is D~_alpha(rho_1 || sigma_f) + alpha ln s / (alpha - 1),
+        and D~_alpha is non-decreasing in alpha (Muller-Lennert et al., J.
+        Math. Phys. 54, 122203 (2013)).  For alpha > 1, D~_alpha >= D, the
+        KL bound of rho_1.  For alpha < 1, D~_alpha >= D~_1/2 = -2 ln F, F
+        = || sqrt(sigma_f) sqrt(rho_1) ||_1, and F^2 <= r Tr(rho_1 sigma_f)
+        by Cauchy-Schwarz on the r nonzero singular values.
+
+        The bound and ``value`` reach Tr(rho sigma) along different
+        rounding, so a caller that rules a sigma out must leave an
+        allowance for it (see ``sepstates.BOUND_ALLOWANCE``).
+        """
+        a, lam, r = self.alpha, self.lam[0], self.factor.shape[-1]
+        s = lam.sum()
+        if self.kind == "kl":
+            shift, scale, norm = -self.s_rho[0], s, s
+        elif self.kind == "trad":
+            norm = self.weight[0].sum()
+            shift, scale = math.log(norm) / (a - 1.0), 1.0
+        else:
+            # the KL bound of rho / s for alpha > 1, -ln r for alpha < 1
+            at_one = ((lam * np.log(lam)).sum() / s - math.log(s) if a > 1.0
+                      else -math.log(r))
+            shift, scale, norm = a * math.log(s) / (a - 1.0) + at_one, 1.0, s
+        # rho_w = F F^dag with F = R sqrt(weight), or the sandwiched factor;
+        # |psi^T conj(F_j)| = |<psi|F_j>|, so <psi|rho_w|psi> is the squared
+        # norm of psi^T conj(F)
+        root = self.factor[0]
+        if self.weight is not None:
+            root = root * np.sqrt(self.weight[0])
+        z = (psi.reshape(-1, psi.shape[-1]) @ root.conj()).view(float)
+        z *= z
+        # a product with ones: numpy sums along a short last axis far slower
+        occ = z @ np.ones(z.shape[1])
+        tr = (w * occ.reshape(w.shape)).sum(axis=1)
+        return shift - scale * np.log(tr / norm + DEFAULT_FLOOR)
 
     def sigma_grad(self, ws: np.ndarray, vs: np.ndarray,
                    state: np.ndarray | None = None) -> np.ndarray:

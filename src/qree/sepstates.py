@@ -73,6 +73,17 @@ LBFGS_MEMORY = 40
 # and the sampling oracle alike
 COMPONENTS_PER_DIM = 4
 
+# random separable states realized at once by the sampler and the oracle:
+# bounds the ansatz kernel's temporaries
+SAMPLE_CHUNK = 1024
+# the oracle skips a sample whose lower bound exceeds the running minimum m
+# by more than BOUND_ALLOWANCE (1 + |m|).  The bound and the value reach
+# Tr(rho sigma) along different rounding, each within ~1e-15 relative of
+# exact while Tr(rho sigma) / Tr rho stays well above qmat.DEFAULT_FLOOR,
+# which a generic sample of K = COMPONENTS_PER_DIM d terms does; the
+# allowance covers that difference a million times over
+BOUND_ALLOWANCE = 1e-9
+
 # share of the maximally mixed state in the closest state (see ``ree``);
 # it must keep CLOSEST_STATE_MIXING / d > qmat.DEFAULT_FLOOR at every
 # dimension d, or the lifted eigenvalues stay at the floor and a KL value
@@ -160,13 +171,11 @@ class REEResult:
     path: str = "descent"
 
 
-def _mixtures(logits: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray):
-    """The ansatz kernel: (B, K) logits with (B, K, dim_a) and (B, K, dim_b)
-    vectors to the (B, d, d) states sum_k w_k |psi_k><psi_k|, Hermitian up
-    to rounding, of the products psi_k = a_k (x) b_k with the normalization
-    folded into the weights, w_k = p_k / (|a_k|^2 |b_k|^2).  Also returns
-    (p, w, |a|^2, |b|^2, psi), which the parameter gradient continues from.
-    """
+def _products(logits: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray):
+    """The parts of the ansatz states of (B, K) logits with (B, K, dim_a)
+    and (B, K, dim_b) vectors: (p, w, |a|^2, |b|^2, psi), the softmax
+    weights p, the products psi_k = a_k (x) b_k and their weights with the
+    normalization folded in, w_k = p_k / (|a_k|^2 |b_k|^2)."""
     na2 = (vectors_a.real ** 2 + vectors_a.imag ** 2).sum(axis=-1)
     nb2 = (vectors_b.real ** 2 + vectors_b.imag ** 2).sum(axis=-1)
     if na2.min() < 1e-60 or nb2.min() < 1e-60:
@@ -175,9 +184,23 @@ def _mixtures(logits: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray):
     p = e / e.sum(axis=-1, keepdims=True)
     w = p / (na2 * nb2)
     psi = (vectors_a[..., :, None] * vectors_b[..., None, :]).reshape(p.shape + (-1,))
+    return p, w, na2, nb2, psi
+
+
+def _realize(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (B, d, d) states sum_k w_k |psi_k><psi_k|, Hermitian up to
+    rounding, of (B, K, d) vectors and (B, K) weights."""
     q = psi.conj()
     q *= w[..., None]
-    return psi.swapaxes(1, 2) @ q, (p, w, na2, nb2, psi)
+    return psi.swapaxes(1, 2) @ q
+
+
+def _mixtures(logits: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray):
+    """The ansatz kernel: parameter rows to the (B, d, d) states sum_k w_k
+    |psi_k><psi_k|, and the parts (see ``_products``) the parameter
+    gradient continues from."""
+    parts = _products(logits, vectors_a, vectors_b)
+    return _realize(parts[4], parts[1]), parts
 
 
 # ----------------------------------------------------------------------
@@ -662,39 +685,60 @@ def pure_ree(rho: np.ndarray, cut: Bipartition,
                      path="pure")
 
 
-def _sample_eigenpairs(cut: Bipartition, n: int, components: int,
-                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (n, d) and eigenvectors (n, d, d) of ``n`` random
-    separable states (see ``sample_separable_batch``).
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count or seed that is not an integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
-    The generic family is realized and decomposed; the product-basis
-    family is drawn as its eigenpairs, the Dirichlet weights and the
-    product basis, and never realized.  Eigenvalues come unsorted.
-    """
+
+def _draw_samples(cut: Bipartition, n: int, components: int,
+                  rng: np.random.Generator):
+    """The draws of ``n`` random separable states (see
+    ``sample_separable_batch``), in the generator's order: the generic
+    family's (logits, a, b) parameter arrays for the first n - n // 2,
+    then the product-basis family for the rest as its eigenpairs (w, v),
+    the Dirichlet weights and the product basis."""
     k, da, db, d = components, cut.dim_a, cut.dim_b, cut.dim
     n_diag = n // 2
     n_gen = n - n_diag
-    ws = np.empty((n, d))
-    vs = np.empty((n, d, d), dtype=complex)
-
     logits = rng.normal(size=(n_gen, k))
     a = rng.normal(size=(n_gen, k, da)) + 1j * rng.normal(size=(n_gen, k, da))
     b = rng.normal(size=(n_gen, k, db)) + 1j * rng.normal(size=(n_gen, k, db))
-    for lo in range(0, n_gen, 1024):  # chunks bound the kernel's temporaries
-        hi = min(lo + 1024, n_gen)
-        sig = _mixtures(logits[lo:hi], a[lo:hi], b[lo:hi])[0]
-        ws[lo:hi], vs[lo:hi] = np.linalg.eigh(0.5 * (sig + sig.conj().swapaxes(1, 2)))
-
+    ws, vs = np.empty((0, d)), np.empty((0, d, d), dtype=complex)
     if n_diag:
         ga = rng.normal(size=(n_diag, da, da)) + 1j * rng.normal(size=(n_diag, da, da))
         gb = rng.normal(size=(n_diag, db, db)) + 1j * rng.normal(size=(n_diag, db, db))
         qa = np.linalg.qr(ga)[0]
         qb = np.linalg.qr(gb)[0]
         # sparse weights reach the low-rank corners where optima live
-        ws[n_gen:] = rng.dirichlet(np.full(d, 0.35), size=n_diag)
+        ws = rng.dirichlet(np.full(d, 0.35), size=n_diag)
         # column i * db + j is column i of qa times column j of qb
-        vs[n_gen:] = (qa[:, :, None, :, None]
-                      * qb[:, None, :, None, :]).reshape(n_diag, d, d)
+        vs = (qa[:, :, None, :, None] * qb[:, None, :, None, :]).reshape(n_diag, d, d)
+    return (logits, a, b), (ws, vs)
+
+
+def _decompose(sigma: np.ndarray):
+    """Eigenpairs of (B, d, d) states Hermitian up to rounding."""
+    return np.linalg.eigh(0.5 * (sigma + sigma.conj().swapaxes(1, 2)))
+
+
+def _sample_eigenpairs(cut: Bipartition, n: int, components: int,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n, d) and eigenvectors (n, d, d) of ``n`` random
+    separable states (see ``sample_separable_batch``).
+
+    The generic family is realized and decomposed; the product-basis
+    family comes as drawn (``_draw_samples``), never realized.
+    Eigenvalues come unsorted.
+    """
+    (logits, a, b), (w_diag, v_diag) = _draw_samples(cut, n, components, rng)
+    n_gen = len(logits)
+    ws = np.empty((n, cut.dim))
+    vs = np.empty((n, cut.dim, cut.dim), dtype=complex)
+    for lo in range(0, n_gen, SAMPLE_CHUNK):
+        hi = min(lo + SAMPLE_CHUNK, n_gen)
+        ws[lo:hi], vs[lo:hi] = _decompose(_mixtures(logits[lo:hi], a[lo:hi], b[lo:hi])[0])
+    ws[n_gen:], vs[n_gen:] = w_diag, v_diag
     return ws, vs
 
 
@@ -703,13 +747,15 @@ def sample_separable_batch(cut: Bipartition, n: int, components: int,
     """Draw ``n`` random separable states as an (n, d, d) stack, each
     V diag(w) V^dag of its eigenpairs from ``_sample_eigenpairs``.
 
-    Two sub-families alternate: generic mixtures of independent Haar
-    product vectors with softmax weights, and Dirichlet-weighted diagonal
-    mixtures in a random product basis.  The second family contains the
-    closest separable state of every pure state (a weighted product-basis
-    diagonal), which makes the sampled minimum a usefully tight upper
-    bound.
+    Two sub-families alternate: generic mixtures of ``components``
+    independent Haar product vectors with softmax weights, and
+    Dirichlet-weighted diagonal mixtures in a random product basis.  The
+    second family contains the closest separable state of every pure
+    state (a weighted product-basis diagonal), which makes the sampled
+    minimum a usefully tight upper bound.
     """
+    _check_count("n", n, 0)
+    _check_count("components", components, 1)
     ws, vs = _sample_eigenpairs(cut, n, components, rng)
     return (vs * ws[:, None, :]) @ vs.conj().swapaxes(1, 2)
 
@@ -721,21 +767,55 @@ def sample_upper_bound(rho: np.ndarray, cut: Bipartition, p: RenyiParameter,
     Every sample is separable by construction, so the result upper-bounds
     the true REE (and hence any correct optimizer output, within
     tolerance).  Deterministic for a fixed seed.  The samples are those of
-    ``sample_separable_batch``, scored from their eigenpairs: the
-    product-basis family from the weights and basis it is drawn as.
+    ``sample_separable_batch``, drawn 4096 at a time.
+
+    A branch and bound over the samples.  Each draw's product-basis half
+    is scored first, from the weights and basis it is drawn as.  Then,
+    SAMPLE_CHUNK at a time, every generic sample sigma = sum_k w_k
+    |psi_k><psi_k| gets the closed-form lower bound L of
+    ``Divergence.lower_bound``, from Tr(rho sigma) = sum_k w_k
+    <psi_k|rho|psi_k> (Jensen's inequality over sigma's floored spectrum;
+    for the sandwiched form, D~_alpha's monotonicity in alpha), and only
+    the samples with L <= best + BOUND_ALLOWANCE (1 + |best|), best the
+    running minimum, are realized, decomposed and scored.  A skipped
+    sample's floored value is at least L, which lies above the running
+    minimum by more than rounding, so it could not have lowered the
+    minimum; the survivors are scored by the same arithmetic as every
+    sample of the unscreened minimum, so the result is that minimum bit
+    for bit.
     """
     rho = np.asarray(rho, dtype=complex)
     _check_ree_args(rho, cut, p)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_count("n_samples", n_samples, 1)
+    _check_count("seed", seed, 0)
     k = COMPONENTS_PER_DIM * cut.dim
     div = Divergence(rho, p)
     rng = np.random.default_rng(seed)
     best = math.inf
-    remaining = n_samples
-    while remaining > 0:
-        bsz = min(remaining, 4096)
-        vals = div.value(*_sample_eigenpairs(cut, bsz, k, rng))
-        best = min(best, float(vals.min()))
-        remaining -= bsz
+    for done in range(0, n_samples, 4096):
+        best = _screened_minimum(div, _draw_samples(
+            cut, min(4096, n_samples - done), k, rng), best)
+    return best
+
+
+def _screened_minimum(div: Divergence, draws, best: float) -> float:
+    """The least of ``best`` and the floored values of the samples of
+    ``draws`` (see ``_draw_samples``), each generic sample realized and
+    scored only where its lower bound does not rule it out (see
+    ``sample_upper_bound``).  A function of its own, so that one draw's
+    arrays are freed before the next is drawn."""
+    (logits, a, b), (ws, vs) = draws
+    if len(ws):
+        best = min(best, float(div.value(ws, vs).min()))
+    for lo in range(0, len(logits), SAMPLE_CHUNK):
+        hi = lo + SAMPLE_CHUNK
+        _, w, _, _, psi = _products(logits[lo:hi], a[lo:hi], b[lo:hi])
+        bound = div.lower_bound(psi, w)
+        # a NaN bound rules nothing out
+        keep = np.flatnonzero(~(bound > best + BOUND_ALLOWANCE * (1.0 + abs(best))))
+        if keep.size < len(w):
+            psi, w = psi[keep], w[keep]
+        if keep.size:
+            best = min(best, float(div.value(*_decompose(_realize(psi, w))).min()))
+        del w, psi  # before the next chunk's products
     return best

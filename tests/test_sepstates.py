@@ -10,12 +10,14 @@ from scipy.linalg import fractional_matrix_power, logm, svdvals
 
 from qree.qmat import Bipartition, kron, partial_trace, projector, random_density_matrix, random_unitary, validate_density
 from qree.renyi import Divergence, RenyiParameter, rel_entropy, von_neumann_entropy
-from qree.sepstates import (CLOSEST_STATE_MIXING, COMPONENTS_PER_DIM,
-                            FD_STEP, LBFGS_MEMORY,
+from qree.sepstates import (BOUND_ALLOWANCE, CLOSEST_STATE_MIXING,
+                            COMPONENTS_PER_DIM, FD_STEP, LBFGS_MEMORY,
                             SANDWICHED_ALPHA_CAP, OptimizerOptions,
+                            _decompose, _draw_samples,
                             _empty_memory, _forget, _initial_ansatz,
                             _lbfgs_direction,
-                            _line_search, _mixtures, _remember,
+                            _line_search, _mixtures, _products, _realize,
+                            _remember,
                             _restart_seed, _Objective, _sample_eigenpairs,
                             pure_ree, ree, ree_batch,
                             sample_separable_batch, sample_upper_bound,
@@ -244,6 +246,87 @@ class TestSampleUpperBound:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             sample_upper_bound(np.eye(4) / 4, CUT_22, RenyiParameter(1.0), 0, 1)
+
+    @pytest.mark.parametrize("n_samples, seed, named", [
+        (1e4, 1, "n_samples"), (10, -1, "seed"), (10, 1.5, "seed")])
+    def test_rejects_bad_count_or_seed(self, n_samples, seed, named):
+        with pytest.raises(ValueError, match=named):
+            sample_upper_bound(np.eye(4) / 4, CUT_22, RenyiParameter(1.0),
+                               n_samples, seed)
+
+    @pytest.mark.parametrize("n, components, named", [
+        (4, 0, "components"), (-2, 4, "n must")])
+    def test_batch_rejects_bad_counts(self, n, components, named):
+        with pytest.raises(ValueError, match=named):
+            sample_separable_batch(CUT_22, n, components, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("cut", [CUT_22, CUT_123])
+    @pytest.mark.parametrize("rank", [1, 2, "full"])
+    @pytest.mark.parametrize("p", [RenyiParameter(1.0),
+                                   RenyiParameter(0.7, "trad"),
+                                   RenyiParameter(2.0, "trad"),
+                                   RenyiParameter(0.5, "sand"),
+                                   RenyiParameter(3.0, "sand")])
+    def test_screen_keeps_the_unscreened_minimum(self, cut, rank, p):
+        # the screen skips only samples that cannot lower the minimum, so
+        # the oracle returns the minimum over every decomposed sample,
+        # taken 4096 at a time as the oracle draws them, bit for bit
+        rho = random_density_matrix(cut.dim, cut.dim if rank == "full" else rank, 17)
+        div, k = Divergence(rho, p), COMPONENTS_PER_DIM * cut.dim
+        for n in (1, 2, 4097, 10**4):
+            rng = np.random.default_rng(n)
+            want = min(float(div.value(*_sample_eigenpairs(
+                cut, min(4096, n - lo), k, rng)).min()) for lo in range(0, n, 4096))
+            assert sample_upper_bound(rho, cut, p, n, seed=n) == want, n
+
+    def test_screen_engages(self, monkeypatch):
+        # on W's 1:23 projector the product-basis half finds a value no
+        # generic sample's bound reaches, so almost none is decomposed
+        eigh, matrices = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            matrices.append(np.prod(np.shape(a)[:-2], dtype=int))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        sample_upper_bound(projector(w()), CUT_123, RenyiParameter(1.0), 10**4, 1)
+        assert sum(matrices) < 500
+
+
+def floored_values_and_bounds(rho, cut, p, psi, weights):
+    """The floored divergence at each sigma = sum_k w_k |psi_k><psi_k| and
+    its lower bound."""
+    div = Divergence(rho, p)
+    return (div.value(*_decompose(_realize(psi, weights))),
+            div.lower_bound(psi, weights))
+
+
+class TestDivergenceLowerBound:
+    @given(st.sampled_from([CUT_22, CUT_123]), st.floats(0, 1),
+           st.sampled_from([RenyiParameter(1.0), RenyiParameter(0.2, "trad"),
+                            RenyiParameter(0.7, "trad"), RenyiParameter(1.5, "trad"),
+                            RenyiParameter(2.0, "trad"), RenyiParameter(0.5, "sand"),
+                            RenyiParameter(0.8, "sand"), RenyiParameter(3.0, "sand"),
+                            RenyiParameter(SANDWICHED_ALPHA_CAP, "sand")]),
+           st.integers(1, 8), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_below_floored_value(self, cut, rank_share, p, k, seed):
+        """L <= the floored value, within the oracle's allowance, for rho
+        of any rank and samples of both families: generic mixtures of k
+        terms (rank-deficient for small k, so with eigenvalues below the
+        floor) and product-basis diagonals with some weights set to 0."""
+        rank = 1 + round(rank_share * (cut.dim - 1))
+        rho = random_density_matrix(cut.dim, rank, seed)
+        rng = np.random.default_rng(seed)
+        (logits, a, b), (wd, vd) = _draw_samples(cut, 400, k, rng)
+        drop = rng.random(wd.shape) < 0.3
+        drop[np.arange(len(wd)), wd.argmax(axis=1)] = False
+        wd[drop] = 0.0
+        wd /= wd.sum(axis=1, keepdims=True)
+        _, weights, _, _, psi = _products(logits, a, b)
+        for psi, weights in ((psi, weights), (vd.swapaxes(1, 2), wd)):
+            value, bound = floored_values_and_bounds(rho, cut, p, psi, weights)
+            assert np.all(bound <= value + BOUND_ALLOWANCE * (1 + np.abs(value)))
 
 
 def dense_divergence(rho, sigma, p):
