@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+from qree.cli import parse_seed
 from qree.entscan import monogamy
 from qree.qmat import projector
 from qree.renyi import RenyiParameter
@@ -24,7 +25,7 @@ def main() -> None:
     ap.add_argument("--out-dir", default="zoo_scan")
     ap.add_argument("--restarts", type=int, default=8)
     ap.add_argument("--max-iters", type=int, default=1500)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=parse_seed, default=0)
     ap.add_argument("--points", type=int, default=9,
                     help="alpha points per variant")
     args = ap.parse_args()

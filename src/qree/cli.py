@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _seed(text: str) -> int:
+def parse_seed(text: str) -> int:
     """A --seed value: seeds feed numpy's SeedSequence, which takes only
     non-negative integers."""
     try:
@@ -82,7 +82,7 @@ def _add_opt_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--components", type=int, default=None)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
 
 
 def _model_params(args) -> ModelParams:
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="closed-form vs numeric self-tests")
     p.add_argument("--n", type=int, default=25)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.set_defaults(fn=cmd_check)
     return ap
 

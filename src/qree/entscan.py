@@ -64,6 +64,11 @@ class ConfigError(ValueError):
     field."""
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class MonogamyResult:
     e_1_23: float
@@ -228,6 +233,8 @@ class SweepConfig:
         if self.sweep_param not in SWEEPABLE:
             raise ConfigError(f"cannot sweep {self.sweep_param!r}; "
                               f"choose one of {sorted(SWEEPABLE)}")
+        _check_integer("workers", self.workers)
+        _check_integer("seed", self.seed)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.seed < 0:
@@ -489,6 +496,7 @@ def critical_temperature(params: ModelParams, p: RenyiParameter,
                           f"got {t_range}")
     if not math.isfinite(threshold):
         raise ConfigError(f"threshold must be finite, got {threshold}")
+    _check_integer("resolution", resolution)
     if resolution < 4:
         raise ConfigError("resolution must be at least 4 points")
     grid = np.linspace(lo, hi, resolution)

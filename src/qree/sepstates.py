@@ -30,13 +30,14 @@ restart of their own state that has stopped lower (``_descend``).  The
 memory is a ring buffer of LBFGS_MEMORY (s, y) pairs per row in the
 compact representation of Byrd, Nocedal & Schnabel (``_remember``), so
 the direction (``_lbfgs_direction``) is a fixed handful of batched
-products however many pairs a row keeps.  Each line-search call
-evaluates one trial step along the direction of every restart still
-searching, halving the step of those it fails; the gradient at an
-accepted step continues from that evaluation.  A restart's trajectory
-does not depend on the restarts of other states that share its batch,
-so ``ree`` is a batch of one; its own siblings can only stop it early,
-and a stopped trajectory is a prefix of the one it would have run alone.
+products however many pairs a row keeps.  Every row starts its line
+search at a unit step; each line-search call evaluates one trial step
+along the direction of every restart still searching, halving the step
+of those it fails; the gradient at an accepted step continues from that
+evaluation.  A restart's trajectory does not depend on the restarts of
+other states that share its batch, so ``ree`` is a batch of one; its own
+siblings can only stop it early, and a stopped trajectory is a prefix of
+the one it would have run alone.
 
 The descent follows the analytic gradient: the divergence's
 sigma-gradient chained through the parametrization.  Central finite
@@ -63,7 +64,7 @@ from .renyi import (SANDWICHED, Divergence, RenyiParameter,
 # alpha -> infinity limit; refuse rather than return noise
 SANDWICHED_ALPHA_CAP = 64.0
 
-# trial steps t, t/2, ... per iteration before a restart counts as
+# trial steps 1, 1/2, 1/4, ... per iteration before a restart counts as
 # stationary
 MAX_HALVINGS = 60
 # (s, y) pairs each restart keeps for its L-BFGS direction
@@ -101,7 +102,7 @@ CATCH_UP_FACTOR = 3.0
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result, even at rounding level (CHANGES.md says what moved each version).
-ALGORITHM_VERSION = 11
+ALGORITHM_VERSION = 12
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,11 @@ class OptimizerOptions:
     components: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_iters", "seed", "components"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer))
+                    or name == "components" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
         if self.components is not None and self.components < 1:
@@ -269,25 +275,27 @@ class _Objective:
 # descent loop
 
 def _line_search(obj: _Objective, theta: np.ndarray, state: np.ndarray,
-                 f: np.ndarray, d: np.ndarray, slope: np.ndarray, t: np.ndarray):
-    """Armijo backtracking along directions ``d`` from trial steps ``t``,
-    one row per restart; ``slope`` holds each row's g.d < 0 and ``state``
-    its state index.
+                 f: np.ndarray, d: np.ndarray, slope: np.ndarray):
+    """Armijo backtracking along directions ``d`` from a unit step, one row
+    per restart; ``slope`` holds each row's g.d and ``state`` its state
+    index.
 
-    Each objective call evaluates one trial step for every row still
-    searching; a row takes its first step t with sufficient decrease,
-    f(theta + t d) <= f + 1e-4 t g.d, and the others halve t.  Returns the
-    rows that found a step (none with a vanishing slope or after
-    MAX_HALVINGS trials) in ascending order, their steps, values and
-    evaluations there, and the objective evaluations spent on every row.
+    A row whose slope is not below -1e-28 does not descend: it gets no
+    trial step.  Each objective call evaluates one trial step for every
+    other row still searching; a row takes its first step t = 1, 1/2,
+    1/4, ... with sufficient decrease, f(theta + t d) <= f + 1e-4 t g.d,
+    and the others halve t.  Returns the rows that found a step (none
+    that does not descend or after MAX_HALVINGS trials) in ascending
+    order, their steps, values and evaluations there, and the objective
+    evaluations spent on every row.
     """
     evals = np.zeros(len(theta), dtype=int)
     todo = np.flatnonzero(slope <= -1e-28)
     if todo.size < len(theta):
         if not todo.size:
             return todo, None, None, None, evals
-        theta, state, f, d, slope, t = (
-            x[todo] for x in (theta, state, f, d, slope, t))
+        theta, state, f, d, slope = (x[todo] for x in (theta, state, f, d, slope))
+    t = np.ones(todo.size)
     found = []
     for _ in range(MAX_HALVINGS):
         vals, ev = obj.value(theta + t[:, None] * d, state)
@@ -354,15 +362,6 @@ def _empty_memory(rows: int, n: int):
             np.zeros(rows, dtype=int), np.ones(rows))
 
 
-def _forget(memory, rows: np.ndarray) -> None:
-    """Empty the memories of ``rows``: their direction becomes -g."""
-    pairs, d_diag, r_inv, yty, head, gamma = memory
-    pairs[rows] = d_diag[rows] = yty[rows] = 0.0
-    r_inv[rows] = np.eye(LBFGS_MEMORY)
-    head[rows] = 0
-    gamma[rows] = 1.0
-
-
 def _remember(memory, s: np.ndarray, y: np.ndarray) -> None:
     """Store the pair (s[i], y[i]) in row i's ring-buffer slot ``head``,
     overwriting that row's oldest pair, advance the head and rescale
@@ -408,13 +407,16 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
 
     Each row keeps its own last LBFGS_MEMORY (s, y) pairs in a ring
     buffer, a new pair over the oldest, and stores a new pair only when
-    s.y > 1e-12 |s| |y|.  A row with a memory searches from a unit step
-    along its compact-form direction (``_lbfgs_direction``, scaled by the
-    newest pair's s.y / y.y).  A row whose direction does not descend
-    clears its memory; a row with an empty memory searches along -g from
-    twice its last accepted step (1 at the start).  A row converges, and
-    leaves the batch, when its line search finds no step or its objective
-    improves by less than TOL_OBJECTIVE over a sweep of 10 iterations.
+    s.y > 1e-12 |s| |y|, so its compact-form direction
+    (``_lbfgs_direction``, scaled by the newest pair's s.y / y.y; -g while
+    the memory is empty) descends (Byrd, Nocedal & Schnabel: H is
+    positive definite when every stored pair has s.y > 0).  Every row
+    runs one step rule: the line search tries t = 1 along that direction
+    and halves t on an Armijo failure.  A row converges, and leaves the
+    batch, when its line search finds no step (its direction does not
+    descend, as rounding alone could make it, or MAX_HALVINGS trials
+    fail) or its objective improves by less than TOL_OBJECTIVE over a
+    sweep of 10 iterations.
 
     A row that cannot catch up also leaves, unconverged, in the spirit of
     successive halving (Jamieson & Talwalkar, AISTATS 2016): at the end
@@ -425,7 +427,7 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
     meet in this test, so a row's trajectory does not depend on them; its
     own siblings can only cut it short.
 
-    The working state (parameters, values, gradients, steps, memories)
+    The working state (parameters, values, gradients, memories)
     holds the running rows only, compacted when rows leave.  Returns
     per-row (value, theta, iterations, evaluations, converged).
     """
@@ -439,13 +441,13 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
 
     f, ev = obj.value(theta, state)
     g = obj.gradient(ev)
-    act, step, evals = np.arange(rows), np.ones(rows), np.ones(rows, dtype=int)
-    work = [act, state, theta, f, g, step, f, evals, *_empty_memory(rows, n)]
+    act, evals = np.arange(rows), np.ones(rows, dtype=int)
+    work = [act, state, theta, f, g, f, evals, *_empty_memory(rows, n)]
 
     def leave(gone: np.ndarray, it: int, conv: bool) -> list:
         """Record the running rows ``gone`` (a mask) as stopped at ``it``,
         converged or not, and return the working state of the others."""
-        act, state, theta, f, _, _, _, evals = work[:8]
+        act, state, theta, f, _, _, evals = work[:7]
         out = act[gone]
         f_out[out], theta_out[out], evals_out[out] = f[gone], theta[gone], evals[gone]
         iters[out], converged[out] = it, conv
@@ -454,18 +456,10 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
         return [x[~gone] for x in work]
 
     for it in range(1, opts.max_iters + 1):
-        act, state, theta, f, g, step, sweep_ref, evals, *memory = work
+        act, state, theta, f, g, sweep_ref, evals, *memory = work
         d = _lbfgs_direction(g, memory)
-        slope = (g * d).sum(axis=1)
-        uphill = slope >= 0
-        if uphill.any():
-            _forget(memory, uphill)
-            d[uphill] = -g[uphill]
-            slope[uphill] = -(g[uphill] ** 2).sum(axis=1)
-        # a row with pairs, a positive s.y stored, tries t = 1 first
-        t0 = np.where(memory[1].any(axis=1), 1.0, step)
-        found, t, f_try, ev, n_evals = _line_search(obj, theta, state, f, d,
-                                                    slope, t0)
+        found, _, f_try, ev, n_evals = _line_search(obj, theta, state, f, d,
+                                                    (g * d).sum(axis=1))
         evals += n_evals
         if found.size < act.size:  # the rest are numerically stationary
             stuck = np.ones(act.size, dtype=bool)
@@ -473,14 +467,14 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
             work = leave(stuck, it, True)
             if not found.size:
                 break
-            act, state, theta, f, g, step, sweep_ref, evals, *memory = work
+            act, state, theta, f, g, sweep_ref, evals, *memory = work
         g_new = obj.gradient(ev)
         _remember(memory, ev[0] - theta, g_new - g)
-        theta, f, g, step = ev[0], f_try, g_new, np.minimum(t * 2.0, 1e4)
-        work = [act, state, theta, f, g, step, sweep_ref, evals, *memory]
+        theta, f, g = ev[0], f_try, g_new
+        work = [act, state, theta, f, g, sweep_ref, evals, *memory]
         if it % 10 == 0:
             gain = sweep_ref - f
-            work[6] = f  # the next sweep's reference
+            work[5] = f  # the next sweep's reference
             stalled = gain < TOL_OBJECTIVE
             if stalled.any():
                 work = leave(stalled, it, True)
@@ -492,7 +486,7 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
                     work = leave(lost, it, False)
             if not work[0].size:
                 break
-    act, _, theta, f, _, _, _, evals = work[:8]
+    act, _, theta, f, _, _, evals = work[:7]
     f_out[act], theta_out[act], evals_out[act] = f, theta, evals
     return f_out, theta_out, iters, evals_out, converged
 

@@ -368,6 +368,13 @@ class TestConfigParsing:
                                 sweep_param="temp", grid=[1.0],
                                 alphas=[RenyiParameter(1.0)], seed=-1)
 
+    @pytest.mark.parametrize("name", ["workers", "seed"])
+    def test_non_integer_in_sweep_config(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got 1.5"):
+            entscan.SweepConfig(model="xxz", fixed={"j": 1.0, "delta": 0.5},
+                                sweep_param="temp", grid=[1.0],
+                                alphas=[RenyiParameter(1.0)], **{name: 1.5})
+
 
 class TestSweep:
     def test_rows_ordered_and_deterministic(self, tmp_path):
@@ -496,6 +503,9 @@ class TestCriticalTemperature:
         with pytest.raises(ValueError):
             critical_temperature(ModelParams.tfi(1.0), RenyiParameter(1.0),
                                  FAST, resolution=2)
+        with pytest.raises(ConfigError, match="resolution must be an integer, got 4.5"):
+            critical_temperature(ModelParams.tfi(1.0), RenyiParameter(1.0),
+                                 FAST, resolution=4.5)
 
 
 class TestCli:

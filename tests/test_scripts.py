@@ -6,6 +6,8 @@ import re
 import runpy
 import sys
 
+import pytest
+
 from qree.entscan import CSV_HEADER
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -50,3 +52,12 @@ def test_parity_dump(monkeypatch, capsys):
     assert re.fullmatch(r"totals descents=15 restarts=15 iterations=\d+ "
                         r"evaluations=\d+ unconverged=\d+ lockstep=\d+ pruned=0",
                         lines[-1])
+
+
+@pytest.mark.parametrize("name", ["state_zoo_alpha_scan.py", "spin_model_sweeps.py"])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, name, "--out-dir", tmp_path, "--seed", -1)
+    assert exc.value.code == 2
+    assert "seed must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

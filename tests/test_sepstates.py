@@ -14,7 +14,7 @@ from qree.sepstates import (BOUND_ALLOWANCE, CLOSEST_STATE_MIXING,
                             COMPONENTS_PER_DIM, FD_STEP, LBFGS_MEMORY,
                             SANDWICHED_ALPHA_CAP, OptimizerOptions,
                             _decompose, _draw_samples,
-                            _empty_memory, _forget, _initial_ansatz,
+                            _descend, _empty_memory, _initial_ansatz,
                             _lbfgs_direction,
                             _line_search, _mixtures, _products, _realize,
                             _remember,
@@ -413,24 +413,72 @@ class TestBatchedObjective:
         theta = random_rows(CUT_123, 6, rng, 4)
         f, ev = obj.value(theta)
         g = obj.gradient(ev)
-        d = -g
+        # -g at lengths from far too long to short, so rows take from none
+        # to many halvings
+        d = -g * np.array([1e4, 30.0, 1.0, 1e-2])[:, None]
         if rescaled:
             # -g scaled per coordinate: a descent direction, not the gradient's
             d = d * rng.uniform(0.1, 10.0, size=g.shape)
         slope = (g * d).sum(axis=1)
         assert (slope < 0).all()
-        t0 = np.array([1e4, 30.0, 1.0, 1e-2])
         rows, steps, _, _, evals = _line_search(obj, theta, np.zeros(4, int),
-                                                f, d, slope, t0)
+                                                f, d, slope)
         assert sorted(rows) == [0, 1, 2, 3] and evals.max() > 1
         for row, step in zip(rows, steps):
-            t, trials = t0[row], 1
+            t, trials = 1.0, 1
             while (obj.value(theta[row:row + 1] + t * d[row:row + 1])[0][0]
                    > f[row] + 1e-4 * t * slope[row]):
                 t *= 0.5
                 trials += 1
             assert step == t
             assert evals[row] == trials
+
+    def test_line_search_skips_rows_that_do_not_descend(self):
+        obj = _Objective(Divergence(random_density_matrix(8, 8, 9),
+                                    RenyiParameter(1.0)), CUT_123)
+        theta = random_rows(CUT_123, 6, np.random.default_rng(4), 3)
+        f, ev = obj.value(theta)
+        g = obj.gradient(ev)
+        # row 0 along -g, row 1 with slope 0, row 2 with slope +1e-3
+        d = np.stack([-g[0], np.zeros_like(g[1]), 1e-3 * g[2] / (g[2] @ g[2])])
+        slope = (g * d).sum(axis=1)
+        assert slope[0] < 0 and slope[1] == 0 and slope[2] > 0
+        rows, _, _, _, evals = _line_search(obj, theta, np.zeros(3, int),
+                                            f, d, slope)
+        assert rows.tolist() == [0]
+        assert evals[0] >= 1 and evals[1:].tolist() == [0, 0]
+        rows, steps, _, _, evals = _line_search(obj, theta[1:], np.zeros(2, int),
+                                                f[1:], d[1:], slope[1:])
+        assert rows.size == 0 and steps is None and not evals.any()
+
+    def test_direction_that_does_not_descend_stops_its_row(self, monkeypatch):
+        # row 0's first direction is turned uphill: it leaves at iteration 1,
+        # converged, with only its start evaluated, and its sibling runs on
+        # as it does without the turn
+        import qree.sepstates as sepstates
+        obj = _Objective(Divergence(projector(w()), RenyiParameter(1.0)), CUT_123)
+        theta = random_rows(CUT_123, 8, np.random.default_rng(6), 2)
+        state = np.zeros(2, dtype=int)
+        opts = OptimizerOptions(restarts=2, max_iters=100)
+        want = _descend(obj, theta, state, opts)
+        real, calls = sepstates._lbfgs_direction, []
+
+        def turned(g, memory):
+            d = real(g, memory)
+            if not calls:
+                d[0] = -d[0]
+            calls.append(len(g))
+            return d
+
+        monkeypatch.setattr(sepstates, "_lbfgs_direction", turned)
+        got = _descend(obj, theta, state, opts)
+        f, theta_out, iters, evals, conv = got
+        assert (iters[0], evals[0], conv[0]) == (1, 1, True)
+        assert f[0] == obj.value(theta, state)[0][0]
+        assert np.array_equal(theta_out[0], theta[0])
+        for x, y in zip(got, want):
+            assert np.array_equal(x[1], y[1])
+        assert calls[0] == 2 and set(calls[1:]) == {1}
 
 
 class TestLbfgsDirection:
@@ -503,11 +551,11 @@ class TestLbfgsDirection:
 
     def test_ring_buffer_matches_two_loop_and_dense_bfgs(self):
         # more than three memories' worth of pairs through the ring, n <
-        # LBFGS_MEMORY, row 1 skipping a pair without curvature (so the
-        # rows' heads differ) and row 2 forgetting partway through
+        # LBFGS_MEMORY, and row 1 skipping a pair without curvature (so the
+        # rows' heads differ)
         assert self.N < LBFGS_MEMORY
         rng = np.random.default_rng(8)
-        rows, steps = 3, 3 * LBFGS_MEMORY + 17
+        rows, steps = 2, 3 * LBFGS_MEMORY + 17
         curvature = []
         for _ in range(rows):
             m = rng.normal(size=(self.N, self.N))
@@ -524,9 +572,6 @@ class TestLbfgsDirection:
             for i in range(rows):
                 if s[i] @ y[i] > 0:
                     kept[i].append((s[i], y[i]))
-            if step == 2 * LBFGS_MEMORY + 5:
-                _forget(memory, np.array([2]))
-                kept[2] = []
             if step % 11 and step < steps - 1:
                 continue
             g = rng.normal(size=(rows, self.N))
@@ -540,13 +585,11 @@ class TestLbfgsDirection:
             checked += 1
         assert len(kept[0]) == steps > 3 * LBFGS_MEMORY
         assert len(kept[1]) == steps - 1
-        assert len(kept[2]) == steps - 2 * LBFGS_MEMORY - 6 > LBFGS_MEMORY
         assert checked > 10
 
-    def test_cleared_memory_gives_minus_gradient(self):
+    def test_empty_memory_gives_minus_gradient(self):
         rng = np.random.default_rng(5)
-        memory = self.memory_of([self.curved_pairs(rng, 3)] * 2)
-        _forget(memory, np.array([1]))
+        memory = self.memory_of([self.curved_pairs(rng, 3), []])
         g = rng.normal(size=(2, self.N))
         d = _lbfgs_direction(g, memory)
         assert np.array_equal(d[1], -g[1])
@@ -814,3 +857,7 @@ class TestOptimizerBehavior:
             OptimizerOptions(components=0)
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             OptimizerOptions(seed=-1)
+        for name in ("restarts", "max_iters", "seed", "components"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.5"):
+                OptimizerOptions(**{name: 1.5})
+            assert getattr(OptimizerOptions(**{name: np.int64(2)}), name) == 2
