@@ -16,10 +16,8 @@ and a last ``totals`` line over the zoo block's descents: how many
 descents and restarts ran; the restarts' iterations, objective
 evaluations and unconverged count; ``lockstep``, the iterations the
 descent batches ran (per zoo point, the most iterations of a restart in
-each ``ree_batch`` call, summed); and ``pruned``, the restarts stopped
-unconverged before the iteration cap because a sibling had stopped lower.
-These counts do not depend on the hardware, so they compare the
-optimizer's work across versions.
+each ``ree_batch`` call, summed).  These counts do not depend on the
+hardware, so they compare the optimizer's work across versions.
 
 Run it on two versions of the code and diff the outputs::
 
@@ -32,6 +30,7 @@ import tempfile
 
 import numpy as np
 
+from qree.cli import parse_count
 from qree.entscan import SweepConfig, monogamy, sweep
 from qree.qmat import Bipartition, partial_trace, projector
 from qree.renyi import RenyiParameter
@@ -58,10 +57,10 @@ def label(p: RenyiParameter) -> str:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--restarts", type=int, default=3)
-    ap.add_argument("--max-iters", type=int, default=500)
-    ap.add_argument("--components", type=int, default=16)
-    ap.add_argument("--samples", type=int, default=10_000)
+    ap.add_argument("--restarts", type=parse_count, default=3)
+    ap.add_argument("--max-iters", type=parse_count, default=500)
+    ap.add_argument("--components", type=parse_count, default=16)
+    ap.add_argument("--samples", type=parse_count, default=10_000)
     args = ap.parse_args()
     knobs = dict(restarts=args.restarts, max_iters=args.max_iters,
                  components=args.components)
@@ -113,13 +112,11 @@ def main() -> None:
                 print(f"oracle {name} {cut} {label(p)} {bound!r}")
 
     records = [rec for r in descents for rec in r.restarts]
-    pruned = sum(not rec.converged and rec.iterations < args.max_iters
-                 for rec in records)
     print(f"totals descents={len(descents)} restarts={len(records)} "
           f"iterations={sum(rec.iterations for rec in records)} "
           f"evaluations={sum(rec.evaluations for rec in records)} "
           f"unconverged={sum(not rec.converged for rec in records)} "
-          f"lockstep={lockstep} pruned={pruned}")
+          f"lockstep={lockstep}")
 
 
 if __name__ == "__main__":

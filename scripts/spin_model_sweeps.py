@@ -9,7 +9,7 @@ Each sweep lands in <out-dir>/<name>.csv; reruns reuse the cache.
 import argparse
 import os
 
-from qree.cli import parse_seed
+from qree.cli import parse_count, parse_seed
 from qree.entscan import SweepConfig, sweep
 from qree.renyi import RenyiParameter
 from qree.sepstates import OptimizerOptions
@@ -46,9 +46,9 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="model_sweeps")
     ap.add_argument("--cache-dir", default="model_sweeps/.cache")
-    ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--restarts", type=int, default=4)
-    ap.add_argument("--max-iters", type=int, default=800)
+    ap.add_argument("--workers", type=parse_count, default=1)
+    ap.add_argument("--restarts", type=parse_count, default=4)
+    ap.add_argument("--max-iters", type=parse_count, default=800)
     ap.add_argument("--seed", type=parse_seed, default=0)
     ap.add_argument("--only", help="run only sweeps whose name contains this")
     args = ap.parse_args()

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from qree.cli import parse_seed
+from qree.cli import parse_count, parse_seed
 from qree.entscan import monogamy
 from qree.qmat import projector
 from qree.renyi import RenyiParameter
@@ -23,10 +23,10 @@ from qree.statezoo import ghz, star, w
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="zoo_scan")
-    ap.add_argument("--restarts", type=int, default=8)
-    ap.add_argument("--max-iters", type=int, default=1500)
+    ap.add_argument("--restarts", type=parse_count, default=8)
+    ap.add_argument("--max-iters", type=parse_count, default=1500)
     ap.add_argument("--seed", type=parse_seed, default=0)
-    ap.add_argument("--points", type=int, default=9,
+    ap.add_argument("--points", type=parse_count, default=9,
                     help="alpha points per variant")
     args = ap.parse_args()
 

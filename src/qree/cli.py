@@ -43,17 +43,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def parse_seed(text: str) -> int:
-    """A --seed value: seeds feed numpy's SeedSequence, which takes only
-    non-negative integers."""
+def _parse_integer(text: str, least: int, wanted: str) -> int:
+    """An integer >= ``least``, or an argparse usage error saying it
+    ``wanted`` one."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"seed must be a non-negative integer, got {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{wanted}, got {text!r}")
     return value
+
+
+def parse_seed(text: str) -> int:
+    """A --seed value: seeds feed numpy's SeedSequence, which takes only
+    non-negative integers."""
+    return _parse_integer(text, 0, "seed must be a non-negative integer")
+
+
+def parse_count(text: str) -> int:
+    """A count flag's value, such as --restarts: an integer >= 1."""
+    return _parse_integer(text, 1, "must be an integer >= 1")
 
 
 def _add_model_args(p: argparse.ArgumentParser, **model_kw) -> None:

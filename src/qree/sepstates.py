@@ -25,19 +25,16 @@ per call.  The restarts of every state in a batch (``ree_batch``: states
 of one rank, across one cut, at one parameter) descend in lockstep as the
 rows of one batch, each row naming its state, with its own L-BFGS
 memory and direction, Armijo test, convergence flag and iteration count,
-and leave the batch once converged, or once they cannot catch up with a
-restart of their own state that has stopped lower (``_descend``).  The
-memory is a ring buffer of LBFGS_MEMORY (s, y) pairs per row in the
-compact representation of Byrd, Nocedal & Schnabel (``_remember``), so
-the direction (``_lbfgs_direction``) is a fixed handful of batched
-products however many pairs a row keeps.  Every row starts its line
-search at a unit step; each line-search call evaluates one trial step
-along the direction of every restart still searching, halving the step
-of those it fails; the gradient at an accepted step continues from that
-evaluation.  A restart's trajectory does not depend on the restarts of
-other states that share its batch, so ``ree`` is a batch of one; its own
-siblings can only stop it early, and a stopped trajectory is a prefix of
-the one it would have run alone.
+and leave the batch once converged or at the iteration cap
+(``_descend``).  The memory is a ring buffer of LBFGS_MEMORY (s, y) pairs
+per row in the compact representation of Byrd, Nocedal & Schnabel
+(``_remember``), so the direction (``_lbfgs_direction``) is a fixed
+handful of batched products however many pairs a row keeps.  Every row
+starts its line search at a unit step; each line-search call evaluates
+one trial step along the direction of every restart still searching,
+halving the step of those it fails; the gradient at an accepted step
+continues from that evaluation.  A restart's trajectory does not depend on any other row of
+its batch, its own siblings included, so ``ree`` is a batch of one.
 
 The descent follows the analytic gradient: the divergence's
 sigma-gradient chained through the parametrization.  Central finite
@@ -96,13 +93,10 @@ FD_STEP = 1e-5
 # a restart whose objective improves by less than this over a sweep of 10
 # iterations counts as converged
 TOL_OBJECTIVE = 1e-7
-# a running restart stops, unconverged, once even this many times its last
-# sweep's gain over each remaining sweep leaves it above a stopped sibling
-CATCH_UP_FACTOR = 3.0
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result, even at rounding level (CHANGES.md says what moved each version).
-ALGORITHM_VERSION = 12
+ALGORITHM_VERSION = 13
 
 
 @dataclass(frozen=True)
@@ -141,8 +135,7 @@ class RestartRecord:
     """How one restart ended.  ``value`` is its floored objective, which
     ranks restarts; ``evaluations`` counts the parameter rows the objective
     was evaluated at: the start and each trial step.  An unconverged
-    restart with fewer than ``max_iters`` iterations was pruned: it stopped
-    where it could no longer catch up with a sibling (see ``_descend``)."""
+    restart ran ``max_iters`` iterations (see ``_descend``)."""
 
     seed: int
     value: float
@@ -416,16 +409,9 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
     batch, when its line search finds no step (its direction does not
     descend, as rounding alone could make it, or MAX_HALVINGS trials
     fail) or its objective improves by less than TOL_OBJECTIVE over a
-    sweep of 10 iterations.
-
-    A row that cannot catch up also leaves, unconverged, in the spirit of
-    successive halving (Jamieson & Talwalkar, AISTATS 2016): at the end
-    of a sweep, with gain Delta over the sweep and ``it`` < max_iters
-    iterations done, a row whose f - CATCH_UP_FACTOR Delta (max_iters -
-    it) / 10 still lies above the least f of a converged restart of its
-    own state (this sweep's included).  Restarts of other states never
-    meet in this test, so a row's trajectory does not depend on them; its
-    own siblings can only cut it short.
+    sweep of 10 iterations; any other row runs to max_iters, unconverged.
+    No test compares one row with another, so a row's trajectory does not
+    depend on the rest of the batch.
 
     The working state (parameters, values, gradients, memories)
     holds the running rows only, compacted when rows leave.  Returns
@@ -436,23 +422,19 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
     iters = np.full(rows, opts.max_iters)
     evals_out = np.empty(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
-    # least value of a stopped restart, per state
-    best_stopped = np.full(state.max() + 1, np.inf)
 
     f, ev = obj.value(theta, state)
     g = obj.gradient(ev)
     act, evals = np.arange(rows), np.ones(rows, dtype=int)
     work = [act, state, theta, f, g, f, evals, *_empty_memory(rows, n)]
 
-    def leave(gone: np.ndarray, it: int, conv: bool) -> list:
-        """Record the running rows ``gone`` (a mask) as stopped at ``it``,
-        converged or not, and return the working state of the others."""
-        act, state, theta, f, _, _, evals = work[:7]
+    def leave(gone: np.ndarray, it: int) -> list:
+        """Record the running rows ``gone`` (a mask) as converged at
+        ``it``, and return the working state of the others."""
+        act, _, theta, f, _, _, evals = work[:7]
         out = act[gone]
         f_out[out], theta_out[out], evals_out[out] = f[gone], theta[gone], evals[gone]
-        iters[out], converged[out] = it, conv
-        if conv:
-            np.minimum.at(best_stopped, state[gone], f[gone])
+        iters[out], converged[out] = it, True
         return [x[~gone] for x in work]
 
     for it in range(1, opts.max_iters + 1):
@@ -464,7 +446,7 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
         if found.size < act.size:  # the rest are numerically stationary
             stuck = np.ones(act.size, dtype=bool)
             stuck[found] = False
-            work = leave(stuck, it, True)
+            work = leave(stuck, it)
             if not found.size:
                 break
             act, state, theta, f, g, sweep_ref, evals, *memory = work
@@ -473,19 +455,12 @@ def _descend(obj: _Objective, theta: np.ndarray, state: np.ndarray,
         theta, f, g = ev[0], f_try, g_new
         work = [act, state, theta, f, g, sweep_ref, evals, *memory]
         if it % 10 == 0:
-            gain = sweep_ref - f
             work[5] = f  # the next sweep's reference
-            stalled = gain < TOL_OBJECTIVE
+            stalled = sweep_ref - f < TOL_OBJECTIVE
             if stalled.any():
-                work = leave(stalled, it, True)
-                f, gain, state = f[~stalled], gain[~stalled], state[~stalled]
-            if it < opts.max_iters:  # the cap stops every row anyway
-                lost = (f - CATCH_UP_FACTOR * gain * (opts.max_iters - it) / 10
-                        > best_stopped[state])
-                if lost.any():
-                    work = leave(lost, it, False)
-            if not work[0].size:
-                break
+                work = leave(stalled, it)
+                if not work[0].size:
+                    break
     act, _, theta, f, _, _, evals = work[:7]
     f_out[act], theta_out[act], evals_out[act] = f, theta, evals
     return f_out, theta_out, iters, evals_out, converged
@@ -561,11 +536,10 @@ def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
     (whose own seed is unused).
 
     Each result equals ``ree(rho, cut, p, replace(opts, seed=seed))`` bit
-    for bit: a restart's trajectory does not depend on the restarts of
-    other states in its batch, and the catch-up test that can stop it
-    early compares it with its own siblings only.  The
-    restarts of every state of one rank descend as the rows of one batch;
-    states of different ranks descend in separate batches.
+    for bit: a restart's trajectory does not depend on any other row of
+    its batch.  The restarts of every state of one rank descend as the
+    rows of one batch; states of different ranks descend in separate
+    batches.
     """
     rhos = [np.asarray(rho, dtype=complex) for rho, _ in jobs]
     for rho in rhos:

@@ -50,14 +50,34 @@ def test_parity_dump(monkeypatch, capsys):
     assert len(sweep_lines) == 5
     assert sum(ln.startswith("oracle ") for ln in lines) == 27
     assert re.fullmatch(r"totals descents=15 restarts=15 iterations=\d+ "
-                        r"evaluations=\d+ unconverged=\d+ lockstep=\d+ pruned=0",
+                        r"evaluations=\d+ unconverged=\d+ lockstep=\d+",
                         lines[-1])
 
 
-@pytest.mark.parametrize("name", ["state_zoo_alpha_scan.py", "spin_model_sweeps.py"])
-def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, name):
+COUNT_FLAGS = {
+    "state_zoo_alpha_scan.py": ("--restarts", "--max-iters", "--points"),
+    "spin_model_sweeps.py": ("--restarts", "--max-iters", "--workers"),
+    "parity_dump.py": ("--restarts", "--max-iters", "--components", "--samples"),
+}
+USAGE_ERRORS = (
+    [pytest.param(name, "--seed", "-1", id=name)
+     for name in ("state_zoo_alpha_scan.py", "spin_model_sweeps.py")]
+    + [pytest.param(name, flag, "0", id=f"{name}{flag}=0")
+       for name, flags in COUNT_FLAGS.items() for flag in flags]
+    + [pytest.param("parity_dump.py", "--samples", "1.5",
+                    id="parity_dump.py--samples=1.5")])
+
+
+@pytest.mark.parametrize("name, flag, value", USAGE_ERRORS)
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, name,
+                                        flag, value):
+    # a seed below 0 or a count below 1 stops at argparse, before any file
+    # is written (the scripts' default output directories are relative)
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        run_script(monkeypatch, name, "--out-dir", tmp_path, "--seed", -1)
+        run_script(monkeypatch, name, flag, value)
     assert exc.value.code == 2
-    assert "seed must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    want = ("seed must be a non-negative integer" if flag == "--seed"
+            else f"argument {flag}: must be an integer >= 1")
+    assert f"{want}, got {value!r}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
