@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import xstate
 from .qmat import Bipartition, partial_trace, partial_transpose
 from .renyi import RenyiParameter, rel_entropy
 from .sepstates import (ALGORITHM_VERSION, OptimizerOptions, REEResult,
@@ -93,15 +94,41 @@ def _ppt_result(rho: np.ndarray) -> REEResult | None:
         return None
     return REEResult(value=0.0, closest_state=0.5 * (rho + rho.conj().T),
                      converged=True, iterations=0, evaluations=0,
-                     restarts=(), path="ppt")
+                     restarts=(), path="ppt", lower_bound=0.0)
+
+
+def _closed_form(rho: np.ndarray, cut: Bipartition,
+                 p: RenyiParameter) -> REEResult | None:
+    """``ppt`` on a pair cut, then ``pure``; None when rho takes neither."""
+    ppt = _ppt_result(rho) if cut == CUT_PAIR else None
+    return ppt or pure_ree(rho, cut, p)
+
+
+def _certified(pairs: list[np.ndarray],
+               p: RenyiParameter) -> list[REEResult | None]:
+    """``xstate.ree_batch`` of two-qubit states, keeping only the results
+    whose certificate holds (``converged``); a pair that is not an X-state,
+    or whose solve stops short of its certificate, gets None and descends."""
+    return [res if res is not None and res.converged else None
+            for res in xstate.ree_batch(pairs, p)]
 
 
 def exact_ree(rho: np.ndarray, cut: Bipartition,
               p: RenyiParameter) -> REEResult | None:
-    """The REE of rho across ``cut`` by an exact path, ``ppt`` on a pair
-    cut, then ``pure``; None when rho takes neither (see ``monogamy``)."""
-    ppt = _ppt_result(rho) if cut == CUT_PAIR else None
-    return ppt or pure_ree(rho, cut, p)
+    """The REE of rho across ``cut`` by an exact path, in the order
+    ``ppt`` (pair cuts), ``pure``, ``xstate`` (pair cuts, certified
+    results only); None when rho takes none of them (see ``monogamy``).
+
+    ``xstate`` takes a pair that is an X-state up to a local rotation:
+    twirling sigma over that local symmetry keeps it separable and cannot
+    raise the divergence (Vollbrecht & Werner, PRA 64, 062307 (2001)), so
+    the minimum runs over PPT X-states, a convex problem in five real
+    numbers (Frank & Lieb, J. Math. Phys. 54, 122201 (2013)) that
+    ``xstate.ree_batch`` solves with a certified ``lower_bound``."""
+    res = _closed_form(rho, cut, p)
+    if res is None and cut == CUT_PAIR:
+        res = _certified([rho], p)[0]
+    return res
 
 
 def _swap_qubits(rho: np.ndarray) -> np.ndarray:
@@ -131,9 +158,9 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
     """E(1:23), E(1:2), E(1:3) and their monogamy combination for an
     8-dimensional three-qubit state.
 
-    Every cut first tries exact paths, recorded in ``REEResult.path``, in
-    the order ``ppt`` (pair cuts), ``pure``, ``swap`` (E(1:3)); E(1:23)
-    comes from ``pure`` or the descent:
+    Every cut first tries exact paths, recorded in ``REEResult.path``: a
+    pair cut tries ``ppt``, ``pure``, ``swap`` (E(1:3)) and ``xstate`` in
+    that order; E(1:23) comes from ``pure`` or the descent:
 
     - ``"ppt"``: a two-qubit state with a positive partial transpose is
       separable (Peres, PRL 77, 1413 (1996); Horodecki, PLA 223, 1
@@ -154,6 +181,18 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
       in the second case).  The value is re-evaluated at that state, so
       it stays an upper bound reproducible from ``closest_state``; when
       rho_13 equals rho_12 exactly it is bit-identical to E(1:2).
+    - ``"xstate"``: a pair that commutes with (n1.sigma) (x) (n2.sigma) is
+      an X-state after a local rotation.  Twirling sigma over that local
+      symmetry keeps it separable and cannot raise D_alpha (Vollbrecht &
+      Werner, PRA 64, 062307 (2001)), so a closest separable state is a
+      PPT X-state, and the REE is a convex problem in five real numbers
+      (Frank & Lieb, J. Math. Phys. 54, 122201 (2013) for the sandwiched
+      form), solved by a barrier method that certifies ``lower_bound``
+      (``xstate``).  Only a certified result is kept, one whose value is
+      within ``xstate.XSTATE_TOLERANCE`` of that bound; an uncertified
+      pair descends, as a pair that is not an X-state does.  The value
+      is re-evaluated against rho at the rotated-back closest state, so
+      it stays an upper bound reproducible from ``closest_state``.
 
     Any other state goes to the descent.  A batch of one (see
     ``monogamy_batch``).
@@ -166,10 +205,11 @@ def monogamy_batch(jobs: list[tuple[np.ndarray, int]], p: RenyiParameter,
     """``monogamy`` of every (rho3, seed) in ``jobs`` at ``p``, each equal
     bit for bit to ``monogamy(rho3, p, replace(opts, seed=seed))``.
 
-    The exact paths of every cut of every point are decided first; the
-    swap test needs only rho_12 and rho_13.  The remaining descents then
-    run as two ``sepstates.ree_batch`` calls: every E(1:23), and every
-    E(1:2) with every E(1:3).
+    The closed forms (``ppt``, ``pure``) of every cut of every point are
+    decided first; the swap test needs only rho_12 and rho_13.  Every pair
+    left then tries ``xstate`` in one batched solve (``xstate.ree_batch``),
+    whose uncertified results are dropped.  The remaining descents run as two ``sepstates.ree_batch`` calls: every
+    E(1:23), and every E(1:2) with every E(1:3).
     """
     rhos = [np.asarray(rho3, dtype=complex) for rho3, _ in jobs]
     if any(rho3.shape != (8, 8) for rho3 in rhos):
@@ -178,16 +218,21 @@ def monogamy_batch(jobs: list[tuple[np.ndarray, int]], p: RenyiParameter,
     r123 = [exact_ree(rho3, CUT_1_23, p) for rho3 in rhos]
     rho12 = [partial_trace(rho3, [2, 2, 2], [0, 1]) for rho3 in rhos]
     rho13 = [partial_trace(rho3, [2, 2, 2], [0, 2]) for rho3 in rhos]
-    r12 = [exact_ree(rho, CUT_PAIR, p) for rho in rho12]
-    r13 = [exact_ree(rho, CUT_PAIR, p) for rho in rho13]
+    r12 = [_closed_form(rho, CUT_PAIR, p) for rho in rho12]
+    r13 = [_closed_form(rho, CUT_PAIR, p) for rho in rho13]
     swapped = [None if r is not None else _swap_match(b, a)
                for r, a, b in zip(r13, rho12, rho13)]
-    # (result list, point, state) of every descent, by cut
+    # (result list, point, state) of every pair still open
+    open_pairs = ([(r12, i, rho12[i]) for i, r in enumerate(r12) if r is None]
+                  + [(r13, i, rho13[i]) for i, r in enumerate(r13)
+                     if r is None and swapped[i] is None])
+    for (results, i, _), res in zip(open_pairs, _certified(
+            [rho for _, _, rho in open_pairs], p)):
+        results[i] = res
     pending = (
         (CUT_1_23, [(r123, i, rhos[i]) for i, r in enumerate(r123) if r is None]),
-        (CUT_PAIR, [(r12, i, rho12[i]) for i, r in enumerate(r12) if r is None]
-         + [(r13, i, rho13[i]) for i, r in enumerate(r13)
-            if r is None and swapped[i] is None]),
+        (CUT_PAIR, [(results, i, rho) for results, i, rho in open_pairs
+                    if results[i] is None]),
     )
     for cut, slots in pending:
         done = ree_batch([(rho, seeds[i]) for _, i, rho in slots], cut, p, opts)

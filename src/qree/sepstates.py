@@ -96,7 +96,7 @@ TOL_OBJECTIVE = 1e-7
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result, even at rounding level (CHANGES.md says what moved each version).
-ALGORITHM_VERSION = 13
+ALGORITHM_VERSION = 14
 
 
 @dataclass(frozen=True)
@@ -152,13 +152,25 @@ class REEResult:
     ``evaluations`` sums over all.
 
     ``path`` says how the value was found: ``"descent"`` by ``ree``, or by
-    one of the exact shortcuts ``entscan.monogamy`` takes.  A ``"ppt"``
-    result (pair cuts) ran no descent: the value is exactly 0,
-    ``converged`` is True, ``iterations`` and ``evaluations`` are 0 and
-    ``restarts`` is empty.  A ``"pure"`` result (any rank-1 cut, see
-    ``pure_ree``) has the same fields, with the value of the
-    Schmidt-diagonal closest state.  A ``"swap"`` result keeps every
-    descent field of the E(1:2) result whose closest state it reuses.
+    one of the exact paths ``entscan.exact_ree`` and ``entscan.monogamy``
+    take.  A ``"ppt"`` result (pair cuts) ran no descent: the value is
+    exactly 0, ``converged`` is True, ``iterations`` and ``evaluations``
+    are 0 and ``restarts`` is empty.  A ``"pure"`` result (any rank-1 cut,
+    see ``pure_ree``) has the same fields, with the value of the
+    Schmidt-diagonal closest state.  An ``"xstate"`` result (a pair that is
+    an X-state up to a local rotation, see ``xstate``) minimized over
+    separable X-states, which the twirl over the state's local symmetry
+    shows to hold a closest separable state (Vollbrecht & Werner, PRA 64,
+    062307 (2001)), by a barrier method whose Frank-Wolfe gap certifies
+    ``lower_bound``: ``converged`` is True when the value
+    exceeds that bound by at most ``xstate.XSTATE_TOLERANCE`` (``entscan``
+    keeps only such results and descends the other pairs), ``iterations`` and ``evaluations`` count the solver's Newton iterations
+    and evaluated states, and ``restarts`` is empty.  A ``"swap"`` result
+    keeps every other field of the E(1:2) result whose closest state it
+    reuses.
+
+    ``lower_bound`` is a certified lower bound on the REE where a path
+    gives one (``ppt``: 0; ``xstate``: the solver's), else None.
     """
 
     value: float
@@ -168,6 +180,7 @@ class REEResult:
     evaluations: int
     restarts: tuple[RestartRecord, ...]
     path: str = "descent"
+    lower_bound: float | None = None
 
 
 def _products(logits: np.ndarray, vectors_a: np.ndarray, vectors_b: np.ndarray):

@@ -17,7 +17,7 @@ from qree.entscan import (CUT_PAIR, ConfigError, SweepCache, SweepRow,
                           critical_temperature, emit_rows, monogamy,
                           parse_config, parse_rows, sweep)
 from qree.qmat import (Bipartition, kron, partial_trace, partial_transpose,
-                       projector)
+                       projector, random_density_matrix)
 from qree.renyi import RenyiParameter, min_entropy, rel_entropy, renyi_entropy
 from qree.sepstates import OptimizerOptions, ree, sample_upper_bound
 from qree.spinchain import ModelParams, hamiltonian, thermal_state
@@ -143,16 +143,16 @@ class TestMonogamyShortcuts:
         rho = projector(w())
         p = RenyiParameter(1.0)
         res = monogamy(rho, p, FAST)
-        assert res.detail_1_2.path == "descent"
+        assert res.detail_1_2.path == "xstate"
         assert res.detail_1_3.path == "swap"
         assert res.e_1_3 == res.e_1_2
         assert res.detail_1_3.iterations == res.detail_1_2.iterations
         below_sampling(res, rho, p)
 
-    def test_star_pairs_descend_and_1_23_is_pure(self):
+    def test_star_pairs_take_xstate_and_1_23_is_pure(self):
         res = monogamy(projector(star()), RenyiParameter(2.0, "sand"), QUICK)
         assert [d.path for d in (res.detail_1_23, res.detail_1_2,
-                                 res.detail_1_3)] == ["pure", "descent", "descent"]
+                                 res.detail_1_3)] == ["pure", "xstate", "xstate"]
         d = res.detail_1_23
         assert (d.converged, d.iterations, d.evaluations,
                 d.restarts) == (True, 0, 0, ())
@@ -201,7 +201,8 @@ class TestMonogamyShortcuts:
         lam = np.linalg.eigvalsh(partial_transpose(werner(p_npt), [2, 2], 1))[0]
         assert abs(lam + 1e-6) < 1e-15
         res = monogamy(with_pair(werner(p_npt)), RenyiParameter(1.0), FAST)
-        assert res.detail_1_2.path == "descent" and res.e_1_2 > 0
+        # Bell-diagonal, so an X-state
+        assert res.detail_1_2.path == "xstate" and res.e_1_2 > 0
         res = monogamy(with_pair(werner(1 / 3)), RenyiParameter(1.0), QUICK)
         assert res.detail_1_2.path == "ppt" and res.e_1_2 == 0.0
 
@@ -222,12 +223,35 @@ class TestMonogamyShortcuts:
         assert np.abs(rho13 - rho12).max() > 0.1
         res = monogamy(rho, p, FAST)
         d12, d13 = res.detail_1_2, res.detail_1_3
-        assert (d12.path, d13.path) == ("descent", "swap")
+        # the cyclic symmetry makes rho_12 an X-state up to a local rotation
+        assert (d12.path, d13.path) == ("xstate", "swap")
         assert np.array_equal(d13.closest_state, SWAP @ d12.closest_state @ SWAP)
         # re-evaluated at the reused state, not copied from E(1:2)
         assert res.e_1_3 == rel_entropy(rho13, d13.closest_state, p)
         assert abs(res.e_1_3 - res.e_1_2) <= 1e-12
         below_sampling(res, rho, p)
+
+    def test_pair_descents_share_a_batch(self):
+        # pairs that are not X-states: both points' E(1:2) descend in one
+        # batch, next to an xstate pair (W) and their ppt E(1:3)
+        p = RenyiParameter(1.5, "trad")
+        zero = np.diag([1.0, 0.0])
+        jobs = [(kron(random_density_matrix(4, 4, 7), zero), 1),
+                (kron(random_density_matrix(4, 4, 8), zero), 2),
+                (projector(w()), 3)]
+        got = entscan.monogamy_batch(jobs, p, QUICK)
+        assert [r.detail_1_2.path for r in got] == ["descent", "descent", "xstate"]
+        assert [r.detail_1_3.path for r in got] == ["ppt", "ppt", "swap"]
+        for (rho, seed), res in zip(jobs, got):
+            alone = monogamy(rho, p, replace(QUICK, seed=seed))
+            assert (res.e_1_23, res.e_1_2, res.e_1_3, res.m) == (
+                alone.e_1_23, alone.e_1_2, alone.e_1_3, alone.m)
+            for d, e in zip((res.detail_1_23, res.detail_1_2, res.detail_1_3),
+                            (alone.detail_1_23, alone.detail_1_2, alone.detail_1_3)):
+                assert (d.path, d.converged, d.iterations, d.evaluations,
+                        d.restarts) == (e.path, e.converged, e.iterations,
+                                        e.evaluations, e.restarts)
+                assert np.array_equal(d.closest_state, e.closest_state)
 
     def test_ree_never_takes_a_shortcut(self):
         pair = partial_trace(projector(ghz()), [2, 2, 2], [0, 1])
@@ -446,8 +470,9 @@ class TestSweep:
                 == [replace(r, walltime_ms=0.0) for r in serial])
 
     def test_rows_match_pointwise_monogamy(self, monkeypatch):
-        # TFI at lam = 0.5 and low T has entangled pairs, so both batches
-        # of a chunk descend; 3 points a chunk split each alpha's 4
+        # TFI at lam = 0.5 and low T has entangled pairs, which share a
+        # chunk's xstate solve, and every E(1:23) descends; 3 points a
+        # chunk split each alpha's 4
         monkeypatch.setattr(entscan, "SWEEP_BATCH_ROWS", 6)
         cfg = entscan.SweepConfig(
             model="tfi", fixed={"lam": 0.5}, sweep_param="temp",

@@ -49,7 +49,10 @@ def test_parity_dump(monkeypatch, capsys):
     assert sweep_lines[0] == "sweep " + CSV_HEADER.rpartition(",")[0]
     assert len(sweep_lines) == 5
     assert sum(ln.startswith("oracle ") for ln in lines) == 27
-    assert re.fullmatch(r"totals descents=15 restarts=15 iterations=\d+ "
+    assert re.fullmatch(r"accuracy pairs=\d+ min=\S+ median=\S+ max=\S+ "
+                        r"converged_above_1e-06=\d+ uncertified=\d+", lines[-2])
+    # library ree on the 15 zoo points: E(1:23) and both pairs each
+    assert re.fullmatch(r"totals descents=45 restarts=45 iterations=\d+ "
                         r"evaluations=\d+ unconverged=\d+ lockstep=\d+",
                         lines[-1])
 

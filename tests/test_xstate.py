@@ -1,0 +1,210 @@
+import math
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from qree import xstate
+from qree.entscan import CUT_PAIR, exact_ree, monogamy
+from qree.qmat import (kron, partial_trace, partial_transpose, projector,
+                       random_density_matrix, random_unitary)
+from qree.renyi import RenyiParameter, rel_entropy
+from qree.sepstates import OptimizerOptions, ree
+from qree.spinchain import ModelParams, hamiltonian, thermal_state
+from qree.statezoo import star, w
+
+ZOO_PARAMS = (RenyiParameter(1.0), RenyiParameter(0.7, "trad"),
+              RenyiParameter(1.5, "trad"), RenyiParameter(0.5, "sand"),
+              RenyiParameter(3.0, "sand"))
+OPTS = OptimizerOptions(restarts=4, max_iters=2000, components=16, seed=5)
+# ln 3 - (4/3) ln 2: W's pair at KL, closest state diag-block (4/9, 1/9)
+# on {00, 11} and the rank-1 block (2/9) [[1, 1], [1, 1]] on {01, 10}
+W_PAIR_KL = math.log(3) - 4 / 3 * math.log(2)
+
+
+def pair(psi, keep):
+    return partial_trace(projector(psi), [2, 2, 2], keep)
+
+
+def random_npt_x_state(rng):
+    """A seeded NPT X-state turned by a random local unitary."""
+    while True:
+        p = rng.dirichlet(np.ones(4))
+        outer = rng.uniform() * math.sqrt(p[0] * p[3]) * np.exp(2j * math.pi * rng.uniform())
+        inner = rng.uniform() * math.sqrt(p[1] * p[2]) * np.exp(2j * math.pi * rng.uniform())
+        rho = np.diag(p).astype(complex)
+        rho[0, 3], rho[3, 0] = outer, np.conj(outer)
+        rho[1, 2], rho[2, 1] = inner, np.conj(inner)
+        if np.linalg.eigvalsh(partial_transpose(rho, [2, 2], 1))[0] < -1e-3:
+            u = kron(random_unitary(2, int(rng.integers(1 << 30))),
+                     random_unitary(2, int(rng.integers(1 << 30))))
+            return u @ rho @ u.conj().T
+
+
+def reproduces(rho, found):
+    frame, rho_x = found
+    assert np.abs(frame @ rho_x @ frame.conj().T - rho).max() <= 1e-14
+    assert np.allclose(frame.conj().T @ frame, np.eye(4), atol=1e-14)
+    # a real X-state with non-negative coherences
+    assert np.array_equal(rho_x.imag, np.zeros((4, 4)))
+    assert np.count_nonzero(rho_x[~xstate._X_PATTERN]) == 0
+    assert rho_x[0, 3].real >= 0 and rho_x[1, 2].real >= 0
+
+
+class TestDetection:
+    def test_w_pairs_are_z_z_x_states(self):
+        for keep in ((0, 1), (0, 2)):
+            rho = pair(w(), keep)
+            found = xstate.x_frame(rho)
+            reproduces(rho, found)
+            # Z (x) Z: the frame is diagonal, local phases only
+            frame = found[0]
+            assert np.abs(frame - np.diag(np.diagonal(frame))).max() <= 1e-15
+
+    def test_star_pairs_need_rotated_axes(self):
+        for keep in ((0, 1), (0, 2)):
+            rho = pair(star(), keep)
+            assert all(np.abs(rho @ op - op @ rho).max() > 0.1
+                       for op in (xstate._PAULI_PAIRS[3 * i + j]
+                                  for i, j in xstate._ALIGNED))
+            found = xstate.x_frame(rho)
+            reproduces(rho, found)
+            assert np.abs(found[0] - np.diag(np.diagonal(found[0]))).max() > 0.1
+
+    def test_xyz_thermal_pair(self):
+        rho3 = thermal_state(hamiltonian(ModelParams.xyz(0.8, 0.5, 1.0)), 0.25).rho
+        for keep in ((0, 1), (0, 2)):
+            rho = partial_trace(rho3, [2, 2, 2], keep)
+            reproduces(rho, xstate.x_frame(rho))
+
+    def test_random_npt_pair_is_refused_and_descends(self):
+        rho = random_density_matrix(4, 4, 7)
+        assert np.linalg.eigvalsh(partial_transpose(rho, [2, 2], 1))[0] < 0
+        assert xstate.x_frame(rho) is None
+        assert xstate.ree_batch([rho], RenyiParameter(1.0)) == [None]
+        assert exact_ree(rho, CUT_PAIR, RenyiParameter(1.0)) is None
+        quick = OptimizerOptions(restarts=1, max_iters=30, components=4, seed=0)
+        res = monogamy(kron(rho, np.diag([1.0, 0.0])), RenyiParameter(1.0), quick)
+        assert res.detail_1_2.path == "descent"
+
+
+class TestSolver:
+    def test_w_pair_at_kl(self):
+        res = exact_ree(pair(w(), (0, 1)), CUT_PAIR, RenyiParameter(1.0))
+        assert res.path == "xstate"
+        assert abs(res.value - W_PAIR_KL) <= 1e-8
+        assert res.lower_bound <= W_PAIR_KL <= res.value
+
+    @pytest.mark.parametrize("p", ZOO_PARAMS, ids=str)
+    def test_at_or_below_the_descent(self, p):
+        rng = np.random.default_rng(31)
+        rhos = [random_npt_x_state(rng) for _ in range(3)]
+        for rho, res in zip(rhos, xstate.ree_batch(rhos, p)):
+            descent = ree(rho, CUT_PAIR, p, OPTS).value
+            # the descent's stall test resolves a value to about 1e-9 here
+            assert res.value <= descent + 1e-9
+            assert res.lower_bound <= min(res.value, descent)
+
+    def test_bound_holds_where_the_optimum_nears_the_floor(self):
+        # a near-pure thermal pair: rho's smallest eigenvalue is about 1e-8,
+        # and a step onto a singular sigma there lowers only the floored
+        # value, so a bound taken there would exceed the minimum
+        rho3 = thermal_state(hamiltonian(ModelParams.tfi(2.0)), 0.1).rho
+        rho = partial_trace(rho3, [2, 2, 2], (0, 1))
+        p = RenyiParameter(1.0)
+        res = exact_ree(rho, CUT_PAIR, p)
+        assert res.path == "xstate" and res.converged
+        descent = ree(rho, CUT_PAIR, p, OPTS).value
+        assert res.lower_bound <= min(res.value, descent)
+        assert res.value <= descent + 1e-9
+
+    def test_batch_equals_one_by_one(self):
+        rng = np.random.default_rng(32)
+        rhos = [random_npt_x_state(rng) for _ in range(3)] + [pair(w(), (0, 1)),
+                                                              pair(star(), (0, 2))]
+        # rank 4 and rank 2 states share the batch
+        for p in (RenyiParameter(1.0), RenyiParameter(3.0, "sand")):
+            batch = xstate.ree_batch(rhos, p)
+            for rho, got in zip(rhos, batch):
+                alone = xstate.ree_batch([rho], p)[0]
+                assert got.value == alone.value
+                assert np.array_equal(got.closest_state, alone.closest_state)
+                assert (got.lower_bound, got.iterations, got.evaluations) == (
+                    alone.lower_bound, alone.iterations, alone.evaluations)
+
+    @pytest.mark.parametrize("p", ZOO_PARAMS, ids=str)
+    def test_flags_tell_the_truth(self, p):
+        for res in xstate.ree_batch([pair(w(), (0, 1)), pair(star(), (0, 1))], p):
+            assert res.converged == (res.value - res.lower_bound
+                                     <= xstate.XSTATE_TOLERANCE)
+            assert res.iterations > 0 and res.evaluations > res.iterations
+            assert res.restarts == ()
+
+    def test_value_is_reproducible_from_the_closest_state(self):
+        rho = pair(star(), (0, 1))
+        p = RenyiParameter(2.0, "sand")
+        res = xstate.ree_batch([rho], p)[0]
+        sigma = res.closest_state
+        assert res.value == rel_entropy(rho, sigma, p)
+        # separable: positive partial transpose
+        assert np.linalg.eigvalsh(partial_transpose(sigma, [2, 2], 1))[0] > 0
+
+
+class TestUncertifiedPairsDescend:
+    def test_tfi_pair_at_sandwiched_half(self):
+        # a near-pure thermal pair (rho's smallest eigenvalues 7e-8 and
+        # 2.5e-6) whose barrier solve stalls short of its certificate at
+        # sandwiched 1/2: the pair descends instead
+        rho3 = thermal_state(hamiltonian(ModelParams.tfi(2.0)), 0.1).rho
+        rho = partial_trace(rho3, [2, 2, 2], (0, 1))
+        p = RenyiParameter(0.5, "sand")
+        exact = exact_ree(rho, CUT_PAIR, p)
+        assert exact is None or exact.converged
+        opts = OptimizerOptions(restarts=2, max_iters=300, components=8, seed=3)
+        res = monogamy(rho3, p, opts).detail_1_2
+        assert res.converged
+        # the descent's value at these options before the xstate path
+        assert res.value <= 0.022756507375067236
+
+    def test_uncertified_results_are_dropped(self, monkeypatch):
+        real = xstate.ree_batch
+        monkeypatch.setattr(xstate, "ree_batch", lambda rhos, p: [
+            None if r is None else replace(r, converged=False) for r in real(rhos, p)])
+        p = RenyiParameter(1.0)
+        assert exact_ree(pair(star(), (0, 1)), CUT_PAIR, p) is None
+        quick = OptimizerOptions(restarts=1, max_iters=30, components=4, seed=0)
+        res = monogamy(projector(star()), p, quick)
+        assert [d.path for d in (res.detail_1_2, res.detail_1_3)] == ["descent"] * 2
+
+
+def test_linear_minimum_matches_a_search_of_the_feasible_set():
+    # c.z over the feasible set: for fixed (a, b, c, d), |x| and |y| reach
+    # sqrt(min(a d, b c)); a fine simplex grid then brackets the minimum
+    rng = np.random.default_rng(33)
+    m = 60
+    grid = np.array([(i, j, k, m - i - j - k) for i in range(m + 1)
+                     for j in range(m + 1 - i) for k in range(m + 1 - i - j)]) / m
+    reach = np.sqrt(np.minimum(grid[:, 0] * grid[:, 3], grid[:, 1] * grid[:, 2]))
+    cs = rng.standard_normal((40, 6)) * rng.choice([1e-2, 1.0, 1e2], size=(40, 1))
+    cs[:5, 4:] = 0.0                         # no coherence term
+    cs[5:10, 3] = cs[5:10, 0]                # equal weights on a and d
+    lmo = xstate._lmo(cs)
+    for c, low in zip(cs, lmo):
+        searched = (grid @ c[:4] - (abs(c[4]) + abs(c[5])) * reach).min()
+        assert low <= searched + 1e-12 * np.abs(c).max()
+        # a grid of spacing 1/60 lands within a few percent of the minimum
+        assert searched - low <= 0.05 * np.abs(c).max()
+
+
+def test_import_loads_no_scipy():
+    src = pathlib.Path(xstate.__file__).resolve().parent.parent
+    code = ("import sys, qree, qree.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"
