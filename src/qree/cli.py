@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tc)
 
     p = sub.add_parser("check", help="closed-form vs numeric self-tests")
-    p.add_argument("--n", type=int, default=25)
+    p.add_argument("--n", type=parse_count, default=25)
     p.add_argument("--seed", type=parse_seed, default=0)
     p.set_defaults(fn=cmd_check)
     return ap

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import xstate
 from .qmat import Bipartition, partial_trace, partial_transpose
-from .renyi import RenyiParameter, rel_entropy
+from .renyi import RenyiParameter
 from .sepstates import (ALGORITHM_VERSION, OptimizerOptions, REEResult,
                         check_parameter, pure_ree, ree, ree_batch)
 from .spinchain import ModelParams, hamiltonian, thermal_state
@@ -46,8 +46,6 @@ CUT_PAIR = Bipartition(2, 2)
 # a pair state counts as PPT when lambda_min(rho^Gamma) >= -tau, with
 # tau = PPT_ROUNDING * lambda_max(rho^Gamma): the d * eps rounding rule
 PPT_ROUNDING = CUT_PAIR.dim * np.finfo(float).eps
-# largest entry difference at which rho_13 counts as rho_12 up to SWAP
-SWAP_MATCH_TOL = 1e-12
 # a sweep gathers the points of one parameter into chunks of at most
 # max(1, SWEEP_BATCH_ROWS // restarts) points, whose descents of one cut
 # run as one batch: per-row cost falls steeply from 3 rows to some tens
@@ -97,60 +95,43 @@ def _ppt_result(rho: np.ndarray) -> REEResult | None:
                      restarts=(), path="ppt", lower_bound=0.0)
 
 
-def _closed_form(rho: np.ndarray, cut: Bipartition,
-                 p: RenyiParameter) -> REEResult | None:
-    """``ppt`` on a pair cut, then ``pure``; None when rho takes neither."""
-    ppt = _ppt_result(rho) if cut == CUT_PAIR else None
-    return ppt or pure_ree(rho, cut, p)
+def exact_batch(rhos: list[np.ndarray], cut: Bipartition,
+                p: RenyiParameter) -> list[REEResult | None]:
+    """The REE of every rho in ``rhos`` across ``cut`` by an exact path, in
+    the order ``ppt`` (pair cuts), ``pure``, ``xstate`` (pair cuts); None
+    for a state that takes none of them (the paths are set out in
+    ``monogamy``).
 
-
-def _certified(pairs: list[np.ndarray],
-               p: RenyiParameter) -> list[REEResult | None]:
-    """``xstate.ree_batch`` of two-qubit states, keeping only the results
-    whose certificate holds (``converged``); a pair that is not an X-state,
-    or whose solve stops short of its certificate, gets None and descends."""
-    return [res if res is not None and res.converged else None
-            for res in xstate.ree_batch(pairs, p)]
+    The pairs that take neither closed form try ``xstate`` in one
+    ``xstate.ree_batch`` call, whose rows do not depend on each other, so
+    each result equals ``exact_ree`` of its state alone, bit for bit.  A
+    pair that is not an X-state, or whose solve stops short of its
+    certificate (``converged`` False), gets None."""
+    out = [(_ppt_result(rho) if cut == CUT_PAIR else None)
+           or pure_ree(rho, cut, p) for rho in rhos]
+    todo = [i for i, res in enumerate(out) if res is None]
+    if cut == CUT_PAIR:
+        for i, res in zip(todo, xstate.ree_batch([rhos[i] for i in todo], p)):
+            out[i] = res if res is not None and res.converged else None
+    return out
 
 
 def exact_ree(rho: np.ndarray, cut: Bipartition,
               p: RenyiParameter) -> REEResult | None:
-    """The REE of rho across ``cut`` by an exact path, in the order
-    ``ppt`` (pair cuts), ``pure``, ``xstate`` (pair cuts, certified
-    results only); None when rho takes none of them (see ``monogamy``).
-
-    ``xstate`` takes a pair that is an X-state up to a local rotation:
-    twirling sigma over that local symmetry keeps it separable and cannot
-    raise the divergence (Vollbrecht & Werner, PRA 64, 062307 (2001)), so
-    the minimum runs over PPT X-states, a convex problem in five real
-    numbers (Frank & Lieb, J. Math. Phys. 54, 122201 (2013)) that
-    ``xstate.ree_batch`` solves with a certified ``lower_bound``."""
-    res = _closed_form(rho, cut, p)
-    if res is None and cut == CUT_PAIR:
-        res = _certified([rho], p)[0]
-    return res
+    """``exact_batch`` of one state."""
+    return exact_batch([rho], cut, p)[0]
 
 
-def _swap_qubits(rho: np.ndarray) -> np.ndarray:
-    """SWAP rho SWAP for a two-qubit state."""
-    return rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-
-
-def _swap_match(rho13: np.ndarray, rho12: np.ndarray) -> bool | None:
-    """False when rho13 is rho12 and True when it is SWAP rho12 SWAP,
-    within SWAP_MATCH_TOL per entry; None when it is neither."""
-    for swapped, match in ((False, rho12), (True, _swap_qubits(rho12))):
-        if np.abs(rho13 - match).max() <= SWAP_MATCH_TOL:
-            return swapped
-    return None
-
-
-def _swap_result(rho13: np.ndarray, r12: REEResult, swapped: bool,
-                 p: RenyiParameter) -> REEResult:
-    """E(1:3) from E(1:2)'s closest state, SWAPped when ``swapped``."""
-    sigma = _swap_qubits(r12.closest_state) if swapped else r12.closest_state
-    return replace(r12, value=rel_entropy(rho13, sigma, p),
-                   closest_state=sigma, path="swap")
+def _ree_pass(rhos: list[np.ndarray], seeds: list[int], cut: Bipartition,
+             p: RenyiParameter, opts: OptimizerOptions) -> list[REEResult]:
+    """``exact_batch`` of ``rhos``, then one ``sepstates.ree_batch`` of the
+    states it leaves open, state i descending with ``seeds[i]``."""
+    out = exact_batch(rhos, cut, p)
+    todo = [i for i, res in enumerate(out) if res is None]
+    done = ree_batch([(rhos[i], seeds[i]) for i in todo], cut, p, opts)
+    for i, res in zip(todo, done):
+        out[i] = res
+    return out
 
 
 def monogamy(rho3: np.ndarray, p: RenyiParameter,
@@ -158,9 +139,9 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
     """E(1:23), E(1:2), E(1:3) and their monogamy combination for an
     8-dimensional three-qubit state.
 
-    Every cut first tries exact paths, recorded in ``REEResult.path``: a
-    pair cut tries ``ppt``, ``pure``, ``swap`` (E(1:3)) and ``xstate`` in
-    that order; E(1:23) comes from ``pure`` or the descent:
+    Every cut first tries exact paths (``exact_batch``), recorded in
+    ``REEResult.path``: a pair cut tries ``ppt``, ``pure`` and ``xstate``
+    in that order; E(1:23) comes from ``pure`` or the descent:
 
     - ``"ppt"``: a two-qubit state with a positive partial transpose is
       separable (Peres, PRL 77, 1413 (1996); Horodecki, PLA 223, 1
@@ -175,12 +156,6 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
       Schmidt weights from the Schmidt-diagonal closest state
       (``sepstates.pure_ree``): beta = 1 for KL, 1/alpha for the
       traditional form and alpha/(2 alpha - 1) for the sandwiched form.
-    - ``"swap"``: the separable set is SWAP-invariant and D_alpha is
-      unitarily invariant, so when rho_13 equals rho_12 or
-      SWAP rho_12 SWAP, E(1:3) reuses E(1:2)'s closest state (SWAPped
-      in the second case).  The value is re-evaluated at that state, so
-      it stays an upper bound reproducible from ``closest_state``; when
-      rho_13 equals rho_12 exactly it is bit-identical to E(1:2).
     - ``"xstate"``: a pair that commutes with (n1.sigma) (x) (n2.sigma) is
       an X-state after a local rotation.  Twirling sigma over that local
       symmetry keeps it separable and cannot raise D_alpha (Vollbrecht &
@@ -201,51 +176,31 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
 
 
 def monogamy_batch(jobs: list[tuple[np.ndarray, int]], p: RenyiParameter,
-                   opts: OptimizerOptions = OptimizerOptions()) -> list[MonogamyResult]:
+                   opts: OptimizerOptions = OptimizerOptions()
+                   ) -> list[MonogamyResult]:
     """``monogamy`` of every (rho3, seed) in ``jobs`` at ``p``, each equal
     bit for bit to ``monogamy(rho3, p, replace(opts, seed=seed))``.
 
-    The closed forms (``ppt``, ``pure``) of every cut of every point are
-    decided first; the swap test needs only rho_12 and rho_13.  Every pair
-    left then tries ``xstate`` in one batched solve (``xstate.ree_batch``),
-    whose uncertified results are dropped.  The remaining descents run as two ``sepstates.ree_batch`` calls: every
-    E(1:23), and every E(1:2) with every E(1:3).
+    Two passes, each over one cut: E(1:23) of every rho3, then the pair
+    cut of every rho_12 followed by every rho_13.  A pass runs
+    ``exact_batch`` over its states, whose ``xstate`` solves share one
+    batch, then descends the states left open as one
+    ``sepstates.ree_batch`` call, each with its point's seed.
     """
     rhos = [np.asarray(rho3, dtype=complex) for rho3, _ in jobs]
     if any(rho3.shape != (8, 8) for rho3 in rhos):
         raise ValueError("monogamy expects an 8x8 three-qubit state")
     seeds = [seed for _, seed in jobs]
-    r123 = [exact_ree(rho3, CUT_1_23, p) for rho3 in rhos]
-    rho12 = [partial_trace(rho3, [2, 2, 2], [0, 1]) for rho3 in rhos]
-    rho13 = [partial_trace(rho3, [2, 2, 2], [0, 2]) for rho3 in rhos]
-    r12 = [_closed_form(rho, CUT_PAIR, p) for rho in rho12]
-    r13 = [_closed_form(rho, CUT_PAIR, p) for rho in rho13]
-    swapped = [None if r is not None else _swap_match(b, a)
-               for r, a, b in zip(r13, rho12, rho13)]
-    # (result list, point, state) of every pair still open
-    open_pairs = ([(r12, i, rho12[i]) for i, r in enumerate(r12) if r is None]
-                  + [(r13, i, rho13[i]) for i, r in enumerate(r13)
-                     if r is None and swapped[i] is None])
-    for (results, i, _), res in zip(open_pairs, _certified(
-            [rho for _, _, rho in open_pairs], p)):
-        results[i] = res
-    pending = (
-        (CUT_1_23, [(r123, i, rhos[i]) for i, r in enumerate(r123) if r is None]),
-        (CUT_PAIR, [(results, i, rho) for results, i, rho in open_pairs
-                    if results[i] is None]),
-    )
-    for cut, slots in pending:
-        done = ree_batch([(rho, seeds[i]) for _, i, rho in slots], cut, p, opts)
-        for (results, i, _), res in zip(slots, done):
-            results[i] = res
+    r123 = _ree_pass(rhos, seeds, CUT_1_23, p, opts)
+    pairs = ([partial_trace(rho3, [2, 2, 2], [0, 1]) for rho3 in rhos]
+             + [partial_trace(rho3, [2, 2, 2], [0, 2]) for rho3 in rhos])
+    r_pairs = _ree_pass(pairs, seeds + seeds, CUT_PAIR, p, opts)
     out = []
-    for i in range(len(rhos)):
-        if r13[i] is None:
-            r13[i] = _swap_result(rho13[i], r12[i], swapped[i], p)
-        m = r123[i].value - r12[i].value - r13[i].value
+    for e123, e12, e13 in zip(r123, r_pairs[:len(rhos)], r_pairs[len(rhos):]):
         out.append(MonogamyResult(
-            e_1_23=r123[i].value, e_1_2=r12[i].value, e_1_3=r13[i].value, m=m,
-            detail_1_23=r123[i], detail_1_2=r12[i], detail_1_3=r13[i]))
+            e_1_23=e123.value, e_1_2=e12.value, e_1_3=e13.value,
+            m=e123.value - e12.value - e13.value,
+            detail_1_23=e123, detail_1_2=e12, detail_1_3=e13))
     return out
 
 

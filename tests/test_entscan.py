@@ -6,7 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -139,12 +139,13 @@ class TestMonogamyShortcuts:
                     d.restarts) == (True, 0, 0, ())
             below_sampling(res, rho, p)
 
-    def test_w_second_pair_reuses_the_first(self):
+    def test_w_pairs_match_bit_for_bit(self):
+        # W's rho_13 equals its rho_12, and the rows of one xstate batch do
+        # not depend on each other
         rho = projector(w())
         p = RenyiParameter(1.0)
         res = monogamy(rho, p, FAST)
-        assert res.detail_1_2.path == "xstate"
-        assert res.detail_1_3.path == "swap"
+        assert res.detail_1_2.path == res.detail_1_3.path == "xstate"
         assert res.e_1_3 == res.e_1_2
         assert res.detail_1_3.iterations == res.detail_1_2.iterations
         below_sampling(res, rho, p)
@@ -215,33 +216,45 @@ class TestMonogamyShortcuts:
             assert np.array_equal(res.detail_1_2.closest_state,
                                   0.5 * (pair + pair.conj().T))
 
-    def test_swapped_pair_reuses_swapped_state(self):
+    def test_swapped_pairs_agree(self):
         rho = chiral_state()
         p = RenyiParameter(2.0, "sand")
         rho12 = partial_trace(rho, [2, 2, 2], [0, 1])
         rho13 = partial_trace(rho, [2, 2, 2], [0, 2])
         assert np.abs(rho13 - rho12).max() > 0.1
+        assert np.abs(rho13 - SWAP @ rho12 @ SWAP).max() <= 1e-15
         res = monogamy(rho, p, FAST)
         d12, d13 = res.detail_1_2, res.detail_1_3
-        # the cyclic symmetry makes rho_12 an X-state up to a local rotation
-        assert (d12.path, d13.path) == ("xstate", "swap")
-        assert np.array_equal(d13.closest_state, SWAP @ d12.closest_state @ SWAP)
-        # re-evaluated at the reused state, not copied from E(1:2)
+        # the cyclic symmetry makes both pairs X-states up to a local
+        # rotation; the separable set is SWAP-invariant, so they share
+        # their REE, and each is solved on its own
+        assert (d12.path, d13.path) == ("xstate", "xstate")
+        assert d12.converged and d13.converged
         assert res.e_1_3 == rel_entropy(rho13, d13.closest_state, p)
         assert abs(res.e_1_3 - res.e_1_2) <= 1e-12
         below_sampling(res, rho, p)
 
-    def test_pair_descents_share_a_batch(self):
+    def test_pair_descents_share_a_batch(self, monkeypatch):
         # pairs that are not X-states: both points' E(1:2) descend in one
-        # batch, next to an xstate pair (W) and their ppt E(1:3)
+        # batch, next to W's two xstate pairs and their ppt E(1:3)
         p = RenyiParameter(1.5, "trad")
         zero = np.diag([1.0, 0.0])
         jobs = [(kron(random_density_matrix(4, 4, 7), zero), 1),
                 (kron(random_density_matrix(4, 4, 8), zero), 2),
                 (projector(w()), 3)]
+        calls = []
+        for module in (entscan.xstate, entscan):
+            def counting(states, *args, real=module.ree_batch, module=module):
+                calls.append((module.__name__, len(states)))
+                return real(states, *args)
+            monkeypatch.setattr(module, "ree_batch", counting)
         got = entscan.monogamy_batch(jobs, p, QUICK)
+        # one descent batch per cut (the mixed points' E(1:23), then their
+        # E(1:2)) and one xstate batch for every pair not ppt
+        assert calls == [("qree.entscan", 2), ("qree.xstate", 4),
+                         ("qree.entscan", 2)]
         assert [r.detail_1_2.path for r in got] == ["descent", "descent", "xstate"]
-        assert [r.detail_1_3.path for r in got] == ["ppt", "ppt", "swap"]
+        assert [r.detail_1_3.path for r in got] == ["ppt", "ppt", "xstate"]
         for (rho, seed), res in zip(jobs, got):
             alone = monogamy(rho, p, replace(QUICK, seed=seed))
             assert (res.e_1_23, res.e_1_2, res.e_1_3, res.m) == (
@@ -252,6 +265,26 @@ class TestMonogamyShortcuts:
                         d.restarts) == (e.path, e.converged, e.iterations,
                                         e.evaluations, e.restarts)
                 assert np.array_equal(d.closest_state, e.closest_state)
+
+    def test_exact_batch_matches_exact_ree(self):
+        bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        rhos = [random_separable(CUT_PAIR, 6, np.random.default_rng(5)),
+                projector(bell),
+                partial_trace(projector(w()), [2, 2, 2], [0, 1]),
+                partial_trace(projector(star()), [2, 2, 2], [0, 1]),
+                partial_trace(projector(star()), [2, 2, 2], [0, 2]),
+                random_density_matrix(4, 4, 7)]
+        p = RenyiParameter(3.0, "sand")
+        got = entscan.exact_batch(rhos, CUT_PAIR, p)
+        assert [None if r is None else r.path for r in got] == [
+            "ppt", "pure", "xstate", "xstate", "xstate", None]
+        for rho, res in zip(rhos, got[:-1]):
+            alone = entscan.exact_ree(rho, CUT_PAIR, p)
+            for f in fields(res):
+                a, b = getattr(res, f.name), getattr(alone, f.name)
+                assert np.array_equal(a, b) if f.name == "closest_state" else a == b
+        assert entscan.exact_ree(rhos[-1], CUT_PAIR, p) is None
+        assert entscan.exact_batch([], CUT_PAIR, p) == []
 
     def test_ree_never_takes_a_shortcut(self):
         pair = partial_trace(projector(ghz()), [2, 2, 2], [0, 1])
@@ -708,14 +741,18 @@ class TestCli:
         assert re.search(r"line \d+: seed must be non-negative, got -1",
                          capsys.readouterr().err)
 
-    @pytest.mark.parametrize("argv", [["check", "--seed", "-1"],
-                                      ["tc", "--model", "tfi", "--seed", "-1"]],
-                             ids=["check", "tc"])
-    def test_negative_seed_flag_exit(self, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--seed", "-1"], "seed must be a non-negative integer, got '-1'"),
+        (["tc", "--model", "tfi", "--seed", "-1"],
+         "seed must be a non-negative integer, got '-1'"),
+        (["check", "--n", "0"], "--n: must be an integer >= 1, got '0'"),
+        (["check", "--n", "-3"], "--n: must be an integer >= 1, got '-3'")],
+        ids=["check", "tc", "check-n-0", "check-n-negative"])
+    def test_negative_seed_flag_exit(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 1
-        assert "seed must be a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_sweep_missing_file_exit(self):
         assert cli_main(["sweep", "/no/such/file.cfg"]) == 3
