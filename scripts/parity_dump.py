@@ -15,9 +15,9 @@ their bytes):
   solver (``xstate.ree_batch``) on the pairs of W, star and the TFI
   thermal states of acceptance criterion 13 that are X-states and not
   PPT, at the zoo parameters: the count, the smallest, median and largest
-  difference, how many converged descents sit more than 1e-6 above, and
-  how many solves stop short of their certificate (``monogamy`` descends
-  those pairs);
+  difference, how many converged descents sit more than 1e-6 above, how
+  many solves stop short of their certificate (``monogamy`` descends those
+  pairs), and the Newton iterations of the ``xstate`` solves, summed;
 
 and a last ``totals`` line over the library descents ``sepstates.ree``
 runs on the zoo states, which always descend: per zoo point, E(1:23) as
@@ -126,7 +126,7 @@ def main() -> None:
         h = hamiltonian(ModelParams.tfi(lam))
         pairs += [partial_trace(thermal_state(h, temp).rho, [2, 2, 2], keep)
                   for temp in TFI_TEMPS for keep in PAIR_KEEP.values()]
-    diffs, stuck, uncertified = [], 0, 0
+    diffs, stuck, uncertified, newton = [], 0, 0, 0
     for p in ZOO_PARAMS:
         for rho in pairs:
             x = exact_ree(rho, CUT_PAIR, p)
@@ -136,13 +136,15 @@ def main() -> None:
             if x is None or x.path != "xstate":
                 continue
             uncertified += not x.converged
+            newton += x.iterations
             r = ree(rho, CUT_PAIR, p, opts)
             diffs.append(r.value - x.value)
             stuck += r.converged and r.value - x.value > ACCURACY_FLAG
     diffs.sort()
     print(f"accuracy pairs={len(diffs)} min={diffs[0]!r} "
           f"median={float(np.median(diffs))!r} max={diffs[-1]!r} "
-          f"converged_above_{ACCURACY_FLAG:g}={stuck} uncertified={uncertified}")
+          f"converged_above_{ACCURACY_FLAG:g}={stuck} uncertified={uncertified} "
+          f"xstate_iterations={newton}")
 
     descents, lockstep = [], 0
     for rho in states.values():

@@ -136,8 +136,10 @@ def _emit(payload: dict, fmt: str) -> None:
     else:
         keys = list(payload)
         print(",".join(keys))
+        # a field the result leaves out (None) is an empty cell
         print(",".join(f"{payload[k]:.9g}" if isinstance(payload[k], float)
-                       else str(payload[k]) for k in keys))
+                       else "" if payload[k] is None else str(payload[k])
+                       for k in keys))
 
 
 def _matrix_lines(m: np.ndarray) -> list[str]:
@@ -184,7 +186,7 @@ def cmd_ree(args) -> int:
            "value": res.value, "converged": res.converged,
            "restarts_used": len(res.restarts),
            "iterations": res.iterations, "evaluations": res.evaluations,
-           "path": res.path}, args.format)
+           "path": res.path, "lower_bound": res.lower_bound}, args.format)
     return EXIT_OK if res.converged else EXIT_NUMERIC
 
 

@@ -28,18 +28,36 @@ each a rotated second-order cone, which also keep a, b, c, d >= 0.  The
 objective is convex in sigma: D itself for KL, Q = exp((alpha - 1) D) for
 alpha > 1 and -Q for alpha < 1, over the parameter ranges ``renyi``
 accepts (joint convexity and concavity of Q: Lieb; Frank & Lieb, J. Math.
-Phys. 54, 122201 (2013)).  Values and sigma-gradients come from
-``renyi.Divergence`` on the 4x4 sigma, chained through the linear map
-(a, b, c, d, x, y) -> sigma.
+Phys. 54, 122201 (2013)).
 
-``solve_batch`` minimizes it for every state of a batch at once with a
-log-barrier method: Newton steps on t f - sum log(cone slacks), the
-barrier Hessian in closed form and the Hessian of f by forward
-differences of its gradient, t multiplied by BARRIER_GROWTH each time a
-row's Newton decrement falls below CENTERED.  From POLISH_FROM on, each
-centered point is polished by active-set Newton steps (``_polish``).
-Keeping the four constraints separate matters: W's optimum has y^2 = a d
-= b c, the kink of min(a d, b c).
+``_Kernel`` gives D, its gradient and its Hessian in z in closed form.
+rho and sigma split into the outer block on |00>, |11> and the inner one
+on |01>, |10>, and each divergence is a sum over the two 2x2 blocks: KL
+is -S(rho) - sum_B Tr rho_B ln sigma_B, Petz Q = sum_B Tr rho_B^alpha
+sigma_B^(1 - alpha), and sandwiched Q = sum_B Tr h(N_B), h(x) = x^alpha,
+N_B = rho_B^(1/2) sigma_B^(2c) rho_B^(1/2) and c = (1 - alpha) / (2
+alpha).  A block's eigenpairs are closed form, its smaller eigenvalue as
+det / (larger eigenvalue), which keeps its relative accuracy near 0; so
+is N_B's, whose determinant is det rho_B (det sigma_B)^(2c).  The
+derivatives of Tr A g(sigma_B) in the block's (p, q, u) come from the
+first and second divided differences of g at sigma_B's eigenvalues
+(Daleckii-Krein); the sandwiched Hessian adds the first divided
+differences of h' at N_B's.  sigma's eigenvalues are floored at the floor
+of ``renyi`` and rho's eigenvalues within rounding of zero are dropped by
+its rule, so the kernel computes the value of ``renyi.Divergence``, and
+the derivatives of that value.
+
+``solve_batch`` minimizes f for every state of a batch at once with a
+log-barrier method: Newton steps on t f - sum log(cone slacks), both
+Hessians in closed form, t multiplied by BARRIER_GROWTH each time a row's
+Newton decrement falls below CENTERED.  From a row's second centered
+point on, each centered point is polished by Newton steps on the
+optimality conditions with an active set (``_polish``): the cones whose
+slack shrank by at least sqrt(BARRIER_GROWTH) since the previous centered
+point.  On the central path an active cone's slack falls as 1 / t, an
+inactive one's tends to a positive limit.  Keeping the four constraints
+separate matters: W's optimum has y^2 = a d = b c, the kink of min(a d,
+b c).
 
 Rows certify a lower bound from convexity: f* >= f(z) + min over the
 feasible set of grad f . (z' - z) at any feasible z, the Frank-Wolfe gap.
@@ -56,9 +74,11 @@ the minimum is the largest over theta of min(phi_ad, phi_bc), with
 (the minimum of c_a a + c_d d - k theta sqrt(a d) over a + d = 1) and
 phi_bc the same in (c_b, c_c, 1 - theta).  Any theta gives a valid bound,
 and the best is where the falling phi_ad crosses the rising phi_bc.  The
-bound is taken at the centered and the polished points and turns into
-one on D.  It is exact up to rounding wherever sigma's eigenvalues sit
-above the floor of ``renyi``, and is not taken elsewhere.
+bound is taken at every polished point and turns into one on D.  It is
+exact up to rounding wherever each block's smaller eigenvalue, in closed
+form, sits above the floor of ``renyi``, where the floored value is the
+convex divergence, and is not taken elsewhere; the polish mixes in enough
+of I/4 to keep it there, even at a rank-deficient optimum such as W's.
 
 A row stops once its value is within XSTATE_GAP of its best bound; once
 centered at the cap of its barrier weight; when its line search finds no
@@ -72,7 +92,7 @@ import math
 import numpy as np
 
 from .qmat import DEFAULT_FLOOR, Bipartition
-from .renyi import Divergence, RenyiParameter, _drop_rounding_zeros, rel_entropy
+from .renyi import TRADITIONAL, Divergence, RenyiParameter, rel_entropy
 from .sepstates import TOL_OBJECTIVE, REEResult, _check_ree_args, _closest_state
 
 CUT_PAIR = Bipartition(2, 2)
@@ -105,22 +125,8 @@ BARRIER_T_MAX = 3e9
 CAP_CENTERED = 1e-10
 STALL = 0.5
 XSTATE_MAX_ITERS = 200
-# the weight on D from which a centered row tries to finish by ``_polish``
-POLISH_FROM = 1e5
-# forward-difference step of the Hessian of f along a coordinate e: at
-# most FD_HESSIAN_STEP, and at most DIKIN_SHARE / ||e|| in the barrier's
-# local norm, a share of the radius of the barrier's Dikin ellipsoid, which
-# lies inside the feasible set
-FD_HESSIAN_STEP = 1e-6
-DIKIN_SHARE = 1e-3
-# singular values of the dual fit below this share of the largest count
-# as zero (see ``_fitted_duals``)
-FIT_RCOND = 1e-10
-# steps of ``_polish``; it holds a cone active where w g_k <= POLISH_ACTIVE,
-# w the weight on D: on the central path w g_k is 1 / lam_k, lam_k the
-# cone's multiplier on D
-POLISH_STEPS = 3
-POLISH_ACTIVE = 30.0
+# steps of ``_polish``
+POLISH_STEPS = 5
 # the share of I/4 mixed into a polished point where it is evaluated and
 # certified: its eigenvalues are then at least twice the floor of ``renyi``
 POLISH_MIXING = 8.0 * DEFAULT_FLOOR
@@ -140,8 +146,6 @@ _X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
 # z = (a, b, c, d, x, y); the cones (p, q, u) hold u^2 <= p q
 CONES = ((0, 3, 4), (1, 2, 4), (1, 2, 5), (0, 3, 5))
-# the cones that keep sigma's blocks positive; the other two are the PPT ones
-_POSITIVITY = [0, 2]
 _P, _Q, _U = (np.array(c) for c in zip(*CONES))
 _K = np.arange(len(CONES))
 # the Hessian of each g_k = p q - u^2
@@ -153,7 +157,6 @@ _NORMALS = np.zeros((6, len(CONES), 6))
 _NORMALS[_Q, _K, _P] = _NORMALS[_P, _K, _Q] = 1.0
 _NORMALS[_U, _K, _U] = -2.0
 _NORMALS = _NORMALS.reshape(6, -1)
-_SUM_P = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 # the free coordinates (a, b, c, x, y), d = 1 - a - b - c
 _FREE = np.zeros((6, 5))
 _FREE[[0, 1, 2, 4, 5], [0, 1, 2, 3, 4]] = 1.0
@@ -230,63 +233,242 @@ def x_sigma(z: np.ndarray) -> np.ndarray:
     return sigma
 
 
-class _PairObjective:
-    """f = D (KL), Q / Q0 (alpha > 1) or -Q / Q0 (alpha < 1) of real
-    X-states against a stack of real X-state rhos, Q0 the value at I/4,
-    with its gradient in z = (a, b, c, d, x, y).  States of one rank share a
-    ``renyi.Divergence``; ``evaluations`` counts the sigmas each state was
-    evaluated at."""
+# z index of each block's (p, q, u), sigma_B = [[p, u], [u, q]]: the outer
+# block on |00>, |11> and the inner one on |01>, |10>
+_BLOCKS = np.array([[0, 3, 4], [1, 2, 5]])
+# the rows and columns of each block in the 4x4 state
+_BLOCK_ROWS = np.array([[0, 3], [1, 2]])
+# two eigenvalues closer than NEAR times the larger count as equal in the
+# divided differences: their first ones are then the mean derivative and
+# their second ones the matching weighted mean of second derivatives, whose
+# error, second order in the distance, is then below the rounding of the
+# differences themselves
+NEAR = 1e-5
+# entry [i, j] of a 2x2 divided-difference matrix, and [i, j, k] of a 2x2x2
+# one, is its value at i + j, or i + j + k, ones
+_ONES2 = np.indices((2, 2)).sum(axis=0)
+_ONES3 = np.indices((2, 2, 2)).sum(axis=0)
+
+
+def _sum4(x: np.ndarray) -> np.ndarray:
+    """The sums over the last two axes, of length 2 each, in one order
+    whatever the batch: numpy's reductions may order a sum differently
+    with the number of rows, and a row's result must not depend on its
+    batch (see ``_rows``)."""
+    return (x[..., 0, 0] + x[..., 0, 1]) + (x[..., 1, 0] + x[..., 1, 1])
+
+
+def _last(*parts: np.ndarray) -> np.ndarray:
+    """The arrays ``parts`` stacked along a new last axis: np.stack's own
+    cost is most of the time on arrays this small."""
+    out = np.empty(parts[0].shape + (len(parts),))
+    for k, x in enumerate(parts):
+        out[..., k] = x
+    return out
+
+
+def _eig2(p, q, u, det):
+    """Ascending eigenvalues (..., 2) and eigenvectors (..., 2, 2), as
+    columns, of the real symmetric [[p, u], [u, q]] with determinant ``det``
+    in closed form; the smaller eigenvalue is det / (larger), which keeps its
+    relative accuracy where it nears 0."""
+    m, h = 0.5 * (p + q), 0.5 * (p - q)
+    r = np.hypot(h, u)
+    hi = m + r
+    lo = np.where(hi > 0, det / np.where(hi > 0, hi, 1.0), m - r)
+    phi = 0.5 * np.arctan2(u, h)
+    c, s = np.cos(phi), np.sin(phi)
+    return _last(lo, hi), _last(-s, c, c, s).reshape(*c.shape, 2, 2)
+
+
+def _sigma_eigs(z: np.ndarray):
+    """Each block's (n, 2, 2) ascending eigenvalues and (n, 2, 2, 2)
+    eigenvectors at rows z."""
+    p, q, u = np.moveaxis(z[:, _BLOCKS], -1, 0)
+    return _eig2(p, q, u, p * q - u * u)
+
+
+def _first(mu, g, gp):
+    """The first divided difference of a scalar function at ascending pairs
+    mu, from its values g and derivatives gp there (see NEAR); with the
+    pairs that count as equal, and the divisor."""
+    gap = mu[..., 1] - mu[..., 0]
+    near = gap <= NEAR * np.abs(mu[..., 1])
+    step = np.where(near, 1.0, gap)
+    return np.where(near, 0.5 * (gp[..., 0] + gp[..., 1]),
+                    (g[..., 1] - g[..., 0]) / step), near, step
+
+
+def _divided(mu, g, gp, gpp):
+    """First (..., 2, 2) and second (..., 2, 2, 2) divided differences of a
+    scalar function at ascending pairs mu, from its values g, first
+    derivatives gp and second derivatives gpp there (see NEAR)."""
+    first, near, step = _first(mu, g, gp)
+    d0, d1 = gp[..., 0], gp[..., 1]
+    s0, s1 = gpp[..., 0], gpp[..., 1]
+    two0 = np.where(near, (2.0 * s0 + s1) / 6.0, (first - d0) / step)
+    two1 = np.where(near, (s0 + 2.0 * s1) / 6.0, (d1 - first) / step)
+    return (_last(d0, first, d1)[..., _ONES2],
+            _last(0.5 * s0, two0, two1, 0.5 * s1)[..., _ONES3])
+
+
+def _directions(vecs: np.ndarray) -> np.ndarray:
+    """(..., 3, 2, 2) derivatives of a block in p, q and u, in its
+    eigenbasis: V^T E V for E = [[1, 0], [0, 0]], [[0, 0], [0, 1]] and
+    [[0, 1], [1, 0]]."""
+    r0, r1 = vecs[..., 0, :], vecs[..., 1, :]
+    out = np.empty(vecs.shape[:-2] + (3, 2, 2))
+    out[..., 0, :, :] = r0[..., :, None] * r0[..., None, :]
+    out[..., 1, :, :] = r1[..., :, None] * r1[..., None, :]
+    e01 = r0[..., :, None] * r1[..., None, :]
+    out[..., 2, :, :] = e01 + e01.swapaxes(-1, -2)
+    return out
+
+
+def _spectral(at, dirs, first, second):
+    """Gradient (..., 3) and Hessian (..., 3, 3) in (p, q, u) of Tr(A
+    g(sigma_B)), A given in sigma_B's eigenbasis as ``at``, from the divided
+    differences of g (Daleckii-Krein): the gradient is sum_ij A_ij g[i, j]
+    E_ij, the Hessian sum_ijk g[i, j, k] A_ki (E_ij E'_jk + E'_ij E_jk)."""
+    grad = _sum4(dirs * (at * first)[..., None, :, :])
+    t = second * at.swapaxes(-1, -2)[..., :, None, :]
+    half = (dirs[..., :, 0, :, None] * t[..., None, 0, :, :]
+            + dirs[..., :, 1, :, None] * t[..., None, 1, :, :])
+    flat = dirs.reshape(*dirs.shape[:-2], 4)
+    half = half.reshape(flat.shape) @ flat.swapaxes(-1, -2)
+    return grad, half + half.swapaxes(-1, -2)
+
+
+def _power(x, e, live):
+    """x^e at x > 0, and its first two derivatives where ``live``, 0
+    elsewhere."""
+    y = x ** e
+    yp = np.where(live, e * y / x, 0.0)
+    return y, yp, np.where(live, (e - 1.0) * yp / x, 0.0)
+
+
+def _scatter(blocks: np.ndarray) -> np.ndarray:
+    """(n, 6) gradients or (n, 6, 6) Hessians in z from (n, 2, 3) or (n, 2,
+    3, 3) ones in each block's (p, q, u)."""
+    n = len(blocks)
+    if blocks.ndim == 3:
+        out = np.zeros((n, 6))
+        out[:, _BLOCKS] = blocks
+    else:
+        out = np.zeros((n, 6, 6))
+        out[:, _BLOCKS[:, :, None], _BLOCKS[:, None, :]] = blocks
+    return out
+
+
+class _Kernel:
+    """D(rho || sigma) of real X-states sigma against a stack of real
+    X-states rho, with its gradient and Hessian in z = (a, b, c, d, x, y),
+    in closed form block by block (see the module): the floored divergence
+    of ``renyi.Divergence``, with rho's eigenvalues within rounding of zero
+    dropped by the rule of ``renyi._drop_rounding_zeros``.  ``evaluations``
+    counts the sigmas each state was evaluated at."""
 
     def __init__(self, rho_xs: list[np.ndarray], p: RenyiParameter):
         self.p = p
-        # real X-states in, real eigenvectors out: every product stays real
-        w, v = np.linalg.eigh(np.stack(rho_xs).real)
-        ranks = np.count_nonzero(_drop_rounding_zeros(w) > 0, axis=1)
-        self.groups = []
-        self.where = np.empty(len(rho_xs), dtype=int)
-        for rank in dict.fromkeys(ranks.tolist()):
-            members = np.flatnonzero(ranks == rank)
-            self.where[members] = np.arange(len(members))
-            self.groups.append((members, Divergence.of_states(w[members], v[members], p)))
-        self.group_of = np.empty(len(rho_xs), dtype=int)
-        for g, (members, _) in enumerate(self.groups):
-            self.group_of[members] = g
+        rho = np.stack(rho_xs).real
+        lam, u = np.linalg.eigh(rho[:, _BLOCK_ROWS[:, :, None], _BLOCK_ROWS[:, None, :]])
+        cutoff = 4 * np.finfo(float).eps * np.maximum(lam.max(axis=(1, 2)), 0.0)
+        kept = lam > cutoff[:, None, None]
+        lam = np.where(kept, lam, 0.0)
+        self.rank = kept.sum(axis=(1, 2))
+        safe = np.where(kept, lam, 1.0)
+        self.neg_entropy = _sum4(np.where(kept, lam * np.log(safe), 0.0))
+        # each block as its eigenvectors and the weights of the matrix its
+        # value is a trace against: lam for rho_B (KL), lam^alpha for
+        # rho_B^alpha (Petz), and sqrt(lam) for the factor R sqrt(lam) of
+        # rho_B (sandwiched), as in ``renyi.Divergence``: in sigma_B's
+        # eigenbasis the occupations are then sums of non-negative terms,
+        # which keep their relative accuracy where sigma_B nears singular
+        power = (1.0 if p.is_kl else p.alpha if p.variant == TRADITIONAL else 0.5)
+        self.factor = u
+        self.weight = np.where(kept, safe ** power, 0.0)
+        self.det = lam[..., 0] * lam[..., 1]
         self.evaluations = np.zeros(len(rho_xs), dtype=int)
         self.q0 = np.ones(len(rho_xs))
         if not p.is_kl:
-            at_start = np.tile(_START, (len(rho_xs), 1))
-            d0 = self._parts(at_start, np.arange(len(rho_xs)), grad=False)[0]
+            d0 = self.divergence(np.tile(_START, (len(rho_xs), 1)), np.arange(len(rho_xs)))[0]
             self.q0 = np.exp((p.alpha - 1.0) * d0)
 
-    def _parts(self, z: np.ndarray, rows: np.ndarray, grad: bool):
-        ws, vs = np.linalg.eigh(x_sigma(z))
-        if len(self.groups) == 1:
-            div, state = self.groups[0][1], self.where[rows]
-            return (div.value(ws, vs, state=state),
-                    div.sigma_grad(ws, vs, state=state) if grad else None)
-        d = np.empty(len(z))
-        g = np.empty((len(z), 4, 4)) if grad else None
-        for gi, (_, div) in enumerate(self.groups):
-            at = np.flatnonzero(self.group_of[rows] == gi)
-            if not at.size:
-                continue
-            state = self.where[rows[at]]
-            d[at] = div.value(ws[at], vs[at], state=state)
-            if grad:
-                g[at] = div.sigma_grad(ws[at], vs[at], state=state)
-        return d, g
+    def divergence(self, z: np.ndarray, rows: np.ndarray):
+        """(D, grad D, Hessian of D) at rows z of the states ``rows``: (n,),
+        (n, 6) and (n, 6, 6)."""
+        p, n = self.p, len(z)
+        mu, vecs = _sigma_eigs(z)
+        dirs = _directions(vecs)
+        live = mu > DEFAULT_FLOOR
+        wf = np.maximum(mu, DEFAULT_FLOOR)
+        # rho_B's eigenvectors in sigma_B's eigenbasis, scaled by the weights,
+        # and each block's weight matrix there
+        x = vecs.swapaxes(-1, -2) @ self.factor[rows]
+        y = x * self.weight[rows][..., None, :]
+        at = y @ x.swapaxes(-1, -2)
+        if p.is_kl:
+            g = np.log(wf)
+            gp = np.where(live, 1.0 / wf, 0.0)
+            first, second = _divided(mu, g, gp, -gp * gp)
+            grad, hess = _spectral(at, dirs, first, second)
+            d = (self.neg_entropy[rows]
+                 - _sum4(np.diagonal(at, axis1=-2, axis2=-1) * g))
+            return d, -_scatter(grad), -_scatter(hess)
+        a = p.alpha
+        if p.variant == TRADITIONAL:
+            first, second = _divided(mu, *_power(wf, 1.0 - a, live))
+            q = _sum4(np.diagonal(at, axis1=-2, axis2=-1) * wf ** (1.0 - a))
+            grad, hess = _spectral(at, dirs, first, second)
+            log_q = np.log(q)
+        else:
+            # Tr h(N_B), h(x) = x^alpha, N_B = y^T diag(k) y with k =
+            # sigma_B's eigenvalues to the power 2c and y the factor of
+            # rho_B in sigma_B's eigenbasis: the Gram matrix of
+            # ``renyi.Divergence``, or it and zeros, of det rho_B k_0 k_1
+            k, kp, kpp = _power(wf, (1.0 - a) / a, live)
+            first, second = _divided(mu, k, kp, kpp)
+            ny = y.swapaxes(-1, -2) * k[..., None, :] @ y
+            nu, w = _eig2(ny[..., 0, 0], ny[..., 1, 1], ny[..., 0, 1],
+                          self.det[rows] * k[..., 0] * k[..., 1])
+            # sum_i nu_i^alpha = top^alpha rest, with rounding zeros dropped
+            top = nu.max(axis=(1, 2))
+            kept = nu > (self.rank[rows] * np.finfo(float).eps * top)[:, None, None]
+            scaled = nu / top[:, None, None]
+            h, hp, hpp = _power(np.where(kept, scaled, 1.0), a, kept)
+            h = np.where(kept, h, 0.0)
+            hp, hpp = hp / top[:, None, None], hpp / (top * top)[:, None, None]
+            c = y @ w               # N_B's eigenvectors, in sigma_B's eigenbasis
+            grad, hess = _spectral((c * hp[..., None, :]) @ c.swapaxes(-1, -2),
+                                   dirs, first, second)
+            # plus the second derivative of Tr h through N_B
+            moved = (c.swapaxes(-1, -2)[..., None, :, :] @ (first[..., None, :, :] * dirs)
+                     @ c[..., None, :, :])
+            hdd = _last(hpp[..., 0], _first(nu, hp, hpp)[0], hpp[..., 1])[..., _ONES2]
+            flat = moved.reshape(n, 2, 3, 4)
+            hess = hess + ((moved * hdd[..., None, :, :]).reshape(flat.shape)
+                           @ flat.swapaxes(-1, -2))
+            q = _sum4(h)
+            log_q = a * np.log(top) + np.log(q)
+        grad, hess = _scatter(grad) / q[:, None], _scatter(hess) / q[:, None, None]
+        hess = hess - grad[:, :, None] * grad[:, None, :]
+        return log_q / (a - 1.0), grad / (a - 1.0), hess / (a - 1.0)
 
     def __call__(self, z: np.ndarray, rows: np.ndarray):
-        """(D, f, grad f) at rows z of the states ``rows``."""
+        """(D, f, grad f, Hessian of f in the free coordinates) at rows z of
+        the states ``rows``: f = D (KL), Q / Q0 (alpha > 1) or -Q / Q0
+        (alpha < 1), Q0 the value of Q at I/4."""
         self.evaluations += np.bincount(rows, minlength=len(self.evaluations))
-        d, g = self._parts(z, rows, grad=True)
-        grad = np.stack([g[:, 0, 0], g[:, 1, 1], g[:, 2, 2], g[:, 3, 3],
-                         2.0 * g[:, 0, 3], 2.0 * g[:, 1, 2]], axis=1)
-        if self.p.is_kl:
-            return d, d, grad
-        a = self.p.alpha
-        q = np.exp((a - 1.0) * d) / self.q0[rows]
-        return d, math.copysign(1.0, a - 1.0) * q, (abs(a - 1.0) * q)[:, None] * grad
+        d, grad, hess = self.divergence(z, rows)
+        f = d
+        if not self.p.is_kl:
+            a = self.p.alpha
+            q = np.exp((a - 1.0) * d) / self.q0[rows]
+            hess = (abs(a - 1.0) * q)[:, None, None] * (
+                hess + (a - 1.0) * grad[:, :, None] * grad[:, None, :])
+            grad = (abs(a - 1.0) * q)[:, None] * grad
+            f = math.copysign(1.0, a - 1.0) * q
+        return d, f, grad, _FREE.T @ hess @ _FREE
 
     def slope(self, f: np.ndarray) -> np.ndarray:
         """|df/dD| at values f: 1 for KL, |alpha - 1| |f| otherwise.  A
@@ -324,28 +506,10 @@ class _Barrier:
         # the other rows' terms are left finite and unused
         g = np.where(self.ok[:, None], g, 1.0)
         m = dg / g[:, :, None]
+        self.slack = g
         self.value = np.where(self.ok, -np.log(g).sum(axis=1), np.inf)
         self.hess = m.swapaxes(1, 2) @ m - ((1.0 / g)[:, :, None, None] * _CURVE).sum(axis=1)
         self.grad = -m.sum(axis=1)
-
-
-def _fd_points(z: np.ndarray, hess_barrier: np.ndarray):
-    """(B, 5, 6) points z + h_j e_j for the forward differences of the
-    Hessian of f along the free coordinates e_j, and the steps h_j."""
-    local = np.sqrt(np.diagonal(_FREE.T @ hess_barrier @ _FREE, axis1=1, axis2=2))
-    step = np.minimum(FD_HESSIAN_STEP, DIKIN_SHARE / local)
-    return z[:, None, :] + step[:, :, None] * _FREE.T[None], step
-
-
-def _fd_hessian(grad: np.ndarray, moved_grad: np.ndarray,
-                step: np.ndarray) -> np.ndarray:
-    """(B, 5, 5) Hessians of f in the free coordinates from the gradients
-    at z and at its (B, 5) forward-difference points, symmetrized, with
-    the negative eigenvalues that only the differences' error makes (f is
-    convex) set to 0: t times one would turn the Newton step uphill."""
-    diff = (moved_grad - grad[:, None, :]) @ _FREE / step[:, :, None]
-    w, v = np.linalg.eigh(0.5 * (diff + diff.swapaxes(1, 2)))
-    return (v * np.maximum(w, 0.0)[:, None, :]) @ v.swapaxes(1, 2)
 
 
 def _newton(t, grad, bar: _Barrier, hess_f):
@@ -395,80 +559,67 @@ def _lmo(c: np.ndarray) -> np.ndarray:
 def _lower_bound(obj, d, f, z, grad, rows):
     """The lower bound on each row's minimum D from convexity at z, f* >=
     f(z) + min over the feasible set of grad f . (z' - z) (see the module);
-    -inf where an eigenvalue of sigma may sit at or below the floor of
-    ``renyi``, whose floored value is not convex.  Each block's smallest
-    eigenvalue is at least its determinant, the slack of its positivity
-    cone."""
+    -inf where a block's smaller eigenvalue, in closed form, is at or below
+    the floor of ``renyi``: the floored value is not convex there."""
     bound = obj.lower_divergence(d, f, (grad * z).sum(axis=1) - _lmo(grad), rows)
-    return np.where(_normals(z)[1][:, _POSITIVITY].min(axis=1) > DEFAULT_FLOOR,
-                    bound, -np.inf)
+    return np.where(_sigma_eigs(z)[0][..., 0].min(axis=1) > DEFAULT_FLOOR, bound, -np.inf)
 
 
-def _fitted_duals(z: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """(B, K) multipliers lam >= 0 fitting grad f = sum_k lam_k grad g_k +
-    mu (1, 1, 1, 1, 0, 0) by minimum-norm least squares; cones whose lam_k
-    comes out negative leave the fit, which is then repeated.  The four
-    normals are always dependent (grad g_1 - grad g_2 + grad g_3 - grad
-    g_4 = 0), so the minimum-norm fit can split a multiplier across cones
-    with a negative share where a non-negative fit exists."""
-    dg, _ = _normals(z)
-    a = np.concatenate([dg.swapaxes(1, 2), np.broadcast_to(
-        _SUM_P[:, None], (len(z), 6, 1))], axis=2)
-    used = np.ones((len(z), len(CONES) + 1))
-    for _ in range(len(CONES)):
-        lam = (np.linalg.pinv(a * used[:, None, :], rcond=FIT_RCOND)
-               @ grad[:, :, None])[:, :-1, 0]
-        if not (lam < 0).any():
-            break
-        used[:, :-1] *= lam >= 0
-    return np.maximum(lam, 0.0)
-
-
-def _polish(obj, z, d, f, grad, hess_f, rows, weight):
+def _polish(obj, z, d, f, grad, hess_f, rows, active, lam):
     """Up to POLISH_STEPS Newton steps on the optimality conditions of f
-    with the cones of w g_k <= POLISH_ACTIVE held active, from the
-    barrier's last point at weight w on D: the barrier stops about 8 / w
-    short of the minimum, and these steps converge to it quadratically.
-    The Hessian of f is the barrier's last; the Lagrangian adds -sum_k
-    lam_k hess g_k, lam from ``_fitted_duals``.  Each step's
-    coherences are clipped back into the cones and the step is mixed with
-    POLISH_MIXING of I/4, which keeps sigma's eigenvalues above the floor of
-    ``renyi``: there the floored value is the divergence.  A row keeps a
-    step only where it lowers the floored divergence, and stops at the
-    first step it does not keep.  Returns the rows' (z, d, f, grad) at
-    their last kept point and that point before the mixing, which is the
-    one reported: ``ree_batch`` mixes in CLOSEST_STATE_MIXING anyway, and
-    POLISH_MIXING on top of it would raise the value by about 4e-12."""
-    z, d, f, grad = (x.copy() for x in (z, d, f, grad))
+    with the ``active`` cones held at equality, from the barrier's centered
+    point: the barrier stops about 8 / w short of the minimum, w its weight
+    on D, and these steps converge to it quadratically.  The Lagrangian's
+    Hessian is that of f at the current point minus sum_k lam_k hess g_k,
+    lam first the barrier's multipliers 1 / (t g_k) and then those of the
+    previous step.  Each step's coherences are clipped back into the cones
+    and the step is mixed with POLISH_MIXING of I/4, which keeps sigma's
+    eigenvalues above the floor of ``renyi``: there the floored value is
+    the divergence and the certificate may be taken.  A row keeps a step
+    unless it raises the floored divergence by more than rounding, 4 eps
+    max(|D|, 1): the KL value is a difference of terms of order one, so
+    its rounding does not shrink with D.  It stops at the first step it
+    does not keep or once its value is within XSTATE_GAP of its
+    certificate, taken at the start and after every kept step.  Returns
+    the rows' z and value at their last kept point, and their best bound;
+    z before the mixing, which is the point reported: ``ree_batch`` mixes
+    in CLOSEST_STATE_MIXING anyway, and POLISH_MIXING on top of it would
+    raise the value by about 4e-12."""
+    z, d, f, grad, hess_f = (x.copy() for x in (z, d, f, grad, hess_f))
     unmixed = z.copy()
-    live = np.arange(len(z))
+    lam = lam * active
+    lb = _lower_bound(obj, d, f, z, grad, rows)
+    live = np.flatnonzero(d - lb > XSTATE_GAP)
+    eps = np.finfo(float).eps
+    k = len(CONES)
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
         dg, g = _normals(z[live])
-        lam = _fitted_duals(z[live], grad[live])
-        on = (weight[live, None] * g <= POLISH_ACTIVE)[:, :, None]
-        jac = (dg @ _FREE) * on
-        n, k = live.size, len(CONES)
-        kkt = np.zeros((n, 5 + k, 5 + k))
-        kkt[:, :5, :5] = hess_f[live] - (lam[:, :, None, None] * _CURVE_FREE).sum(axis=1)
+        on = active[live]
+        jac = (dg @ _FREE) * on[:, :, None]
+        kkt = np.zeros((live.size, 5 + k, 5 + k))
+        kkt[:, :5, :5] = hess_f[live] - (lam[live, :, None, None] * _CURVE_FREE).sum(axis=1)
         kkt[:, :5, 5:] = -jac.swapaxes(1, 2)
         kkt[:, 5:, :5] = jac
-        kkt[:, 5:, 5:] = np.eye(k) * ~on
-        rhs = np.concatenate([-_rows(grad[live], _FREE), -g * on[:, :, 0]], axis=1)
-        step = (np.linalg.pinv(kkt) @ rhs[:, :, None])[:, :5, 0]
-        trial = z[live] + _rows(step, _FREE.T)
+        kkt[:, 5:, 5:] = np.eye(k) * ~on[:, None, :]
+        rhs = np.concatenate([-_rows(grad[live], _FREE), -g * on], axis=1)
+        sol = (np.linalg.pinv(kkt) @ rhs[:, :, None])[:, :, 0]
+        trial = z[live] + _rows(sol[:, :5], _FREE.T)
         valid = (trial[:, :4] >= 0).all(axis=1)
         reach = np.sqrt(np.maximum(np.minimum(trial[:, 0] * trial[:, 3],
                                               trial[:, 1] * trial[:, 2]), 0.0))
         trial[:, 4:] = np.clip(trial[:, 4:], -reach[:, None], reach[:, None])
         mixed = (1.0 - POLISH_MIXING) * trial + POLISH_MIXING * _START
-        d_t, f_t, g_t = obj(mixed, rows[live])
-        better = valid & (d_t < d[live])
-        live = live[better]
-        z[live], d[live], f[live], grad[live], unmixed[live] = (
-            mixed[better], d_t[better], f_t[better], g_t[better], trial[better])
-    return z, d, f, grad, unmixed
+        d_t, f_t, g_t, h_t = obj(mixed, rows[live])
+        keep = valid & (d_t <= d[live] + 4.0 * eps * np.maximum(np.abs(d[live]), 1.0))
+        at = live[keep]
+        z[at], d[at], f[at], grad[at], hess_f[at], unmixed[at], lam[at] = (
+            mixed[keep], d_t[keep], f_t[keep], g_t[keep], h_t[keep], trial[keep],
+            sol[keep, 5:])
+        lb[at] = np.maximum(lb[at], _lower_bound(obj, d[at], f[at], z[at], grad[at], rows[at]))
+        live = at[d[at] - lb[at] > XSTATE_GAP]
+    return unmixed, d, lb
 
 
 def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
@@ -476,15 +627,15 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
     X-state in ``rho_xs`` (see the module), all rows of one batch.
 
     Each iteration takes one Newton step per row still running; every
-    trial point of the line search is evaluated together with the
-    forward-difference points of its Hessian of f.  The certificate is
-    computed at every centered point from POLISH_FROM on, and where a line
-    search finds no step.  Returns per row (z, lower bound, iterations,
-    evaluations): the closest state's (a, b, c, d, x, y), the best
-    certified lower bound on the minimum, the Newton iterations and the
-    sigmas evaluated."""
+    trial point of the line search is evaluated with its Hessian.  From a
+    row's second centered point on, each centered point is polished
+    (``_polish``) with the cones whose slack shrank by at least
+    sqrt(BARRIER_GROWTH) since the previous one held active, and certified.
+    Returns per row (z, lower bound, iterations, evaluations): the closest
+    state's (a, b, c, d, x, y), the best certified lower bound on the
+    minimum, the Newton iterations and the sigmas evaluated."""
     n = len(rho_xs)
-    obj = _PairObjective(rho_xs, p)
+    obj = _Kernel(rho_xs, p)
     # each row's z and lower bound where it stopped
     record = [np.empty((n, 6)), np.empty(n)]
     iters = np.full(n, XSTATE_MAX_ITERS)
@@ -497,37 +648,36 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
     # found no step
     last = np.full(n, np.inf)
     stalled = capped = np.zeros(n, dtype=bool)
+    # each row's cone slacks at its previous centered point, nan before it
+    before = np.full((n, len(CONES)), np.nan)
+    shrink = math.sqrt(BARRIER_GROWTH)
     bar = _Barrier(z)
-    moved, step = _fd_points(z, bar.hess)
-    d, f, grad = (x.reshape(n, 6, *x.shape[1:]) for x in
-                  obj(np.concatenate([z[:, None], moved], axis=1).reshape(-1, 6),
-                      np.repeat(rows, 6)))
-    hess_f = _fd_hessian(grad[:, 0], grad[:, 1:], step)
-    d, f, grad = d[:, 0], f[:, 0], grad[:, 0]
+    d, f, grad, hess_f = obj(z, rows)
     for it in range(1, XSTATE_MAX_ITERS + 1):
         dz, lam2 = _newton(t, grad, bar, hess_f)
         # at the cap a row centers until its decrement stops falling fast
         cap_centered = (lam2 < CAP_CENTERED) | ((lam2 < CENTERED) & (lam2 > STALL * last))
         centered = np.where(capped, cap_centered, lam2 < CENTERED) | stalled
         stop = np.zeros(len(z), dtype=bool)
-        # the barrier weight on D
-        weight = t * obj.slope(f)
-        # from POLISH_FROM on, a centered row tries to finish: polish, then
-        # certify; it stops once the certificate holds, at the cap, or when
-        # its line search found no step
-        c = np.flatnonzero(centered & ((weight >= POLISH_FROM) | stalled))
+        # a centered row with a cone whose slack shrank with the weight (the
+        # optimum of an entangled rho lies on the boundary, so some cone is
+        # active there), or whose line search found no step, tries to
+        # finish: polish, then certify; it stops once the certificate holds,
+        # at the cap, or when its line search found no step
+        active = before >= shrink * bar.slack
+        c = np.flatnonzero(centered & (active.any(axis=1) | stalled))
         if c.size:
-            zp, dp, fp, gp, zu = _polish(obj, z[c], d[c], f[c], grad[c], hess_f[c],
-                                         rows[c], weight[c])
-            lb[c] = np.maximum(lb[c], np.maximum(
-                _lower_bound(obj, d[c], f[c], z[c], grad[c], rows[c]),
-                _lower_bound(obj, dp, fp, zp, gp, rows[c])))
+            zp, dp, lp = _polish(obj, z[c], d[c], f[c], grad[c], hess_f[c], rows[c],
+                                 active[c], 1.0 / (t[c, None] * bar.slack[c]))
+            lb[c] = np.maximum(lb[c], lp)
             done = (dp - lb[c] <= XSTATE_GAP) | capped[c] | stalled[c]
             at = c[done]
-            z[at], d[at] = zu[done], dp[done]
+            z[at], d[at] = zp[done], dp[done]
             stop[at] = True
+        before[centered] = bar.slack[centered]
         grow = centered & ~stop & ~capped
         if grow.any():
+            weight = t * obj.slope(f)
             hit = grow & (weight * BARRIER_GROWTH >= BARRIER_T_MAX)
             t = np.where(hit, t * BARRIER_T_MAX / weight,
                          np.where(grow, t * BARRIER_GROWTH, t))
@@ -536,8 +686,7 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
         last = lam2
         phi = t * f + bar.value
 
-        # Armijo line search from the full step, each trial evaluated with
-        # its forward-difference points
+        # Armijo line search from the full step
         new = [z.copy(), d.copy(), f.copy(), grad.copy(), hess_f.copy()]
         frac = np.ones(len(z))
         todo = np.flatnonzero(~stop)
@@ -551,16 +700,11 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
             ok = np.flatnonzero(bar_t.ok)
             if ok.size:
                 at = todo[ok]
-                moved, step = _fd_points(trial[ok], bar_t.hess[ok])
-                d_t, f_t, g_t = (x.reshape(ok.size, 6, *x.shape[1:]) for x in obj(
-                    np.concatenate([trial[ok, None], moved], axis=1).reshape(-1, 6),
-                    np.repeat(rows[at], 6)))
-                good = (t[at] * f_t[:, 0] + bar_t.value[ok]
-                        <= phi[at] - ARMIJO * frac[at] * lam2[at])
+                d_t, f_t, g_t, h_t = obj(trial[ok], rows[at])
+                good = t[at] * f_t + bar_t.value[ok] <= phi[at] - ARMIJO * frac[at] * lam2[at]
                 acc = at[good]
-                new[0][acc], new[1][acc], new[2][acc], new[3][acc] = (
-                    trial[ok][good], d_t[good, 0], f_t[good, 0], g_t[good, 0])
-                new[4][acc] = _fd_hessian(g_t[good, 0], g_t[good, 1:], step[good])
+                for out, x in zip(new, (trial[ok], d_t, f_t, g_t, h_t)):
+                    out[acc] = x[good]
                 hit[ok[good]] = True
             if first is None:
                 first = bar_t if hit.all() and todo.size == len(z) else False
@@ -575,9 +719,9 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
                 out[gone] = x[stop]
             iters[gone] = it
             keep = ~stop
-            rows, z, d, f, grad, hess_f, t, lb, last, stalled, capped = (
+            rows, z, d, f, grad, hess_f, t, lb, last, stalled, capped, before = (
                 x[keep] for x in (rows, z, d, f, grad, hess_f, t, lb, last,
-                                  stalled, capped))
+                                  stalled, capped, before))
             if not rows.size:
                 break
             first = False

@@ -605,6 +605,23 @@ class TestCli:
         assert payload["restarts_used"] == payload["iterations"] == 0
         assert abs(payload["value"] - value) < 1e-8
 
+    def test_ree_subcommand_reports_the_lower_bound(self, capsys):
+        # xstate certifies a bound, ppt's is 0, and pure gives none: null in
+        # json and an empty cell in csv
+        argv = ["ree", "--state", "w", "--alpha", "1"]
+        assert cli_main([*argv, "--cut", "1:2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["path"] == "xstate"
+        assert 0 < payload["lower_bound"] <= payload["value"]
+        assert cli_main(["ree", "--state", "ghz", "--cut", "1:2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["lower_bound"] == 0.0
+        assert cli_main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["lower_bound"] is None
+        assert cli_main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["path"] == "pure" and fields["lower_bound"] == ""
+
     def test_monogamy_subcommand(self, capsys):
         code = cli_main(["monogamy", "--model", "xxz", "--j", "1",
                          "--delta", "0.5", "--temp", "1.0",

@@ -12,7 +12,7 @@ from qree import xstate
 from qree.entscan import CUT_PAIR, exact_ree, monogamy
 from qree.qmat import (kron, partial_trace, partial_transpose, projector,
                        random_density_matrix, random_unitary)
-from qree.renyi import RenyiParameter, rel_entropy
+from qree.renyi import Divergence, RenyiParameter, rel_entropy
 from qree.sepstates import OptimizerOptions, ree
 from qree.spinchain import ModelParams, hamiltonian, thermal_state
 from qree.statezoo import star, w
@@ -152,6 +152,134 @@ class TestSolver:
         assert res.value == rel_entropy(rho, sigma, p)
         # separable: positive partial transpose
         assert np.linalg.eigvalsh(partial_transpose(sigma, [2, 2], 1))[0] > 0
+
+
+# the parameters of the kernel tests: KL, Petz and sandwiched on both
+# sides of alpha = 1, up to a large sandwiched alpha
+KERNEL_PARAMS = ((RenyiParameter(1.0),)
+                 + tuple(RenyiParameter(a, "trad") for a in (0.2, 0.7, 1.5, 2.0))
+                 + tuple(RenyiParameter(a, "sand") for a in (0.5, 3.0, 64.0)))
+# real X-states as z = (a, b, c, d, x, y): both blocks rank 1 (W's pair),
+# a rank-1 and a full-rank block, and both blocks full rank
+KERNEL_RHOS = {
+    "rank1": [1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 1 / 3],
+    "rank2": [0.5, 0.1, 0.1, 0.3, 0.0, 0.1],
+    "full": [0.3, 0.2, 0.15, 0.35, 0.25, 0.15],
+}
+# sigma at I/4, where each block's eigenvalues are equal; inside; singular
+# (the inner block, y^2 = b c, its null vector (1, 1) / sqrt 2 inside the
+# support of the rank-1 inner blocks of rho: a null vector orthogonal to it
+# leaves a gradient term of rounding times the floored sigma^(1 - alpha),
+# which no two evaluations share); and on a PPT face (y^2 = a d < b c)
+KERNEL_SIGMAS = {
+    "start": list(xstate._START),
+    "interior": [0.3, 0.25, 0.2, 0.25, 0.1, -0.05],
+    "singular": [0.35, 0.15, 0.15, 0.35, 0.05, -0.15],
+    "ppt": [0.1, 0.3, 0.4, 0.2, 0.05, math.sqrt(0.02)],
+}
+
+
+def kernel_at(rho_z, sigma_z, p):
+    rho = xstate.x_sigma(np.array([rho_z]))[0].astype(complex)
+    return xstate._Kernel([rho], p).divergence(np.array([sigma_z]), np.array([0]))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("p", KERNEL_PARAMS, ids=str)
+    @pytest.mark.parametrize("rho_name", KERNEL_RHOS)
+    @pytest.mark.parametrize("sigma_name", KERNEL_SIGMAS)
+    def test_matches_renyi(self, p, rho_name, sigma_name):
+        if (sigma_name == "singular" and rho_name == "full"
+                and p.variant == "sandwiched" and p.alpha < 1):
+            # a floored sigma eigenvalue against a full-rank rho block puts a
+            # Gram eigenvalue of ``renyi`` below the floor: its gradient
+            # floors that eigenvalue and its value carries eigvalsh's
+            # absolute error on it, while the kernel's closed form does not
+            pytest.skip("renyi's sandwiched Gram eigenvalue below the floor")
+        rho = xstate.x_sigma(np.array([KERNEL_RHOS[rho_name]]))[0].astype(complex)
+        sigma = xstate.x_sigma(np.array([KERNEL_SIGMAS[sigma_name]]))
+        d, grad, _ = kernel_at(KERNEL_RHOS[rho_name], KERNEL_SIGMAS[sigma_name], p)
+        ws, vs = np.linalg.eigh(sigma)
+        div = Divergence(rho, p)
+        g = div.sigma_grad(ws, vs)[0].real
+        ref = np.array([g[0, 0], g[1, 1], g[2, 2], g[3, 3], 2 * g[0, 3], 2 * g[1, 2]])
+        assert abs(d[0] - div.value(ws, vs)[0]) <= 1e-12
+        # relative to the gradient, or to 1 where a floor penalty (Q about
+        # 1e12 at the singular point for alpha > 1) makes grad D tiny
+        assert np.abs(grad[0] - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
+
+    @pytest.mark.parametrize("p", KERNEL_PARAMS, ids=str)
+    @pytest.mark.parametrize("rho_name", KERNEL_RHOS)
+    @pytest.mark.parametrize("sigma_name", ["start", "interior", "ppt", "near_singular"])
+    def test_hessian_matches_central_differences(self, p, rho_name, sigma_name):
+        # the floored value has a kink where an eigenvalue crosses the
+        # floor, so the singular point is replaced by one whose inner block
+        # has its smaller eigenvalue near 1e-6, and the step is a share of it
+        sigma_z = KERNEL_SIGMAS.get(sigma_name, [0.35, 0.15, 0.15, 0.35, 0.05,
+                                                 -math.sqrt(0.0225 - 3e-7)])
+        small = xstate._sigma_eigs(np.array([sigma_z]))[0][0, :, 0].min()
+        step = 1e-4 * min(small, 1e-2)
+        _, _, hess = kernel_at(KERNEL_RHOS[rho_name], sigma_z, p)
+        diff = np.empty((6, 6))
+        for j in range(6):
+            e = np.zeros(6)
+            e[j] = step
+            up = kernel_at(KERNEL_RHOS[rho_name], np.add(sigma_z, e), p)[1][0]
+            down = kernel_at(KERNEL_RHOS[rho_name], np.subtract(sigma_z, e), p)[1][0]
+            diff[j] = (up - down) / (2 * step)
+        assert np.abs(diff - hess[0]).max() <= 1e-6 * np.abs(hess[0]).max()
+
+    def test_batch_rows_keep_their_own_state(self):
+        rhos = [xstate.x_sigma(np.array([z]))[0] for z in KERNEL_RHOS.values()]
+        sigma = np.array([KERNEL_SIGMAS["interior"]] * 3)
+        for p in (RenyiParameter(1.0), RenyiParameter(0.5, "sand")):
+            both = xstate._Kernel(rhos, p).divergence(sigma, np.array([2, 0, 1]))
+            for row, state in enumerate((2, 0, 1)):
+                alone = xstate._Kernel([rhos[state]], p).divergence(
+                    sigma[:1], np.array([0]))
+                for got, want in zip(both, alone):
+                    assert np.array_equal(got[row], want[0])
+
+
+# the Newton iterations of the solves of W's and star's two pairs at the
+# five ZOO_PARAMS, summed (437 with a forward-difference Hessian and a
+# polish that could not certify)
+ZOO_PAIR_ITERATIONS = 246
+
+
+def test_zoo_pair_iterations():
+    pairs = [pair(s(), keep) for s in (w, star) for keep in ((0, 1), (0, 2))]
+    total = 0
+    for p in ZOO_PARAMS:
+        for res in xstate.ree_batch(pairs, p):
+            assert res.path == "xstate" and res.converged
+            assert res.lower_bound <= res.value
+            total += res.iterations
+    assert total <= ZOO_PAIR_ITERATIONS
+
+
+class TestNearPurePairs:
+    @pytest.mark.parametrize("lam", (0.5, 2.0))
+    def test_tfi_pairs_certify_at_sandwiched_half(self, lam):
+        # rho's smallest eigenvalues are about 1e-7 and 1e-6 (lam = 2); the
+        # two pairs are one state up to rounding (3e-16 per entry), so they
+        # must take one path: both certified xstate results
+        rho3 = thermal_state(hamiltonian(ModelParams.tfi(lam)), 0.1).rho
+        rhos = [partial_trace(rho3, [2, 2, 2], keep) for keep in ((0, 1), (0, 2))]
+        p = RenyiParameter(0.5, "sand")
+        res = xstate.ree_batch(rhos, p)
+        for r in res:
+            assert r.path == "xstate" and r.converged
+            assert r.lower_bound <= r.value
+        # the solves agree to rounding; the reported values, re-evaluated by
+        # ``renyi`` at each pair's closest state, carry the absolute error
+        # of its eigvalsh on Gram eigenvalues near 1e-14, up to about 4e-11
+        assert abs(res[0].lower_bound - res[1].lower_bound) <= 1e-12
+        assert abs(res[0].value - res[1].value) <= 1e-10
+        quick = OptimizerOptions(restarts=1, max_iters=30, components=4, seed=0)
+        m = monogamy(rho3, p, quick)
+        assert [d.path for d in (m.detail_1_2, m.detail_1_3)] == ["xstate"] * 2
+        assert abs(m.e_1_2 - m.e_1_3) <= 1e-10
 
 
 class TestUncertifiedPairsDescend:
