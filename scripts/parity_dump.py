@@ -41,7 +41,7 @@ import numpy as np
 
 from qree import xstate
 from qree.cli import parse_count
-from qree.entscan import CUT_PAIR, SweepConfig, exact_ree, monogamy, sweep
+from qree.entscan import CUT_PAIR, SweepConfig, exact_batch, monogamy, sweep
 from qree.qmat import Bipartition, partial_trace, projector
 from qree.renyi import RenyiParameter
 from qree.sepstates import OptimizerOptions, ree, ree_batch, sample_upper_bound
@@ -129,7 +129,7 @@ def main() -> None:
     diffs, stuck, uncertified, newton = [], 0, 0, 0
     for p in ZOO_PARAMS:
         for rho in pairs:
-            x = exact_ree(rho, CUT_PAIR, p)
+            [x] = exact_batch([rho], CUT_PAIR, p)
             if x is None:
                 # not an X-state, or a solve short of its certificate
                 x = xstate.ree_batch([rho], p)[0]

@@ -2,9 +2,10 @@
 
 Modules: ``qmat`` (small dense linear algebra), ``renyi`` (entropies and
 divergences), ``sepstates`` (separable candidates and the REE minimizer),
-``statezoo`` (canonical states), ``spinchain`` (Hamiltonians and thermal
-states), ``entscan`` (monogamy, sweeps, critical temperature, CSV/cache),
-``cli`` (the ``qree`` command).
+``xstate`` (the exact REE of two-qubit X-states), ``statezoo`` (canonical
+states), ``spinchain`` (Hamiltonians and thermal states), ``entscan``
+(monogamy, sweeps, critical temperature, CSV/cache, and ``ree_batch``, the
+REE every reported value comes from), ``cli`` (the ``qree`` command).
 """
 
 from .qmat import Bipartition, SpectralDecomposition

@@ -19,7 +19,7 @@ import numpy as np
 from . import entscan, statezoo
 from .qmat import partial_trace, projector, random_density_matrix
 from .renyi import RenyiParameter, sand_rel_entropy, trad_rel_entropy
-from .sepstates import OptimizerOptions, check_parameter, ree
+from .sepstates import OptimizerOptions, check_parameter
 from .spinchain import (ModelParams, analytic_partition, hamiltonian,
                         tfi_analytic, thermal_state, xyz_analytic)
 
@@ -177,11 +177,9 @@ def cmd_ree(args) -> int:
         p, opts = _parameter(args), _options(args)
     cut = CUTS[args.cut]
     if cut.dim != rho.shape[0]:
-        if args.cut == "1:23":
-            raise entscan.ConfigError("cut 1:23 needs a three-qubit state")
         keep = [0, 1] if args.cut == "1:2" else [0, 2]
         rho = partial_trace(rho, [2, 2, 2], keep)
-    res = entscan.exact_ree(rho, cut, p) or ree(rho, cut, p, opts)
+    res = entscan.ree_batch([(rho, opts.seed)], cut, p, opts)[0]
     _emit({"cut": args.cut, "alpha": args.alpha, "variant": args.variant,
            "value": res.value, "converged": res.converged,
            "restarts_used": len(res.restarts),

@@ -27,15 +27,15 @@ import logging
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import xstate
+from . import sepstates, xstate
 from .qmat import Bipartition, partial_trace, partial_transpose
 from .renyi import RenyiParameter
 from .sepstates import (ALGORITHM_VERSION, OptimizerOptions, REEResult,
-                        check_parameter, pure_ree, ree, ree_batch)
+                        check_parameter, pure_ree)
 from .spinchain import ModelParams, hamiltonian, thermal_state
 
 log = logging.getLogger(__name__)
@@ -43,9 +43,13 @@ log = logging.getLogger(__name__)
 CUT_1_23 = Bipartition(2, 4)
 CUT_PAIR = Bipartition(2, 2)
 
-# a pair state counts as PPT when lambda_min(rho^Gamma) >= -tau, with
-# tau = PPT_ROUNDING * lambda_max(rho^Gamma): the d * eps rounding rule
-PPT_ROUNDING = CUT_PAIR.dim * np.finfo(float).eps
+# a pair state counts as PPT when lambda_min(rho^Gamma) >= -tau, tau =
+# PPT_ROUNDING * lambda_max(rho^Gamma) < 1e-12, which covers the rounding a
+# thermal pair brings from its three-qubit state, whose weights carry
+# relative errors of about eps beta ||H||: exactly PPT pairs of the XYZ, XXZ
+# and TFI chains read lambda_min down to -33 eps lambda_max at T = 0.05 and
+# -710 at T = 0.01.  0 is exact to ln(1 + 4 tau) < 4e-12 (see ``monogamy``)
+PPT_ROUNDING = 2.0 ** 12 * np.finfo(float).eps
 # a sweep gathers the points of one parameter into chunks of at most
 # max(1, SWEEP_BATCH_ROWS // restarts) points, whose descents of one cut
 # run as one batch: per-row cost falls steeply from 3 rows to some tens
@@ -104,8 +108,8 @@ def exact_batch(rhos: list[np.ndarray], cut: Bipartition,
 
     The pairs that take neither closed form try ``xstate`` in one
     ``xstate.ree_batch`` call, whose rows do not depend on each other, so
-    each result equals ``exact_ree`` of its state alone, bit for bit.  A
-    pair that is not an X-state, or whose solve stops short of its
+    each result equals that of its state in a batch of one, bit for bit.
+    A pair that is not an X-state, or whose solve stops short of its
     certificate (``converged`` False), gets None."""
     out = [(_ppt_result(rho) if cut == CUT_PAIR else None)
            or pure_ree(rho, cut, p) for rho in rhos]
@@ -116,19 +120,15 @@ def exact_batch(rhos: list[np.ndarray], cut: Bipartition,
     return out
 
 
-def exact_ree(rho: np.ndarray, cut: Bipartition,
-              p: RenyiParameter) -> REEResult | None:
-    """``exact_batch`` of one state."""
-    return exact_batch([rho], cut, p)[0]
-
-
-def _ree_pass(rhos: list[np.ndarray], seeds: list[int], cut: Bipartition,
-             p: RenyiParameter, opts: OptimizerOptions) -> list[REEResult]:
-    """``exact_batch`` of ``rhos``, then one ``sepstates.ree_batch`` of the
-    states it leaves open, state i descending with ``seeds[i]``."""
-    out = exact_batch(rhos, cut, p)
+def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
+              p: RenyiParameter, opts: OptimizerOptions) -> list[REEResult]:
+    """The reported REE of every (rho, seed) in ``jobs`` across ``cut``:
+    ``exact_batch``, then one ``sepstates.ree_batch`` descent of the states
+    it leaves open, each with its seed.  ``monogamy``, ``qree ree`` and
+    ``critical_temperature`` report it; ``sepstates.ree`` is the descent."""
+    out = exact_batch([rho for rho, _ in jobs], cut, p)
     todo = [i for i, res in enumerate(out) if res is None]
-    done = ree_batch([(rhos[i], seeds[i]) for i in todo], cut, p, opts)
+    done = sepstates.ree_batch([jobs[i] for i in todo], cut, p, opts)
     for i, res in zip(todo, done):
         out[i] = res
     return out
@@ -139,19 +139,19 @@ def monogamy(rho3: np.ndarray, p: RenyiParameter,
     """E(1:23), E(1:2), E(1:3) and their monogamy combination for an
     8-dimensional three-qubit state.
 
-    Every cut first tries exact paths (``exact_batch``), recorded in
+    Every cut goes through ``ree_batch``, exact paths first, recorded in
     ``REEResult.path``: a pair cut tries ``ppt``, ``pure`` and ``xstate``
     in that order; E(1:23) comes from ``pure`` or the descent:
 
     - ``"ppt"``: a two-qubit state with a positive partial transpose is
       separable (Peres, PRL 77, 1413 (1996); Horodecki, PLA 223, 1
       (1996)), so its REE is 0 at every alpha.  The test allows
-      lambda_min(rho^Gamma) >= -tau, tau = d eps lambda_max(rho^Gamma)
-      with d = 4 (the rounding rule of ``renyi``).  Mixing in a share
-      p = d tau / (1 + d tau) of I/d makes such a rho exactly PPT, and
-      since D_alpha is antimonotone in sigma over the allowed alpha
-      ranges, the true REE is at most -ln(1 - p) = ln(1 + d tau),
-      about 4e-15: 0 is exact to that accuracy.
+      lambda_min(rho^Gamma) >= -tau, tau = PPT_ROUNDING
+      lambda_max(rho^Gamma) < 1e-12.  Mixing in a share p = d tau / (1 +
+      d tau) of I/d, d = 4, makes such a rho exactly PPT, and since
+      D_alpha is antimonotone in sigma over the allowed alpha ranges, the
+      true REE is at most -ln(1 - p) = ln(1 + d tau) < 4e-12: 0 is exact
+      to that accuracy.
     - ``"pure"``: a rank-1 state gets the Renyi entropy S_beta of its
       Schmidt weights from the Schmidt-diagonal closest state
       (``sepstates.pure_ree``): beta = 1 for KL, 1/alpha for the
@@ -181,20 +181,16 @@ def monogamy_batch(jobs: list[tuple[np.ndarray, int]], p: RenyiParameter,
     """``monogamy`` of every (rho3, seed) in ``jobs`` at ``p``, each equal
     bit for bit to ``monogamy(rho3, p, replace(opts, seed=seed))``.
 
-    Two passes, each over one cut: E(1:23) of every rho3, then the pair
-    cut of every rho_12 followed by every rho_13.  A pass runs
-    ``exact_batch`` over its states, whose ``xstate`` solves share one
-    batch, then descends the states left open as one
-    ``sepstates.ree_batch`` call, each with its point's seed.
-    """
+    Two ``ree_batch`` passes, each over one cut: E(1:23) of every rho3,
+    then the pair cut of every rho_12 followed by every rho_13, each state
+    with its point's seed."""
     rhos = [np.asarray(rho3, dtype=complex) for rho3, _ in jobs]
     if any(rho3.shape != (8, 8) for rho3 in rhos):
         raise ValueError("monogamy expects an 8x8 three-qubit state")
-    seeds = [seed for _, seed in jobs]
-    r123 = _ree_pass(rhos, seeds, CUT_1_23, p, opts)
-    pairs = ([partial_trace(rho3, [2, 2, 2], [0, 1]) for rho3 in rhos]
-             + [partial_trace(rho3, [2, 2, 2], [0, 2]) for rho3 in rhos])
-    r_pairs = _ree_pass(pairs, seeds + seeds, CUT_PAIR, p, opts)
+    r123 = ree_batch(jobs, CUT_1_23, p, opts)
+    pairs = [(partial_trace(rho3, [2, 2, 2], keep), seed)
+             for keep in ([0, 1], [0, 2]) for rho3, (_, seed) in zip(rhos, jobs)]
+    r_pairs = ree_batch(pairs, CUT_PAIR, p, opts)
     out = []
     for e123, e12, e13 in zip(r123, r_pairs[:len(rhos)], r_pairs[len(rhos):]):
         out.append(MonogamyResult(
@@ -471,9 +467,9 @@ def _temp_seed(base_seed: int, t: float) -> int:
 
 def tripartite_entanglement(params: ModelParams, temp: float, p: RenyiParameter,
                             opts: OptimizerOptions) -> float:
-    """E(1:23) of the thermal state at ``temp``."""
+    """E(1:23) of the thermal state at ``temp`` (``ree_batch``)."""
     rho = thermal_state(hamiltonian(params), temp).rho
-    return ree(rho, CUT_1_23, p, replace(opts, seed=_temp_seed(opts.seed, temp))).value
+    return ree_batch([(rho, _temp_seed(opts.seed, temp))], CUT_1_23, p, opts)[0].value
 
 
 def critical_temperature(params: ModelParams, p: RenyiParameter,
@@ -483,12 +479,12 @@ def critical_temperature(params: ModelParams, p: RenyiParameter,
                          resolution: int = 16) -> float | None:
     """Smallest temperature where E(1:23) stays below ``threshold``.
 
-    Scans ``resolution`` grid points over ``t_range``, their descents as
-    one ``sepstates.ree_batch``, then bisects the bracketing interval down
-    to a width of (range / 2^10), one point at a time.  Each temperature
-    descends with its own seed (``_temp_seed``).  Returns None when the
-    entanglement never falls below the threshold in range (printed by the
-    CLI as ``none-in-range``).
+    Scans ``resolution`` grid points over ``t_range`` as one
+    ``ree_batch``, then bisects the bracketing interval down to a width of
+    (range / 2^10), one point at a time (``tripartite_entanglement``).
+    Each temperature has its own seed (``_temp_seed``).  Returns None when
+    the entanglement never falls below the threshold in range (printed by
+    the CLI as ``none-in-range``).
     """
     lo, hi = t_range
     if not (lo > 0 and hi > lo and math.isfinite(hi)):

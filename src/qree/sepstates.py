@@ -96,7 +96,7 @@ TOL_OBJECTIVE = 1e-7
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result, even at rounding level (CHANGES.md says what moved each version).
-ALGORITHM_VERSION = 16
+ALGORITHM_VERSION = 17
 
 
 @dataclass(frozen=True)
@@ -152,21 +152,21 @@ class REEResult:
     ``evaluations`` sums over all.
 
     ``path`` says how the value was found: ``"descent"`` by ``ree``, or by
-    one of the exact paths of ``entscan.exact_batch``.  A ``"ppt"`` result
-    (pair cuts) ran no descent: the value is exactly 0, ``converged`` is
-    True, ``iterations`` and ``evaluations`` are 0 and ``restarts`` is
-    empty.  A ``"pure"`` result (any rank-1 cut, see ``pure_ree``) has the
-    same fields, with the value of the Schmidt-diagonal closest state.  An
-    ``"xstate"`` result (a pair that is an X-state up to a local rotation,
-    see ``xstate``) minimized over separable X-states, which the twirl
-    over the state's local symmetry shows to hold a closest separable
-    state (Vollbrecht & Werner, PRA 64, 062307 (2001)), by a barrier
-    method whose Frank-Wolfe gap certifies ``lower_bound``: ``converged``
-    is True when the value exceeds that bound by at most
-    ``xstate.XSTATE_TOLERANCE`` (``entscan`` keeps only such results and
-    descends the other pairs), ``iterations`` and ``evaluations`` count
-    the solver's Newton iterations and evaluated states, and ``restarts``
-    is empty.
+    an exact path of ``entscan.ree_batch``, which every reported value
+    comes from.  A ``"ppt"`` result (pair cuts) ran no descent: the value
+    is exactly 0, ``converged`` is True, ``iterations`` and
+    ``evaluations`` are 0 and ``restarts`` is empty.  A ``"pure"`` result
+    (any rank-1 cut, see ``pure_ree``) has the same fields, with the value
+    of the Schmidt-diagonal closest state.  An ``"xstate"`` result (a pair
+    that is an X-state up to a local rotation, see ``xstate``) minimized
+    over separable X-states, which the twirl over the state's local
+    symmetry shows to hold a closest separable state (Vollbrecht &
+    Werner, PRA 64, 062307 (2001)), by a barrier method whose Frank-Wolfe
+    gap certifies ``lower_bound``: ``converged`` is True when the value
+    exceeds that bound by at most ``xstate.XSTATE_TOLERANCE`` (``entscan``
+    keeps only such results and descends the other pairs), ``iterations``
+    and ``evaluations`` count the solver's Newton iterations and evaluated
+    states, and ``restarts`` is empty.
 
     ``lower_bound`` is a certified lower bound on the REE where a path
     gives one (``ppt``: 0; ``xstate``: the solver's), else None.
@@ -314,8 +314,6 @@ def _line_search(obj: _Objective, theta: np.ndarray, state: np.ndarray,
         todo, theta, state, f, d, slope, t = (
             x[miss] for x in (todo, theta, state, f, d, slope, t))
         t = t * 0.5
-        if not todo.size:
-            break
     if len(found) == 1:
         rows, steps, vals, *ev = found[0]
     else:

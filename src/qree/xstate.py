@@ -109,12 +109,15 @@ NULL_SPACE_SHARE = math.sqrt(np.finfo(float).eps)
 # a row stops once its value is within XSTATE_GAP of its certified lower
 # bound; the barrier weight t starts at 1 and grows by BARRIER_GROWTH each
 # time the Newton decrement squared falls below CENTERED.  The weight on D,
-# w = t |df/dD|, is capped at BARRIER_T_MAX, where the barrier's own share
-# of the gap, 8 / w, is far below XSTATE_GAP and sigma's smallest
-# eigenvalues, about 1 / w, are still well above the floor of ``renyi``.
-# At the cap a row centers further, until its decrement squared falls below
-# CAP_CENTERED or, below CENTERED, shrinks by less than STALL in a step: the
-# certificate is only as good as the centering
+# w = t |df/dD|, is capped at BARRIER_T_MAX.  The barrier's share of the
+# gap there, 8 / w = 2.7e-9, exceeds XSTATE_GAP, so a row that stops at the
+# cap keeps a gap of that order, within XSTATE_TOLERANCE.  The cap keeps
+# sigma's smallest eigenvalues, about 1 / w, well above the floor of
+# ``renyi`` and the Newton system solvable: at a cap of 3e30, random rotated
+# near-pure X-states at sandwiched alpha = 64 make ``_newton`` raise
+# LinAlgError.  At the cap a row centers further, until its decrement
+# squared falls below CAP_CENTERED or, below CENTERED, shrinks by less than
+# STALL in a step: the certificate is only as good as the centering
 XSTATE_GAP = 1e-10
 # an xstate result counts as converged when its reported value exceeds its
 # certified lower bound by at most this: the stall tolerance of the descent
@@ -460,15 +463,17 @@ class _Kernel:
         (alpha < 1), Q0 the value of Q at I/4."""
         self.evaluations += np.bincount(rows, minlength=len(self.evaluations))
         d, grad, hess = self.divergence(z, rows)
-        f = d
-        if not self.p.is_kl:
-            a = self.p.alpha
+        if self.p.is_kl:
+            return d, d, grad, _FREE.T @ hess @ _FREE
+        a = self.p.alpha
+        # exp((alpha - 1) D) overflows at large alpha at trial points far
+        # above the minimum: f = +inf there fails the Armijo test
+        with np.errstate(over="ignore", invalid="ignore"):
             q = np.exp((a - 1.0) * d) / self.q0[rows]
             hess = (abs(a - 1.0) * q)[:, None, None] * (
                 hess + (a - 1.0) * grad[:, :, None] * grad[:, None, :])
             grad = (abs(a - 1.0) * q)[:, None] * grad
-            f = math.copysign(1.0, a - 1.0) * q
-        return d, f, grad, _FREE.T @ hess @ _FREE
+            return d, math.copysign(1.0, a - 1.0) * q, grad, _FREE.T @ hess @ _FREE
 
     def slope(self, f: np.ndarray) -> np.ndarray:
         """|df/dD| at values f: 1 for KL, |alpha - 1| |f| otherwise.  A

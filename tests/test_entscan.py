@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from qree import cli, entscan
+from qree import cli, entscan, sepstates
 from qree.cli import main as cli_main
 from qree.entscan import (CUT_PAIR, ConfigError, SweepCache, SweepRow,
                           critical_temperature, emit_rows, monogamy,
@@ -243,7 +243,7 @@ class TestMonogamyShortcuts:
                 (kron(random_density_matrix(4, 4, 8), zero), 2),
                 (projector(w()), 3)]
         calls = []
-        for module in (entscan.xstate, entscan):
+        for module in (entscan.xstate, sepstates):
             def counting(states, *args, real=module.ree_batch, module=module):
                 calls.append((module.__name__, len(states)))
                 return real(states, *args)
@@ -251,8 +251,8 @@ class TestMonogamyShortcuts:
         got = entscan.monogamy_batch(jobs, p, QUICK)
         # one descent batch per cut (the mixed points' E(1:23), then their
         # E(1:2)) and one xstate batch for every pair not ppt
-        assert calls == [("qree.entscan", 2), ("qree.xstate", 4),
-                         ("qree.entscan", 2)]
+        assert calls == [("qree.sepstates", 2), ("qree.xstate", 4),
+                         ("qree.sepstates", 2)]
         assert [r.detail_1_2.path for r in got] == ["descent", "descent", "xstate"]
         assert [r.detail_1_3.path for r in got] == ["ppt", "ppt", "xstate"]
         for (rho, seed), res in zip(jobs, got):
@@ -266,7 +266,7 @@ class TestMonogamyShortcuts:
                                         e.evaluations, e.restarts)
                 assert np.array_equal(d.closest_state, e.closest_state)
 
-    def test_exact_batch_matches_exact_ree(self):
+    def test_exact_batch_matches_batches_of_one(self):
         bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
         rhos = [random_separable(CUT_PAIR, 6, np.random.default_rng(5)),
                 projector(bell),
@@ -279,12 +279,27 @@ class TestMonogamyShortcuts:
         assert [None if r is None else r.path for r in got] == [
             "ppt", "pure", "xstate", "xstate", "xstate", None]
         for rho, res in zip(rhos, got[:-1]):
-            alone = entscan.exact_ree(rho, CUT_PAIR, p)
+            [alone] = entscan.exact_batch([rho], CUT_PAIR, p)
             for f in fields(res):
                 a, b = getattr(res, f.name), getattr(alone, f.name)
                 assert np.array_equal(a, b) if f.name == "closest_state" else a == b
-        assert entscan.exact_ree(rhos[-1], CUT_PAIR, p) is None
+        assert entscan.exact_batch(rhos[-1:], CUT_PAIR, p) == [None]
         assert entscan.exact_batch([], CUT_PAIR, p) == []
+
+    @pytest.mark.parametrize("jz, temp, keeps", [
+        (1.0, 0.05, ([0, 1], [0, 2])), (1.0, 0.1, ([0, 1], [0, 2])),
+        (0.5, 0.05, ([0, 1],))])
+    def test_thermal_ppt_pairs_beyond_eigvalsh_rounding(self, jz, temp, keeps):
+        # at 50 digits lambda_min(rho^Gamma) of pair 1:2 is 1e-33, 1.6e-17
+        # and 2.2e-27; in floats every pair here reads below the rounding of
+        # its own eigvalsh, 4 eps lambda_max
+        rho3 = thermal_state(hamiltonian(ModelParams.xyz(0.8, 0.5, jz)), temp).rho
+        pairs = [partial_trace(rho3, [2, 2, 2], keep) for keep in keeps]
+        for rho in pairs:
+            lam = np.linalg.eigvalsh(partial_transpose(rho, [2, 2], 1))
+            assert lam[0] < -4 * np.finfo(float).eps * lam[-1]
+        for res in entscan.exact_batch(pairs, CUT_PAIR, RenyiParameter(0.7, "trad")):
+            assert (res.path, res.value, res.lower_bound) == ("ppt", 0.0, 0.0)
 
     def test_ree_never_takes_a_shortcut(self):
         pair = partial_trace(projector(ghz()), [2, 2, 2], [0, 1])
@@ -554,6 +569,16 @@ class TestCriticalTemperature:
         hi = entscan.tripartite_entanglement(params, tc + 0.3, RenyiParameter(1.0), FAST)
         assert lo > 1e-4 and hi < 1e-4
 
+    @pytest.mark.parametrize("p", [RenyiParameter(1.0), RenyiParameter(3.0, "sand")],
+                             ids=str)
+    def test_tripartite_entanglement_takes_pure(self, p):
+        # rank 1 by the rounding rule at T = 0.02: the scan and bisection
+        # value is the E(1:23) that monogamy reports, bit for bit
+        params = ModelParams.tfi(1.0)
+        res = monogamy(thermal_state(hamiltonian(params), 0.02).rho, p, QUICK)
+        assert res.detail_1_23.path == "pure"
+        assert entscan.tripartite_entanglement(params, 0.02, p, QUICK) == res.e_1_23
+
     def test_validation(self):
         with pytest.raises(ValueError):
             critical_temperature(ModelParams.tfi(1.0), RenyiParameter(1.0),
@@ -571,6 +596,16 @@ class TestCli:
         assert cli_main(["state", "ghz"]) == 0
         out = capsys.readouterr().out
         assert "ghz" in out and "+0.707107" in out
+
+    def test_state_reduced_text(self, capsys):
+        assert cli_main(["state", "w", "--reduced", "12"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == [
+            "reduced state on qubits 12:",
+            "  +0.333333+0.000000j  +0.000000+0.000000j  +0.000000+0.000000j  +0.000000+0.000000j",
+            "  +0.000000+0.000000j  +0.333333+0.000000j  +0.333333+0.000000j  +0.000000+0.000000j",
+            "  +0.000000+0.000000j  +0.333333+0.000000j  +0.333333+0.000000j  +0.000000+0.000000j",
+            "  +0.000000+0.000000j  +0.000000+0.000000j  +0.000000+0.000000j  +0.000000+0.000000j"]
 
     def test_state_reduced_json(self, capsys):
         assert cli_main(["state", "star", "--reduced", "12",
@@ -655,7 +690,7 @@ class TestCli:
         def failing(*args, **kwargs):
             raise ValueError("matrix is not Hermitian within tolerance")
 
-        monkeypatch.setattr(cli, "ree", failing)
+        monkeypatch.setattr(sepstates, "ree_batch", failing)
         # a full-rank state, so the command reaches the descent
         assert cli_main(["ree", "--model", "xxz", "--j", "1", "--delta", "0.5",
                          "--temp", "1.0"]) == 2
@@ -782,6 +817,27 @@ class TestCli:
         assert code == 0
         rows = parse_rows(out.read_text())
         assert len(rows) == 2
+
+    def test_sweep_without_out_writes_csv_to_stdout(self, tmp_path, capsys):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(TINY_CONFIG)
+        assert cli_main(["sweep", str(cfg)]) == 0
+        rows = parse_rows(capsys.readouterr().out)
+        assert [r.param_value for r in rows] == [1.0, 2.0]
+
+    def test_sweep_mostly_unconverged_is_numeric_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(TINY_CONFIG.replace("max_iters = 200", "max_iters = 1"))
+        assert cli_main(["sweep", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert [r.converged for r in parse_rows(out)] == [False, False]
+        assert err == "numeric failure: 2/2 points did not converge\n"
+
+    def test_tc_none_in_range(self, capsys):
+        assert cli_main(["tc", "--model", "tfi", "--threshold", "-1",
+                         "--restarts", "1", "--max-iters", "20",
+                         "--components", "4", "--resolution", "4"]) == 0
+        assert capsys.readouterr().out == "none-in-range\n"
 
     def test_tc_subcommand(self, capsys):
         code = cli_main(["tc", "--model", "xxz", "--j", "1", "--delta", "0.5",

@@ -3,13 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qree import xstate
-from qree.entscan import CUT_PAIR, exact_ree, monogamy
+from qree.entscan import CUT_PAIR, exact_batch, monogamy
 from qree.qmat import (kron, partial_trace, partial_transpose, projector,
                        random_density_matrix, random_unitary)
 from qree.renyi import Divergence, RenyiParameter, rel_entropy
@@ -86,7 +87,7 @@ class TestDetection:
         assert np.linalg.eigvalsh(partial_transpose(rho, [2, 2], 1))[0] < 0
         assert xstate.x_frame(rho) is None
         assert xstate.ree_batch([rho], RenyiParameter(1.0)) == [None]
-        assert exact_ree(rho, CUT_PAIR, RenyiParameter(1.0)) is None
+        assert exact_batch([rho], CUT_PAIR, RenyiParameter(1.0)) == [None]
         quick = OptimizerOptions(restarts=1, max_iters=30, components=4, seed=0)
         res = monogamy(kron(rho, np.diag([1.0, 0.0])), RenyiParameter(1.0), quick)
         assert res.detail_1_2.path == "descent"
@@ -94,7 +95,7 @@ class TestDetection:
 
 class TestSolver:
     def test_w_pair_at_kl(self):
-        res = exact_ree(pair(w(), (0, 1)), CUT_PAIR, RenyiParameter(1.0))
+        [res] = exact_batch([pair(w(), (0, 1))], CUT_PAIR, RenyiParameter(1.0))
         assert res.path == "xstate"
         assert abs(res.value - W_PAIR_KL) <= 1e-8
         assert res.lower_bound <= W_PAIR_KL <= res.value
@@ -116,7 +117,7 @@ class TestSolver:
         rho3 = thermal_state(hamiltonian(ModelParams.tfi(2.0)), 0.1).rho
         rho = partial_trace(rho3, [2, 2, 2], (0, 1))
         p = RenyiParameter(1.0)
-        res = exact_ree(rho, CUT_PAIR, p)
+        [res] = exact_batch([rho], CUT_PAIR, p)
         assert res.path == "xstate" and res.converged
         descent = ree(rho, CUT_PAIR, p, OPTS).value
         assert res.lower_bound <= min(res.value, descent)
@@ -281,6 +282,21 @@ class TestNearPurePairs:
         assert [d.path for d in (m.detail_1_2, m.detail_1_3)] == ["xstate"] * 2
         assert abs(m.e_1_2 - m.e_1_3) <= 1e-10
 
+    @pytest.mark.parametrize("lam, temp, values", [
+        (1.0, 0.1, (0.21576799707552285, 0.21576799707552285)),
+        (2.0, 0.1, (0.25671091925588346, 0.25671091925588185)),
+        (0.5, 0.2, (0.15504372328879235, 0.15504372328879257))])
+    def test_sandwiched_64_overflows_quietly(self, lam, temp, values):
+        # exp((alpha - 1) D) overflows at rejected trial points; the values
+        # are those the solver gave while it still warned there
+        rho3 = thermal_state(hamiltonian(ModelParams.tfi(lam)), temp).rho
+        rhos = [partial_trace(rho3, [2, 2, 2], keep) for keep in ((0, 1), (0, 2))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = xstate.ree_batch(rhos, RenyiParameter(64.0, "sand"))
+        assert all(r.converged for r in res)
+        assert tuple(r.value for r in res) == values
+
 
 class TestUncertifiedPairsDescend:
     def test_tfi_pair_at_sandwiched_half(self):
@@ -290,7 +306,7 @@ class TestUncertifiedPairsDescend:
         rho3 = thermal_state(hamiltonian(ModelParams.tfi(2.0)), 0.1).rho
         rho = partial_trace(rho3, [2, 2, 2], (0, 1))
         p = RenyiParameter(0.5, "sand")
-        exact = exact_ree(rho, CUT_PAIR, p)
+        [exact] = exact_batch([rho], CUT_PAIR, p)
         assert exact is None or exact.converged
         opts = OptimizerOptions(restarts=2, max_iters=300, components=8, seed=3)
         res = monogamy(rho3, p, opts).detail_1_2
@@ -303,7 +319,7 @@ class TestUncertifiedPairsDescend:
         monkeypatch.setattr(xstate, "ree_batch", lambda rhos, p: [
             None if r is None else replace(r, converged=False) for r in real(rhos, p)])
         p = RenyiParameter(1.0)
-        assert exact_ree(pair(star(), (0, 1)), CUT_PAIR, p) is None
+        assert exact_batch([pair(star(), (0, 1))], CUT_PAIR, p) == [None]
         quick = OptimizerOptions(restarts=1, max_iters=30, components=4, seed=0)
         res = monogamy(projector(star()), p, quick)
         assert [d.path for d in (res.detail_1_2, res.detail_1_3)] == ["descent"] * 2
