@@ -368,8 +368,10 @@ class _Kernel:
     X-states rho, with its gradient and Hessian in z = (a, b, c, d, x, y),
     in closed form block by block (see the module): the floored divergence
     of ``renyi.Divergence``, with rho's eigenvalues within rounding of zero
-    dropped by the rule of ``renyi._drop_rounding_zeros``.  ``evaluations``
-    counts the sigmas each state was evaluated at."""
+    dropped by the rule of ``renyi._drop_rounding_zeros``.  ``start`` holds
+    (D, f, grad f, Hessian of f) at I/4, where every solve starts, from the
+    one evaluation there that also gives Q0; ``evaluations`` counts the
+    sigmas each state was evaluated at, that one included."""
 
     def __init__(self, rho_xs: list[np.ndarray], p: RenyiParameter):
         self.p = p
@@ -391,11 +393,11 @@ class _Kernel:
         self.factor = u
         self.weight = np.where(kept, safe ** power, 0.0)
         self.det = lam[..., 0] * lam[..., 1]
-        self.evaluations = np.zeros(len(rho_xs), dtype=int)
-        self.q0 = np.ones(len(rho_xs))
-        if not p.is_kl:
-            d0 = self.divergence(np.tile(_START, (len(rho_xs), 1)), np.arange(len(rho_xs)))[0]
-            self.q0 = np.exp((p.alpha - 1.0) * d0)
+        n, every = len(rho_xs), np.arange(len(rho_xs))
+        d, grad, hess = self.divergence(np.tile(_START, (n, 1)), every)
+        self.q0 = np.ones(n) if p.is_kl else np.exp((p.alpha - 1.0) * d)
+        self.evaluations = np.ones(n, dtype=int)
+        self.start = self._objective(d, grad, hess, every)
 
     def divergence(self, z: np.ndarray, rows: np.ndarray):
         """(D, grad D, Hessian of D) at rows z of the states ``rows``: (n,),
@@ -462,7 +464,12 @@ class _Kernel:
         the states ``rows``: f = D (KL), Q / Q0 (alpha > 1) or -Q / Q0
         (alpha < 1), Q0 the value of Q at I/4."""
         self.evaluations += np.bincount(rows, minlength=len(self.evaluations))
-        d, grad, hess = self.divergence(z, rows)
+        return self._objective(*self.divergence(z, rows), rows)
+
+    def _objective(self, d: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+                   rows: np.ndarray):
+        """(D, f, grad f, Hessian of f in the free coordinates) from D and
+        its derivatives at points of the states ``rows``."""
         if self.p.is_kl:
             return d, d, grad, _FREE.T @ hess @ _FREE
         a = self.p.alpha
@@ -657,7 +664,7 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
     before = np.full((n, len(CONES)), np.nan)
     shrink = math.sqrt(BARRIER_GROWTH)
     bar = _Barrier(z)
-    d, f, grad, hess_f = obj(z, rows)
+    d, f, grad, hess_f = obj.start
     for it in range(1, XSTATE_MAX_ITERS + 1):
         dz, lam2 = _newton(t, grad, bar, hess_f)
         # at the cap a row centers until its decrement stops falling fast

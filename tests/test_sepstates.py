@@ -13,12 +13,13 @@ from qree.renyi import Divergence, RenyiParameter, rel_entropy, von_neumann_entr
 from qree.sepstates import (BOUND_ALLOWANCE, CLOSEST_STATE_MIXING,
                             COMPONENTS_PER_DIM, FD_STEP, LBFGS_MEMORY,
                             SANDWICHED_ALPHA_CAP, OptimizerOptions,
-                            _decompose, _draw_samples,
+                            _complex_normal, _decompose, _draw_samples,
                             _descend, _empty_memory, _initial_ansatz,
                             _lbfgs_direction,
-                            _line_search, _mixtures, _products, _realize,
-                            _remember,
-                            _restart_seed, _Objective, _sample_eigenpairs,
+                            _line_search, _mixtures, _orthonormalize,
+                            _products, _realize, _remember,
+                            _restart_seed, _schmidt, _squared_norms,
+                            _Objective, _sample_eigenpairs,
                             pure_ree, ree, ree_batch,
                             sample_separable_batch, sample_upper_bound,
                             schmidt_entropy)
@@ -185,6 +186,79 @@ def replay_product_family(cut, n, k, seed):
     return [sum(w[s, i * db + j] * projector(kron(qa[s][:, i], qb[s][:, j]))
                 for i in range(da) for j in range(db))
             for s in range(n // 2)]
+
+
+def drawn_complex_shapes():
+    """The shapes of the complex normal arrays the sampler draws, at both
+    cuts, for a draw's two halves of 1 and of 2048 samples, and those of a
+    restart's first ansatz."""
+    shapes = set()
+    for cut in (CUT_22, CUT_123):
+        k, da, db = COMPONENTS_PER_DIM * cut.dim, cut.dim_a, cut.dim_b
+        for n in (1, 2048):
+            shapes |= {(n, k, da), (n, k, db), (n, da, da), (n, db, db)}
+        shapes |= {(k, da), (k, db)}
+    return sorted(shapes)
+
+
+class TestSamplerKernels:
+    @pytest.mark.parametrize("shape", drawn_complex_shapes(), ids=str)
+    def test_complex_normal_is_two_normal_draws(self, shape):
+        want_rng, got_rng = np.random.default_rng(11), np.random.default_rng(11)
+        want = want_rng.normal(size=shape) + 1j * want_rng.normal(size=shape)
+        got = _complex_normal(got_rng, shape)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_squared_norms_are_numpys_sum(self):
+        rng = np.random.default_rng(12)
+        vectors = []
+        for cut in (CUT_22, CUT_123):
+            k = COMPONENTS_PER_DIM * cut.dim
+            # contiguous, as the sampler draws them
+            vectors += [_complex_normal(rng, (rows, k, d))
+                        for rows in (1, 1024) for d in (cut.dim_a, cut.dim_b)]
+            # the strided views a descent's parameter rows split into
+            obj = _Objective(Divergence(np.eye(cut.dim) / cut.dim, RenyiParameter(1.0)), cut)
+            vectors += obj.split(random_rows(cut, k, rng, 7))[1:]
+            # pure_ree's one row of Schmidt vectors
+            psi = _complex_normal(rng, (cut.dim,))
+            vectors += [v[None] for v in _schmidt(psi / np.linalg.norm(psi), cut)[1:]]
+        for v in vectors:
+            want = (v.real ** 2 + v.imag ** 2).sum(axis=-1)
+            got = _squared_norms(v)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_orthonormalize_is_qr_up_to_column_phases(self, d):
+        g = _complex_normal(np.random.default_rng(13), (500, d, d))
+        q, eye = _orthonormalize(g), np.eye(d)
+        assert np.abs(q.conj().swapaxes(1, 2) @ q - eye).max() <= 1e-13
+        overlap = q.conj().swapaxes(1, 2) @ np.linalg.qr(g)[0]
+        assert np.abs(np.abs(overlap) - eye).max() <= 1e-12
+
+    @pytest.mark.parametrize("cut", [CUT_22, CUT_123])
+    def test_draws_replay_the_generator_without_qr(self, cut, monkeypatch):
+        # the generic family, the Dirichlet weights and the generator's
+        # state after a draw are those of plain draws, bit for bit
+        n, k, da, db = 9, 5, cut.dim_a, cut.dim_b
+        rng = np.random.default_rng(14)
+        want = [rng.normal(size=(n - n // 2, k))]
+        want += [rng.normal(size=(n - n // 2, k, d)) + 1j * rng.normal(size=(n - n // 2, k, d))
+                 for d in (da, db)]
+        for d in (da, db):
+            rng.normal(size=(2, n // 2, d, d))
+        want.append(rng.dirichlet(np.full(cut.dim, 0.35), size=n // 2))
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        got_rng = np.random.default_rng(14)
+        (logits, a, b), (ws, _) = _draw_samples(cut, n, k, got_rng)
+        for got, x in zip((logits, a, b, ws), want):
+            assert got.tobytes() == x.tobytes()
+        assert got_rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestSampleUpperBound:

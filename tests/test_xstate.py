@@ -352,3 +352,20 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_evaluations_count_every_evaluated_state(monkeypatch):
+    # I/4, where each solve starts and Q0 is taken, is evaluated once, and
+    # every state the kernel evaluates is counted once
+    evaluated, divergence = [], xstate._Kernel.divergence
+
+    def counting(self, z, rows):
+        evaluated.append(len(rows))
+        return divergence(self, z, rows)
+
+    monkeypatch.setattr(xstate._Kernel, "divergence", counting)
+    pairs = [pair(w(), (0, 1)), pair(star(), (0, 2))]
+    for p in ZOO_PARAMS:
+        evaluated.clear()
+        results = xstate.ree_batch(pairs, p)
+        assert sum(evaluated) == sum(res.evaluations for res in results), p
