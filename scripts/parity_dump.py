@@ -17,7 +17,8 @@ their bytes):
   PPT, at the zoo parameters: the count, the smallest, median and largest
   difference, how many converged descents sit more than 1e-6 above, how
   many solves stop short of their certificate (``monogamy`` descends those
-  pairs), and the Newton iterations of the ``xstate`` solves, summed;
+  pairs), the Newton iterations of the ``xstate`` solves, summed, and the
+  widest certificate, the largest value minus lower bound of those solves;
 
 and a last ``totals`` line over the library descents ``sepstates.ree``
 runs on the zoo states, which always descend: per zoo point, E(1:23) as
@@ -126,7 +127,7 @@ def main() -> None:
         h = hamiltonian(ModelParams.tfi(lam))
         pairs += [partial_trace(thermal_state(h, temp).rho, [2, 2, 2], keep)
                   for temp in TFI_TEMPS for keep in PAIR_KEEP.values()]
-    diffs, stuck, uncertified, newton = [], 0, 0, 0
+    diffs, stuck, uncertified, newton, widest = [], 0, 0, 0, -np.inf
     for p in ZOO_PARAMS:
         for rho in pairs:
             [x] = exact_batch([rho], CUT_PAIR, p)
@@ -137,6 +138,7 @@ def main() -> None:
                 continue
             uncertified += not x.converged
             newton += x.iterations
+            widest = max(widest, x.value - x.lower_bound)
             r = ree(rho, CUT_PAIR, p, opts)
             diffs.append(r.value - x.value)
             stuck += r.converged and r.value - x.value > ACCURACY_FLAG
@@ -144,7 +146,7 @@ def main() -> None:
     print(f"accuracy pairs={len(diffs)} min={diffs[0]!r} "
           f"median={float(np.median(diffs))!r} max={diffs[-1]!r} "
           f"converged_above_{ACCURACY_FLAG:g}={stuck} uncertified={uncertified} "
-          f"xstate_iterations={newton}")
+          f"xstate_iterations={newton} widest_gap={widest!r}")
 
     descents, lockstep = [], 0
     for rho in states.values():

@@ -96,7 +96,7 @@ TOL_OBJECTIVE = 1e-7
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result, even at rounding level (CHANGES.md says what moved each version).
-ALGORITHM_VERSION = 17
+ALGORITHM_VERSION = 18
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,15 @@ the derivatives of that value.
 
 ``solve_batch`` minimizes f for every state of a batch at once with a
 log-barrier method: Newton steps on t f - sum log(cone slacks), both
-Hessians in closed form, t multiplied by BARRIER_GROWTH each time a row's
-Newton decrement falls below CENTERED.  From a row's second centered
-point on, each centered point is polished by Newton steps on the
-optimality conditions with an active set (``_polish``): the cones whose
-slack shrank by at least sqrt(BARRIER_GROWTH) since the previous centered
-point.  On the central path an active cone's slack falls as 1 / t, an
-inactive one's tends to a positive limit.  Keeping the four constraints
-separate matters: W's optimum has y^2 = a d = b c, the kink of min(a d,
-b c).
+Hessians in closed form, t multiplied by BARRIER_GROWTH each time a row
+is centered: its Newton decrement squared below CENTERED, or no step
+found by its line search.  A centered row with an active cone, no step,
+or its weight at the cap is polished by Newton steps on the optimality
+conditions with an active set (``_polish``): the cones whose slack shrank
+by at least sqrt(BARRIER_GROWTH) since the previous centered point.  On
+the central path an active cone's slack falls as 1 / t, an inactive
+one's tends to a positive limit.  Keeping the four constraints separate
+matters: W's optimum has y^2 = a d = b c, the kink of min(a d, b c).
 
 Rows certify a lower bound from convexity: f* >= f(z) + min over the
 feasible set of grad f . (z' - z) at any feasible z, the Frank-Wolfe gap.
@@ -74,15 +74,17 @@ the minimum is the largest over theta of min(phi_ad, phi_bc), with
 (the minimum of c_a a + c_d d - k theta sqrt(a d) over a + d = 1) and
 phi_bc the same in (c_b, c_c, 1 - theta).  Any theta gives a valid bound,
 and the best is where the falling phi_ad crosses the rising phi_bc.  The
-bound is taken at every polished point and turns into one on D.  It is
-exact up to rounding wherever each block's smaller eigenvalue, in closed
-form, sits above the floor of ``renyi``, where the floored value is the
-convex divergence, and is not taken elsewhere; the polish mixes in enough
-of I/4 to keep it there, even at a rank-deficient optimum such as W's.
+bound is taken at every polished point where each block's smaller
+eigenvalue, in closed form, sits above the floor of ``renyi`` (the polish
+mixes in enough of I/4 to keep it there, even at W's rank-deficient
+optimum) and turns into one on D.  It is only as valid as the kernel's
+value: at sandwiched alpha < 1 the kernel drops N_B's small eigenvalues
+as rounding zeros, and on near-pure states the bound can then exceed the
+minimum by about 3e-8.
 
-A row stops once its value is within XSTATE_GAP of its best bound; once
-centered at the cap of its barrier weight; when its line search finds no
-step; or after XSTATE_MAX_ITERS iterations.
+A row stops once its value is within XSTATE_GAP of its best bound (within
+XSTATE_TOLERANCE at the cap), when its line search finds no step, or
+after XSTATE_MAX_ITERS iterations.
 """
 
 from __future__ import annotations
@@ -110,14 +112,12 @@ NULL_SPACE_SHARE = math.sqrt(np.finfo(float).eps)
 # bound; the barrier weight t starts at 1 and grows by BARRIER_GROWTH each
 # time the Newton decrement squared falls below CENTERED.  The weight on D,
 # w = t |df/dD|, is capped at BARRIER_T_MAX.  The barrier's share of the
-# gap there, 8 / w = 2.7e-9, exceeds XSTATE_GAP, so a row that stops at the
-# cap keeps a gap of that order, within XSTATE_TOLERANCE.  The cap keeps
-# sigma's smallest eigenvalues, about 1 / w, well above the floor of
-# ``renyi`` and the Newton system solvable: at a cap of 3e30, random rotated
-# near-pure X-states at sandwiched alpha = 64 make ``_newton`` raise
-# LinAlgError.  At the cap a row centers further, until its decrement
-# squared falls below CAP_CENTERED or, below CENTERED, shrinks by less than
-# STALL in a step: the certificate is only as good as the centering
+# gap there, 8 / w = 2.7e-9, exceeds XSTATE_GAP, so a row at the cap stops
+# once its certificate holds within XSTATE_TOLERANCE, tried at each of its
+# centered points.  The cap keeps sigma's smallest eigenvalues, about 1 /
+# w, well above the floor of ``renyi`` and the Newton system solvable: at a
+# cap of 3e30, random rotated near-pure X-states at sandwiched alpha = 64
+# make ``_newton`` raise LinAlgError
 XSTATE_GAP = 1e-10
 # an xstate result counts as converged when its reported value exceeds its
 # certified lower bound by at most this: the stall tolerance of the descent
@@ -125,8 +125,6 @@ XSTATE_TOLERANCE = TOL_OBJECTIVE
 BARRIER_GROWTH = 30.0
 CENTERED = 1e-2
 BARRIER_T_MAX = 3e9
-CAP_CENTERED = 1e-10
-STALL = 0.5
 XSTATE_MAX_ITERS = 200
 # steps of ``_polish``
 POLISH_STEPS = 5
@@ -639,10 +637,8 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
     X-state in ``rho_xs`` (see the module), all rows of one batch.
 
     Each iteration takes one Newton step per row still running; every
-    trial point of the line search is evaluated with its Hessian.  From a
-    row's second centered point on, each centered point is polished
-    (``_polish``) with the cones whose slack shrank by at least
-    sqrt(BARRIER_GROWTH) since the previous one held active, and certified.
+    trial point of the line search is evaluated with its Hessian.  Every
+    row centers, polishes and stops by one rule, at the cap or not.
     Returns per row (z, lower bound, iterations, evaluations): the closest
     state's (a, b, c, d, x, y), the best certified lower bound on the
     minimum, the Newton iterations and the sigmas evaluated."""
@@ -656,9 +652,7 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
     z = np.tile(_START, (n, 1))
     t = np.ones(n)
     lb = np.full(n, -np.inf)
-    # the decrement of each row's last step, and whether its line search
-    # found no step
-    last = np.full(n, np.inf)
+    # whether each row's line search found no step, and its weight is capped
     stalled = capped = np.zeros(n, dtype=bool)
     # each row's cone slacks at its previous centered point, nan before it
     before = np.full((n, len(CONES)), np.nan)
@@ -667,22 +661,21 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
     d, f, grad, hess_f = obj.start
     for it in range(1, XSTATE_MAX_ITERS + 1):
         dz, lam2 = _newton(t, grad, bar, hess_f)
-        # at the cap a row centers until its decrement stops falling fast
-        cap_centered = (lam2 < CAP_CENTERED) | ((lam2 < CENTERED) & (lam2 > STALL * last))
-        centered = np.where(capped, cap_centered, lam2 < CENTERED) | stalled
+        centered = (lam2 < CENTERED) | stalled
         stop = np.zeros(len(z), dtype=bool)
         # a centered row with a cone whose slack shrank with the weight (the
         # optimum of an entangled rho lies on the boundary, so some cone is
-        # active there), or whose line search found no step, tries to
-        # finish: polish, then certify; it stops once the certificate holds,
-        # at the cap, or when its line search found no step
+        # active there), with no step, or at the cap tries to finish:
+        # polish, then certify; it stops once certified within XSTATE_GAP
+        # (XSTATE_TOLERANCE at the cap), or when it found no step
         active = before >= shrink * bar.slack
-        c = np.flatnonzero(centered & (active.any(axis=1) | stalled))
+        c = np.flatnonzero(centered & (active.any(axis=1) | stalled | capped))
         if c.size:
             zp, dp, lp = _polish(obj, z[c], d[c], f[c], grad[c], hess_f[c], rows[c],
                                  active[c], 1.0 / (t[c, None] * bar.slack[c]))
             lb[c] = np.maximum(lb[c], lp)
-            done = (dp - lb[c] <= XSTATE_GAP) | capped[c] | stalled[c]
+            gap = np.where(capped[c], XSTATE_TOLERANCE, XSTATE_GAP)
+            done = (dp - lb[c] <= gap) | stalled[c]
             at = c[done]
             z[at], d[at] = zp[done], dp[done]
             stop[at] = True
@@ -695,7 +688,6 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
                          np.where(grow, t * BARRIER_GROWTH, t))
             capped = capped | hit
             dz, lam2 = _newton(t, grad, bar, hess_f)
-        last = lam2
         phi = t * f + bar.value
 
         # Armijo line search from the full step
@@ -731,9 +723,9 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
                 out[gone] = x[stop]
             iters[gone] = it
             keep = ~stop
-            rows, z, d, f, grad, hess_f, t, lb, last, stalled, capped, before = (
-                x[keep] for x in (rows, z, d, f, grad, hess_f, t, lb, last,
-                                  stalled, capped, before))
+            rows, z, d, f, grad, hess_f, t, lb, stalled, capped, before = (
+                x[keep] for x in (rows, z, d, f, grad, hess_f, t, lb, stalled,
+                                  capped, before))
             if not rows.size:
                 break
             first = False
