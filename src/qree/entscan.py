@@ -35,7 +35,7 @@ from . import sepstates, xstate
 from .qmat import Bipartition, partial_trace, partial_transpose
 from .renyi import RenyiParameter
 from .sepstates import (ALGORITHM_VERSION, OptimizerOptions, REEResult,
-                        check_parameter, pure_ree)
+                        _check_ree_args, check_parameter, pure_ree)
 from .spinchain import ModelParams, hamiltonian, thermal_state
 
 log = logging.getLogger(__name__)
@@ -50,16 +50,6 @@ CUT_PAIR = Bipartition(2, 2)
 # and TFI chains read lambda_min down to -33 eps lambda_max at T = 0.05 and
 # -710 at T = 0.01.  0 is exact to ln(1 + 4 tau) < 4e-12 (see ``monogamy``)
 PPT_ROUNDING = 2.0 ** 12 * np.finfo(float).eps
-# a sweep gathers the points of one parameter into chunks of at most
-# max(1, SWEEP_BATCH_ROWS // restarts) points, whose descents of one cut
-# run as one batch: per-row cost falls steeply from 3 rows to some tens
-# of rows and little beyond.  The cap holds for the E(1:23) batch; E(1:2)
-# and E(1:3) share the pair batch, which can reach twice the cap.  Per row
-# of one lockstep iteration at 3, 48 and 144 rows (one BLAS thread, K =
-# 16, 2-core x86 host): value + gradient 125, 40 and 38 us at 2x4, 95, 24
-# and 20 us at 2x2; L-BFGS direction and pair store (40 pairs) 56, 35 and
-# 32 us at 2x4, 48, 25 and 24 us at 2x2
-SWEEP_BATCH_ROWS = 48
 
 
 class ConfigError(ValueError):
@@ -88,9 +78,11 @@ class MonogamyResult:
                 and self.detail_1_3.converged)
 
 
-def _ppt_result(rho: np.ndarray) -> REEResult | None:
+def _ppt_result(rho: np.ndarray, p: RenyiParameter) -> REEResult | None:
     """E = 0 for a pair state whose partial transpose has no eigenvalue
-    below -PPT_ROUNDING * its largest; None for any other state."""
+    below -PPT_ROUNDING * its largest; None for any other state.  rho and
+    p pass the checks of every other path first."""
+    _check_ree_args(np.asarray(rho), CUT_PAIR, p)
     w = np.linalg.eigvalsh(partial_transpose(rho, [2, 2], 1))
     if w[0] < -PPT_ROUNDING * w[-1]:
         return None
@@ -111,7 +103,7 @@ def exact_batch(rhos: list[np.ndarray], cut: Bipartition,
     each result equals that of its state in a batch of one, bit for bit.
     A pair that is not an X-state, or whose solve stops short of its
     certificate (``converged`` False), gets None."""
-    out = [(_ppt_result(rho) if cut == CUT_PAIR else None)
+    out = [(_ppt_result(rho, p) if cut == CUT_PAIR else None)
            or pure_ree(rho, cut, p) for rho in rhos]
     todo = [i for i, res in enumerate(out) if res is None]
     if cut == CUT_PAIR:
@@ -124,7 +116,8 @@ def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
               p: RenyiParameter, opts: OptimizerOptions) -> list[REEResult]:
     """The reported REE of every (rho, seed) in ``jobs`` across ``cut``:
     ``exact_batch``, then one ``sepstates.ree_batch`` descent of the states
-    it leaves open, each with its seed.  ``monogamy``, ``qree ree`` and
+    it leaves open, each with its seed; ``jobs`` may be of any length (the
+    descent caps its own batches).  ``monogamy``, ``qree ree`` and
     ``critical_temperature`` report it; ``sepstates.ree`` is the descent."""
     out = exact_batch([rho for rho, _ in jobs], cut, p)
     todo = [i for i, res in enumerate(out) if res is None]
@@ -183,7 +176,7 @@ def monogamy_batch(jobs: list[tuple[np.ndarray, int]], p: RenyiParameter,
 
     Two ``ree_batch`` passes, each over one cut: E(1:23) of every rho3,
     then the pair cut of every rho_12 followed by every rho_13, each state
-    with its point's seed."""
+    with its point's seed; ``jobs`` may be of any length."""
     rhos = [np.asarray(rho3, dtype=complex) for rho3, _ in jobs]
     if any(rho3.shape != (8, 8) for rho3 in rhos):
         raise ValueError("monogamy expects an 8x8 three-qubit state")
@@ -331,7 +324,9 @@ def _cache_key(model: str, params: ModelParams, temp: float, p: RenyiParameter,
         "temp": temp,
         "alpha": p.alpha,
         "variant": p.variant,
-        "opts": {f.name: getattr(opts, f.name) for f in fields(opts)},
+        # each point descends from its own seed, never from opts.seed
+        "opts": {f.name: getattr(opts, f.name) for f in fields(opts)
+                 if f.name != "seed"},
         "seed": seed,
         "algorithm": ALGORITHM_VERSION,
     }, sort_keys=True)
@@ -375,11 +370,11 @@ class SweepCache:
 # ----------------------------------------------------------------------
 # the sweep itself
 
-def _evaluate_chunk(config: SweepConfig, alpha_idx: int,
+def _evaluate_alpha(config: SweepConfig, alpha_idx: int,
                     grid_idxs: list[int]) -> list[SweepRow]:
     """The rows of grid points ``grid_idxs`` at one alpha entry, their
-    monogamy evaluated as one batch.  Each row's walltime_ms is the chunk's
-    wall time divided by its points."""
+    monogamy evaluated as one ``monogamy_batch``.  Each row's walltime_ms
+    is that batch's wall time divided by its points."""
     p = config.alphas[alpha_idx]
     seeds = [_point_seed(config.seed, gi, alpha_idx) for gi in grid_idxs]
     t0 = time.perf_counter()
@@ -401,14 +396,13 @@ def _evaluate_chunk(config: SweepConfig, alpha_idx: int,
 def sweep(config: SweepConfig) -> list[SweepRow]:
     """Run every (grid point x alpha) job, reusing cached points.
 
-    The uncached points of each alpha entry run through ``monogamy_batch``
-    in chunks of at most max(1, SWEEP_BATCH_ROWS // restarts) points, so
-    their descents of one cut share a batch; with ``workers`` > 1 a thread
-    pool runs the chunks.  A row does not depend on its chunk or on the
-    worker count, except for walltime_ms, which is its chunk's wall time
-    divided by the chunk's points.  Rows come back sorted by (grid index,
-    alpha index) regardless of the execution order; when ``config.out`` is
-    set the CSV is (re)written.
+    The uncached points of each alpha entry run through one
+    ``monogamy_batch`` (the descent caps its own batches); with
+    ``workers`` > 1 a thread pool runs the alpha entries.  A row does not
+    depend on its batch or on the worker count, except for walltime_ms,
+    which is its alpha entry's wall time divided by its uncached points.
+    Rows come back sorted by (grid index, alpha index) regardless of the
+    execution order; when ``config.out`` is set the CSV is (re)written.
     """
     cache = SweepCache(config.cache_dir) if config.cache_dir else None
     pending: dict[int, list[int]] = {}
@@ -428,20 +422,16 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
                 keys[(gi, ai)] = key
             pending.setdefault(ai, []).append(gi)
 
-    size = max(1, SWEEP_BATCH_ROWS // config.opts.restarts)
-    chunks = [(ai, gis[lo:lo + size]) for ai, gis in pending.items()
-              for lo in range(0, len(gis), size)]
+    def run(entry):
+        return _evaluate_alpha(config, *entry)
 
-    def run(chunk):
-        return _evaluate_chunk(config, *chunk)
-
-    if config.workers > 1 and len(chunks) > 1:
+    if config.workers > 1 and len(pending) > 1:
         with concurrent.futures.ThreadPoolExecutor(config.workers) as pool:
-            done = list(pool.map(run, chunks))
+            done = list(pool.map(run, pending.items()))
     else:
-        done = [run(c) for c in chunks]
-    for (ai, gis), chunk_rows in zip(chunks, done):
-        for gi, row in zip(gis, chunk_rows):
+        done = [run(entry) for entry in pending.items()]
+    for (ai, gis), entry_rows in zip(pending.items(), done):
+        for gi, row in zip(gis, entry_rows):
             rows[(gi, ai)] = row
             if cache is not None:
                 cache.put(keys[(gi, ai)], row)

@@ -244,8 +244,18 @@ class Divergence:
         wf = np.maximum(ws, DEFAULT_FLOOR)
         x = _adjoint(vs) @ factor          # y for the sandwiched form
         if self.kind == "sand":
-            wm = np.linalg.eigvalsh(_gram(x, wf ** self.c))
-            top, rest = _scaled_power_sum(wm, self.alpha)
+            g = wf ** self.c
+            if self.alpha < 1.0:
+                # the Gram spectrum as the squared singular values of diag(g)
+                # y: an error of eps |g y| in a singular value s is one of
+                # 2 eps |g y| s in s^2, where eigvalsh of the Gram matrix errs
+                # by eps |g y|^2, which x^alpha, alpha < 1, magnifies at small
+                # x.  g y has full column rank, so no zero is dropped
+                wm = np.linalg.svd(x * g[:, :, None], compute_uv=False)[:, ::-1] ** 2
+                top, rest = wm[:, -1], ((wm / wm[:, -1:]) ** self.alpha).sum(axis=1)
+            else:
+                top, rest = _scaled_power_sum(np.linalg.eigvalsh(_gram(x, g)),
+                                              self.alpha)
             return (self.alpha * np.log(top) + np.log(rest)) / (self.alpha - 1.0)
         occ = ((x.real ** 2 + x.imag ** 2) @ weight[..., None])[..., 0]
         if self.kind == "kl":

@@ -66,6 +66,14 @@ SANDWICHED_ALPHA_CAP = 64.0
 MAX_HALVINGS = 60
 # (s, y) pairs each restart keeps for its L-BFGS direction
 LBFGS_MEMORY = 40
+# most rows one ``_descend`` call runs, unless one state's restarts exceed
+# it (``ree_batch``).  It bounds cache and memory use, not the arithmetic:
+# per row of one lockstep iteration at 3, 48 and 144 rows (one BLAS thread,
+# K = 16, 2-core x86 host), value + gradient took 125, 40 and 38 us at 2x4,
+# 95, 24 and 20 us at 2x2; L-BFGS direction and pair store (40 pairs) 56,
+# 35 and 32 us at 2x4, 48, 25 and 24 us at 2x2.  A process descending
+# 1 024 rows at 2x4 peaked at 640 MB in one batch, 68 MB in batches of 48
+DESCENT_BATCH_ROWS = 48
 
 # default mixture components K per dimension of the cut, for the descent
 # and the sampling oracle alike
@@ -96,7 +104,7 @@ TOL_OBJECTIVE = 1e-7
 
 # Sweep caches key on this; bump it whenever a change can move an optimizer
 # result, even at rounding level (CHANGES.md says what moved each version).
-ALGORITHM_VERSION = 18
+ALGORITHM_VERSION = 19
 
 
 @dataclass(frozen=True)
@@ -559,9 +567,9 @@ def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
 
     Each result equals ``ree(rho, cut, p, replace(opts, seed=seed))`` bit
     for bit: a restart's trajectory does not depend on any other row of
-    its batch.  The restarts of every state of one rank descend as the
-    rows of one batch; states of different ranks descend in separate
-    batches.
+    its batch.  The restarts of up to max(1, DESCENT_BATCH_ROWS //
+    restarts) consecutive states of one rank descend as the rows of one
+    batch, so ``jobs`` may be of any length.
     """
     rhos = [np.asarray(rho, dtype=complex) for rho, _ in jobs]
     for rho in rhos:
@@ -571,9 +579,10 @@ def ree_batch(jobs: list[tuple[np.ndarray, int]], cut: Bipartition,
     w, v = np.linalg.eigh(np.stack(rhos))
     ranks = np.count_nonzero(_drop_rounding_zeros(w) > 0, axis=1)
     k, n_restarts = opts.n_components(cut), opts.restarts
+    size = max(1, DESCENT_BATCH_ROWS // n_restarts)
+    groups = [np.flatnonzero(ranks == rank) for rank in dict.fromkeys(ranks.tolist())]
     results: list[REEResult] = [None] * len(rhos)
-    for rank in dict.fromkeys(ranks.tolist()):
-        members = np.flatnonzero(ranks == rank)
+    for members in (g[lo:lo + size] for g in groups for lo in range(0, g.size, size)):
         obj = _Objective(Divergence.of_states(w[members], v[members], p), cut)
         seeds = [[_restart_seed(jobs[i][1], r) for r in range(n_restarts)]
                  for i in members]

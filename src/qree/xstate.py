@@ -78,9 +78,11 @@ bound is taken at every polished point where each block's smaller
 eigenvalue, in closed form, sits above the floor of ``renyi`` (the polish
 mixes in enough of I/4 to keep it there, even at W's rank-deficient
 optimum) and turns into one on D.  It is only as valid as the kernel's
-value: at sandwiched alpha < 1 the kernel drops N_B's small eigenvalues
-as rounding zeros, and on near-pure states the bound can then exceed the
-minimum by about 3e-8.
+value, so the kernel keeps every eigenvalue of N_B above zero: its
+smaller one, det / (larger), keeps its relative accuracy however small
+it is, and at sandwiched alpha < 1 dropping it as a rounding zero would
+lower Q's power sum, raise D, and let the bound exceed the minimum (by
+about 3e-8 on near-pure states).
 
 A row stops once its value is within XSTATE_GAP of its best bound (within
 XSTATE_TOLERANCE at the cap), when its line search finds no step, or
@@ -378,7 +380,6 @@ class _Kernel:
         cutoff = 4 * np.finfo(float).eps * np.maximum(lam.max(axis=(1, 2)), 0.0)
         kept = lam > cutoff[:, None, None]
         lam = np.where(kept, lam, 0.0)
-        self.rank = kept.sum(axis=(1, 2))
         safe = np.where(kept, lam, 1.0)
         self.neg_entropy = _sum4(np.where(kept, lam * np.log(safe), 0.0))
         # each block as its eigenvectors and the weights of the matrix its
@@ -434,9 +435,11 @@ class _Kernel:
             ny = y.swapaxes(-1, -2) * k[..., None, :] @ y
             nu, w = _eig2(ny[..., 0, 0], ny[..., 1, 1], ny[..., 0, 1],
                           self.det[rows] * k[..., 0] * k[..., 1])
-            # sum_i nu_i^alpha = top^alpha rest, with rounding zeros dropped
+            # sum_i nu_i^alpha = top^alpha rest.  Every nu > 0 is kept: the
+            # smaller of a block's two is det / (larger eigenvalue), accurate
+            # to its last digits, not rounding noise
             top = nu.max(axis=(1, 2))
-            kept = nu > (self.rank[rows] * np.finfo(float).eps * top)[:, None, None]
+            kept = nu > 0.0
             scaled = nu / top[:, None, None]
             h, hp, hpp = _power(np.where(kept, scaled, 1.0), a, kept)
             h = np.where(kept, h, 0.0)

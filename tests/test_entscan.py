@@ -216,6 +216,16 @@ class TestMonogamyShortcuts:
             assert np.array_equal(res.detail_1_2.closest_state,
                                   0.5 * (pair + pair.conj().T))
 
+    @pytest.mark.parametrize("rho, p, named", [
+        (np.eye(4) / 2, RenyiParameter(1.0), "trace"),
+        (partial_trace(projector(ghz()), [2, 2, 2], [0, 1]),
+         RenyiParameter(100.0, "sand"), "cap")])
+    def test_ppt_pairs_are_checked_first(self, rho, p, named):
+        # both pairs are PPT, so only a check ahead of the PPT shortcut
+        # refuses them, as every other path refuses W's pair at alpha 100
+        with pytest.raises(ValueError, match=named):
+            entscan.ree_batch([(rho, 0)], CUT_PAIR, p, QUICK)
+
     def test_swapped_pairs_agree(self):
         rho = chiral_state()
         p = RenyiParameter(2.0, "sand")
@@ -506,22 +516,33 @@ class TestSweep:
         sweep(cfg)
         assert points["n"] == 2
 
-    def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
-        # one point a chunk, so the pool has two chunks to run
-        monkeypatch.setattr(entscan, "SWEEP_BATCH_ROWS", 2)
+    def test_rows_do_not_depend_on_the_options_seed(self, tmp_path, monkeypatch):
+        # every point descends from its own seed, so a config that differs
+        # only in opts.seed reuses the cached rows
         cfg = parse_config(TINY_CONFIG)
+        cfg.cache_dir = str(tmp_path / "cache")
+        rows = sweep(cfg)
+        points = count_points(monkeypatch)
+        cfg.opts = replace(cfg.opts, seed=cfg.opts.seed + 1)
+        assert sweep(cfg) == rows
+        assert points["n"] == 0
+
+    def test_parallel_workers_match_serial(self):
+        # two alpha entries, so the pool has two tasks to run
+        config = TINY_CONFIG.replace("alphas = 1 trad", "alphas = 1 trad, 1.5 trad")
+        cfg = parse_config(config)
         serial = sweep(cfg)
-        cfg2 = parse_config(TINY_CONFIG)
+        cfg2 = parse_config(config)
         cfg2.workers = 3
         parallel = sweep(cfg2)
         assert ([replace(r, walltime_ms=0.0) for r in parallel]
                 == [replace(r, walltime_ms=0.0) for r in serial])
 
     def test_rows_match_pointwise_monogamy(self, monkeypatch):
-        # TFI at lam = 0.5 and low T has entangled pairs, which share a
-        # chunk's xstate solve, and every E(1:23) descends; 3 points a
-        # chunk split each alpha's 4
-        monkeypatch.setattr(entscan, "SWEEP_BATCH_ROWS", 6)
+        # TFI at lam = 0.5 and low T has entangled pairs, which share an
+        # alpha entry's xstate solve, and every E(1:23) descends; descent
+        # batches of 3 states split each alpha's 4
+        monkeypatch.setattr(sepstates, "DESCENT_BATCH_ROWS", 6)
         cfg = entscan.SweepConfig(
             model="tfi", fixed={"lam": 0.5}, sweep_param="temp",
             grid=[0.05, 0.2, 0.4, 1.5],
@@ -529,8 +550,9 @@ class TestSweep:
             opts=OptimizerOptions(restarts=2, max_iters=60, components=8), seed=2)
         rows = sweep(cfg)
         assert any(r.e_1_2 > 0 for r in rows)
-        # rows (grid index, alpha index) = (0, 0), (1, 0), (2, 0) share a chunk
-        assert rows[0].walltime_ms == rows[2].walltime_ms == rows[4].walltime_ms
+        # the rows of one alpha entry share its batch's wall time
+        assert len({r.walltime_ms for r in rows[0::2]}) == 1
+        assert len({r.walltime_ms for r in rows[1::2]}) == 1
         for row in rows:
             rho = thermal_state(hamiltonian(cfg.point_params(row.param_value)),
                                 row.temp).rho

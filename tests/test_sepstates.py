@@ -917,6 +917,31 @@ class TestOptimizerBehavior:
         for (rho, seed), got in zip(jobs, results):
             self.assert_same_result(got, ree(rho, CUT_22, p, replace(opts, seed=seed)))
 
+    @pytest.mark.parametrize("cap", [2, 7])
+    def test_ree_batch_caps_its_rows(self, monkeypatch, cap):
+        # 3 restarts a state, 3 states of rank 2 and 4 of rank 4: a cap of 7
+        # gives batches of 2 states, 4 batches; a cap of 2 gives one state
+        # a batch, its restarts kept together, 7 batches
+        import qree.sepstates as sepstates
+        rows, real = [], sepstates._descend
+
+        def recording(obj, theta, state, opts):
+            rows.append(len(theta))
+            return real(obj, theta, state, opts)
+
+        monkeypatch.setattr(sepstates, "DESCENT_BATCH_ROWS", cap)
+        monkeypatch.setattr(sepstates, "_descend", recording)
+        opts = OptimizerOptions(restarts=3, max_iters=60, components=8)
+        p = RenyiParameter(1.5, "trad")
+        jobs = [(random_density_matrix(4, 4 if i % 3 else 2, 20 + i), i) for i in range(7)]
+        results = ree_batch(jobs, CUT_22, p, opts)
+        assert sum(rows) == 3 * len(jobs)
+        assert max(rows) <= max(3, cap)
+        assert len(rows) == (7 if cap == 2 else 4)
+        monkeypatch.setattr(sepstates, "_descend", real)
+        for (rho, seed), got in zip(jobs, results):
+            self.assert_same_result(got, ree(rho, CUT_22, p, replace(opts, seed=seed)))
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             OptimizerOptions(restarts=0)

@@ -330,12 +330,11 @@ class TestNearPurePairs:
         assert max(r.iterations for r in res) < xstate.XSTATE_MAX_ITERS
         assert all(r.lower_bound <= r.value for r in res)
 
-    @pytest.mark.xfail(strict=True, reason="the sandwiched kernel drops N_B "
-                       "eigenvalues below rank eps top as rounding zeros")
     def test_bound_holds_at_sandwiched_half(self):
-        # TFI lam = 0.5, T = 0.1: a descent reaches 3.4e-8 below the
-        # certified bound, and 60-digit arithmetic puts the divergence at
-        # the solver's own closest state 8.6e-9 below it
+        # TFI lam = 0.5, T = 0.1: with N_B's small eigenvalues dropped as
+        # rounding zeros, a descent reached 3.4e-8 below the certified
+        # bound, and 60-digit arithmetic put the divergence at the solver's
+        # own closest state 8.6e-9 below it
         rho3 = thermal_state(hamiltonian(ModelParams.tfi(0.5)), 0.1).rho
         rho = partial_trace(rho3, [2, 2, 2], (0, 1))
         p = RenyiParameter(0.5, "sand")
