@@ -17,8 +17,9 @@ their bytes):
   PPT, at the zoo parameters: the count, the smallest, median and largest
   difference, how many converged descents sit more than 1e-6 above, how
   many solves stop short of their certificate (``monogamy`` descends those
-  pairs), the Newton iterations of the ``xstate`` solves, summed, and the
-  widest certificate, the largest value minus lower bound of those solves;
+  pairs), the Newton iterations of the ``xstate`` solves, summed, the
+  widest certificate, the largest value minus lower bound of those solves,
+  and the sigmas those solves evaluated, summed;
 
 and a last ``totals`` line over the library descents ``sepstates.ree``
 runs on the zoo states, which always descend: per zoo point, E(1:23) as
@@ -127,7 +128,7 @@ def main() -> None:
         h = hamiltonian(ModelParams.tfi(lam))
         pairs += [partial_trace(thermal_state(h, temp).rho, [2, 2, 2], keep)
                   for temp in TFI_TEMPS for keep in PAIR_KEEP.values()]
-    diffs, stuck, uncertified, newton, widest = [], 0, 0, 0, -np.inf
+    diffs, stuck, uncertified, newton, evaluations, widest = [], 0, 0, 0, 0, -np.inf
     for p in ZOO_PARAMS:
         for rho in pairs:
             [x] = exact_batch([rho], CUT_PAIR, p)
@@ -138,6 +139,7 @@ def main() -> None:
                 continue
             uncertified += not x.converged
             newton += x.iterations
+            evaluations += x.evaluations
             widest = max(widest, x.value - x.lower_bound)
             r = ree(rho, CUT_PAIR, p, opts)
             diffs.append(r.value - x.value)
@@ -146,7 +148,8 @@ def main() -> None:
     print(f"accuracy pairs={len(diffs)} min={diffs[0]!r} "
           f"median={float(np.median(diffs))!r} max={diffs[-1]!r} "
           f"converged_above_{ACCURACY_FLAG:g}={stuck} uncertified={uncertified} "
-          f"xstate_iterations={newton} widest_gap={widest!r}")
+          f"xstate_iterations={newton} widest_gap={widest!r} "
+          f"xstate_evaluations={evaluations}")
 
     descents, lockstep = [], 0
     for rho in states.values():

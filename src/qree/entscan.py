@@ -35,7 +35,7 @@ from . import sepstates, xstate
 from .qmat import Bipartition, partial_trace, partial_transpose
 from .renyi import RenyiParameter
 from .sepstates import (ALGORITHM_VERSION, OptimizerOptions, REEResult,
-                        _check_ree_args, check_parameter, pure_ree)
+                        _check_ree_args, _pure_ree, check_parameter)
 from .spinchain import ModelParams, hamiltonian, thermal_state
 
 log = logging.getLogger(__name__)
@@ -80,9 +80,8 @@ class MonogamyResult:
 
 def _ppt_result(rho: np.ndarray, p: RenyiParameter) -> REEResult | None:
     """E = 0 for a pair state whose partial transpose has no eigenvalue
-    below -PPT_ROUNDING * its largest; None for any other state.  rho and
-    p pass the checks of every other path first."""
-    _check_ree_args(np.asarray(rho), CUT_PAIR, p)
+    below -PPT_ROUNDING * its largest; None for any other state.  rho has
+    passed the checks of every path (see ``exact_batch``)."""
     w = np.linalg.eigvalsh(partial_transpose(rho, [2, 2], 1))
     if w[0] < -PPT_ROUNDING * w[-1]:
         return None
@@ -98,16 +97,23 @@ def exact_batch(rhos: list[np.ndarray], cut: Bipartition,
     for a state that takes none of them (the paths are set out in
     ``monogamy``).
 
-    The pairs that take neither closed form try ``xstate`` in one
-    ``xstate.ree_batch`` call, whose rows do not depend on each other, so
+    The pairs that take neither closed form try ``xstate`` in one batch
+    (``xstate.ree_batch`` without its checks), whose rows do not depend on
+    each other, so
     each result equals that of its state in a batch of one, bit for bit.
     A pair that is not an X-state, or whose solve stops short of its
-    certificate (``converged`` False), gets None."""
+    certificate (``converged`` False), gets None.
+
+    Each state and ``p`` are checked once, ahead of every path, so the
+    ``ppt`` shortcut refuses what the other paths refuse."""
+    checked = [np.asarray(rho, dtype=complex) for rho in rhos]
+    for rho in checked:
+        _check_ree_args(rho, cut, p)
     out = [(_ppt_result(rho, p) if cut == CUT_PAIR else None)
-           or pure_ree(rho, cut, p) for rho in rhos]
+           or _pure_ree(c, cut, p) for rho, c in zip(rhos, checked)]
     todo = [i for i, res in enumerate(out) if res is None]
     if cut == CUT_PAIR:
-        for i, res in zip(todo, xstate.ree_batch([rhos[i] for i in todo], p)):
+        for i, res in zip(todo, xstate._ree_batch([checked[i] for i in todo], p)):
             out[i] = res if res is not None and res.converged else None
     return out
 

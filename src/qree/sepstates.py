@@ -670,6 +670,12 @@ def pure_ree(rho: np.ndarray, cut: Bipartition,
     """
     rho = np.asarray(rho, dtype=complex)
     _check_ree_args(rho, cut, p)
+    return _pure_ree(rho, cut, p)
+
+
+def _pure_ree(rho: np.ndarray, cut: Bipartition,
+              p: RenyiParameter) -> REEResult | None:
+    """``pure_ree`` of a complex rho that has passed ``_check_ree_args``."""
     w, v = eig_hermitian(rho)
     if np.count_nonzero(_drop_rounding_zeros(w)) > 1:
         return None

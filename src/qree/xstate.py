@@ -91,6 +91,7 @@ after XSTATE_MAX_ITERS iterations.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -209,7 +210,8 @@ def x_frame(rho: np.ndarray):
     rho = np.asarray(rho, dtype=complex)
     scale = float(np.linalg.eigvalsh(rho)[-1])
     for n1, n2 in _candidates(rho, scale):
-        frame = np.kron(_rotation(n1), _rotation(n2))
+        # U1 (x) U2: the products np.kron forms, without its overhead
+        frame = (_rotation(n1)[:, None, :, None] * _rotation(n2)[None, :, None, :]).reshape(4, 4)
         turned = frame.conj().T @ rho @ frame
         if np.abs(turned[~_X_PATTERN]).max() > XSTATE_ROUNDING * scale:
             continue
@@ -247,10 +249,11 @@ _BLOCK_ROWS = np.array([[0, 3], [1, 2]])
 # error, second order in the distance, is then below the rounding of the
 # differences themselves
 NEAR = 1e-5
-# entry [i, j] of a 2x2 divided-difference matrix, and [i, j, k] of a 2x2x2
-# one, is its value at i + j, or i + j + k, ones
-_ONES2 = np.indices((2, 2)).sum(axis=0)
+# entry [i, j, k] of a 2x2x2 second divided difference is its value at i + j
+# + k ones; _SYM2 takes [[d0, off], [off, d1]] from (d0, off, d1)
 _ONES3 = np.indices((2, 2, 2)).sum(axis=0)
+_SYM2 = _ONES3[0]
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def _sum4(x: np.ndarray) -> np.ndarray:
@@ -261,13 +264,11 @@ def _sum4(x: np.ndarray) -> np.ndarray:
     return (x[..., 0, 0] + x[..., 0, 1]) + (x[..., 1, 0] + x[..., 1, 1])
 
 
-def _last(*parts: np.ndarray) -> np.ndarray:
-    """The arrays ``parts`` stacked along a new last axis: np.stack's own
-    cost is most of the time on arrays this small."""
-    out = np.empty(parts[0].shape + (len(parts),))
-    for k, x in enumerate(parts):
-        out[..., k] = x
-    return out
+def _sym2(d0, off, d1) -> np.ndarray:
+    """The symmetric (..., 2, 2) [[d0, off], [off, d1]]."""
+    out = np.empty(np.shape(off) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = d0, off, d1
+    return out.take(_SYM2, axis=-1)
 
 
 def _eig2(p, q, u, det):
@@ -277,54 +278,63 @@ def _eig2(p, q, u, det):
     relative accuracy where it nears 0."""
     m, h = 0.5 * (p + q), 0.5 * (p - q)
     r = np.hypot(h, u)
-    hi = m + r
-    lo = np.where(hi > 0, det / np.where(hi > 0, hi, 1.0), m - r)
+    vals = m[..., None] + r[..., None] * _SIGNS      # m - r, m + r
+    hi = vals[..., 1]
+    np.divide(det, hi, out=vals[..., 0], where=hi > 0)
     phi = 0.5 * np.arctan2(u, h)
     c, s = np.cos(phi), np.sin(phi)
-    return _last(lo, hi), _last(-s, c, c, s).reshape(*c.shape, 2, 2)
+    return vals, _sym2(-s, c, s)
 
 
 def _sigma_eigs(z: np.ndarray):
     """Each block's (n, 2, 2) ascending eigenvalues and (n, 2, 2, 2)
     eigenvectors at rows z."""
-    p, q, u = np.moveaxis(z[:, _BLOCKS], -1, 0)
+    # the columns of _BLOCKS: p = (a, b), q = (d, c), u = (x, y)
+    p, q, u = z[:, :2], z[:, 3:1:-1], z[:, 4:]
     return _eig2(p, q, u, p * q - u * u)
 
 
 def _first(mu, g, gp):
     """The first divided difference of a scalar function at ascending pairs
     mu, from its values g and derivatives gp there (see NEAR); with the
-    pairs that count as equal, and the divisor."""
+    pairs that count as equal, and the gaps mu_1 - mu_0."""
     gap = mu[..., 1] - mu[..., 0]
     near = gap <= NEAR * np.abs(mu[..., 1])
-    step = np.where(near, 1.0, gap)
-    return np.where(near, 0.5 * (gp[..., 0] + gp[..., 1]),
-                    (g[..., 1] - g[..., 0]) / step), near, step
+    first = g[..., 1] - g[..., 0]
+    np.divide(first, gap, out=first, where=~near)
+    if near.any():
+        np.multiply(gp[..., 0] + gp[..., 1], 0.5, out=first, where=near)
+    return first, near, gap
 
 
 def _divided(mu, g, gp, gpp):
     """First (..., 2, 2) and second (..., 2, 2, 2) divided differences of a
     scalar function at ascending pairs mu, from its values g, first
-    derivatives gp and second derivatives gpp there (see NEAR)."""
-    first, near, step = _first(mu, g, gp)
-    d0, d1 = gp[..., 0], gp[..., 1]
-    s0, s1 = gpp[..., 0], gpp[..., 1]
-    two0 = np.where(near, (2.0 * s0 + s1) / 6.0, (first - d0) / step)
-    two1 = np.where(near, (s0 + 2.0 * s1) / 6.0, (d1 - first) / step)
-    return (_last(d0, first, d1)[..., _ONES2],
-            _last(0.5 * s0, two0, two1, 0.5 * s1)[..., _ONES3])
+    derivatives gp and second derivatives gpp there (see NEAR): entry [i,
+    j] of the first, and [i, j, k] of the second, is its value at i + j,
+    or i + j + k, ones."""
+    first, near, gap = _first(mu, g, gp)
+    # the second ones at 0 to 3 ones: gpp_0 / 2, (first - gp_0) / gap,
+    # (gp_1 - first) / gap, as -(first - gp_1) / gap, and gpp_1 / 2
+    ends = np.empty(first.shape + (4,))
+    np.multiply(gpp, 0.5, out=ends[..., ::3])
+    mid = np.subtract(first[..., None], gp, out=ends[..., 1:3])
+    np.divide(mid, gap[..., None], out=mid, where=~near[..., None])
+    np.negative(mid[..., 1], out=mid[..., 1])
+    if near.any():
+        # (2 gpp_0 + gpp_1) / 6 and (gpp_0 + 2 gpp_1) / 6
+        np.divide(2.0 * gpp + gpp[..., ::-1], 6.0, out=mid, where=near[..., None])
+    return _sym2(gp[..., 0], first, gp[..., 1]), ends.take(_ONES3, axis=-1)
 
 
 def _directions(vecs: np.ndarray) -> np.ndarray:
     """(..., 3, 2, 2) derivatives of a block in p, q and u, in its
     eigenbasis: V^T E V for E = [[1, 0], [0, 0]], [[0, 0], [0, 1]] and
     [[0, 1], [1, 0]]."""
-    r0, r1 = vecs[..., 0, :], vecs[..., 1, :]
     out = np.empty(vecs.shape[:-2] + (3, 2, 2))
-    out[..., 0, :, :] = r0[..., :, None] * r0[..., None, :]
-    out[..., 1, :, :] = r1[..., :, None] * r1[..., None, :]
-    e01 = r0[..., :, None] * r1[..., None, :]
-    out[..., 2, :, :] = e01 + e01.swapaxes(-1, -2)
+    np.multiply(vecs[..., :, :, None], vecs[..., :, None, :], out=out[..., :2, :, :])
+    e01 = vecs[..., 0, :, None] * vecs[..., 1, None, :]
+    np.add(e01, e01.swapaxes(-1, -2), out=out[..., 2, :, :])
     return out
 
 
@@ -350,17 +360,23 @@ def _power(x, e, live):
     return y, yp, np.where(live, (e - 1.0) * yp / x, 0.0)
 
 
+# the entries of a flattened gradient (6) and Hessian (36) in z that each
+# block's (p, q, u) entries fill, in the blocks' order
+_GRAD_SLOTS = _BLOCKS.ravel()
+_HESS_SLOTS = (6 * _BLOCKS[:, :, None] + _BLOCKS[:, None, :]).ravel()
+
+
 def _scatter(blocks: np.ndarray) -> np.ndarray:
     """(n, 6) gradients or (n, 6, 6) Hessians in z from (n, 2, 3) or (n, 2,
     3, 3) ones in each block's (p, q, u)."""
     n = len(blocks)
     if blocks.ndim == 3:
         out = np.zeros((n, 6))
-        out[:, _BLOCKS] = blocks
-    else:
-        out = np.zeros((n, 6, 6))
-        out[:, _BLOCKS[:, :, None], _BLOCKS[:, None, :]] = blocks
-    return out
+        out[:, _GRAD_SLOTS] = blocks.reshape(n, 6)
+        return out
+    out = np.zeros((n, 36))
+    out[:, _HESS_SLOTS] = blocks.reshape(n, 18)
+    return out.reshape(n, 6, 6)
 
 
 class _Kernel:
@@ -393,14 +409,15 @@ class _Kernel:
         self.weight = np.where(kept, safe ** power, 0.0)
         self.det = lam[..., 0] * lam[..., 1]
         n, every = len(rho_xs), np.arange(len(rho_xs))
-        d, grad, hess = self.divergence(np.tile(_START, (n, 1)), every)
+        d, grad, hess, _ = self.divergence(np.tile(_START, (n, 1)), every)
         self.q0 = np.ones(n) if p.is_kl else np.exp((p.alpha - 1.0) * d)
         self.evaluations = np.ones(n, dtype=int)
         self.start = self._objective(d, grad, hess, every)
 
     def divergence(self, z: np.ndarray, rows: np.ndarray):
-        """(D, grad D, Hessian of D) at rows z of the states ``rows``: (n,),
-        (n, 6) and (n, 6, 6)."""
+        """(D, grad D, Hessian of D, each block's smaller sigma eigenvalue)
+        at rows z of the states ``rows``: (n,), (n, 6), (n, 6, 6) and (n,
+        2)."""
         p, n = self.p, len(z)
         mu, vecs = _sigma_eigs(z)
         dirs = _directions(vecs)
@@ -411,18 +428,20 @@ class _Kernel:
         x = vecs.swapaxes(-1, -2) @ self.factor[rows]
         y = x * self.weight[rows][..., None, :]
         at = y @ x.swapaxes(-1, -2)
+        occupations = np.diagonal(at, axis1=-2, axis2=-1)
         if p.is_kl:
             g = np.log(wf)
             gp = np.where(live, 1.0 / wf, 0.0)
             first, second = _divided(mu, g, gp, -gp * gp)
             grad, hess = _spectral(at, dirs, first, second)
-            d = (self.neg_entropy[rows]
-                 - _sum4(np.diagonal(at, axis1=-2, axis2=-1) * g))
-            return d, -_scatter(grad), -_scatter(hess)
+            d = self.neg_entropy[rows] - _sum4(occupations * g)
+            grad, hess = _scatter(grad), _scatter(hess)
+            return d, np.negative(grad, out=grad), np.negative(hess, out=hess), mu[..., 0]
         a = p.alpha
         if p.variant == TRADITIONAL:
-            first, second = _divided(mu, *_power(wf, 1.0 - a, live))
-            q = _sum4(np.diagonal(at, axis1=-2, axis2=-1) * wf ** (1.0 - a))
+            g, gp, gpp = _power(wf, 1.0 - a, live)
+            first, second = _divided(mu, g, gp, gpp)
+            q = _sum4(occupations * g)
             grad, hess = _spectral(at, dirs, first, second)
             log_q = np.log(q)
         else:
@@ -450,22 +469,28 @@ class _Kernel:
             # plus the second derivative of Tr h through N_B
             moved = (c.swapaxes(-1, -2)[..., None, :, :] @ (first[..., None, :, :] * dirs)
                      @ c[..., None, :, :])
-            hdd = _last(hpp[..., 0], _first(nu, hp, hpp)[0], hpp[..., 1])[..., _ONES2]
+            hdd = _sym2(hpp[..., 0], _first(nu, hp, hpp)[0], hpp[..., 1])
             flat = moved.reshape(n, 2, 3, 4)
             hess = hess + ((moved * hdd[..., None, :, :]).reshape(flat.shape)
                            @ flat.swapaxes(-1, -2))
             q = _sum4(h)
             log_q = a * np.log(top) + np.log(q)
-        grad, hess = _scatter(grad) / q[:, None], _scatter(hess) / q[:, None, None]
-        hess = hess - grad[:, :, None] * grad[:, None, :]
-        return log_q / (a - 1.0), grad / (a - 1.0), hess / (a - 1.0)
+        grad, hess = _scatter(grad), _scatter(hess)
+        grad /= q[:, None]
+        hess /= q[:, None, None]
+        hess -= grad[:, :, None] * grad[:, None, :]
+        grad /= a - 1.0
+        hess /= a - 1.0
+        return log_q / (a - 1.0), grad, hess, mu[..., 0]
 
     def __call__(self, z: np.ndarray, rows: np.ndarray):
-        """(D, f, grad f, Hessian of f in the free coordinates) at rows z of
-        the states ``rows``: f = D (KL), Q / Q0 (alpha > 1) or -Q / Q0
-        (alpha < 1), Q0 the value of Q at I/4."""
+        """(D, f, grad f, Hessian of f in the free coordinates, each block's
+        smaller sigma eigenvalue) at rows z of the states ``rows``: f = D
+        (KL), Q / Q0 (alpha > 1) or -Q / Q0 (alpha < 1), Q0 the value of Q
+        at I/4."""
         self.evaluations += np.bincount(rows, minlength=len(self.evaluations))
-        return self._objective(*self.divergence(z, rows), rows)
+        d, grad, hess, low = self.divergence(z, rows)
+        return (*self._objective(d, grad, hess, rows), low)
 
     def _objective(self, d: np.ndarray, grad: np.ndarray, hess: np.ndarray,
                    rows: np.ndarray):
@@ -478,9 +503,9 @@ class _Kernel:
         # above the minimum: f = +inf there fails the Armijo test
         with np.errstate(over="ignore", invalid="ignore"):
             q = np.exp((a - 1.0) * d) / self.q0[rows]
-            hess = (abs(a - 1.0) * q)[:, None, None] * (
-                hess + (a - 1.0) * grad[:, :, None] * grad[:, None, :])
-            grad = (abs(a - 1.0) * q)[:, None] * grad
+            w = abs(a - 1.0) * q
+            hess = w[:, None, None] * (hess + (a - 1.0) * grad[:, :, None] * grad[:, None, :])
+            grad = w[:, None] * grad
             return d, math.copysign(1.0, a - 1.0) * q, grad, _FREE.T @ hess @ _FREE
 
     def slope(self, f: np.ndarray) -> np.ndarray:
@@ -509,27 +534,33 @@ def _normals(z: np.ndarray):
 
 
 class _Barrier:
-    """The cone slacks g_k = p q - u^2 of rows z and the value, gradient
-    and Hessian of F = -sum_k log g_k; ``ok`` marks the feasible rows, and
-    F is +inf at the others."""
+    """The cone slacks g_k = p q - u^2 of rows z and the value of F = -sum_k
+    log g_k; ``ok`` marks the feasible rows, and F is +inf at the others.
+    ``derivatives``, (grad F, Hessian of F in the free coordinates), is
+    computed when first asked for: a trial point of the line search needs
+    only the value."""
 
     def __init__(self, z: np.ndarray):
-        dg, g = _normals(z)
-        self.ok = (z[:, :4] > 0).all(axis=1) & (g > 0).all(axis=1)
+        self.normals, g = _normals(z)
+        self.ok = np.minimum(z[:, :4].min(axis=1), g.min(axis=1)) > 0
         # the other rows' terms are left finite and unused
-        g = np.where(self.ok[:, None], g, 1.0)
-        m = dg / g[:, :, None]
-        self.slack = g
-        self.value = np.where(self.ok, -np.log(g).sum(axis=1), np.inf)
-        self.hess = m.swapaxes(1, 2) @ m - ((1.0 / g)[:, :, None, None] * _CURVE).sum(axis=1)
-        self.grad = -m.sum(axis=1)
+        self.slack = np.where(self.ok[:, None], g, 1.0)
+        self.value = np.where(self.ok, -np.log(self.slack).sum(axis=1), np.inf)
+
+    @functools.cached_property
+    def derivatives(self):
+        g = self.slack
+        m = self.normals / g[:, :, None]
+        hess = m.swapaxes(1, 2) @ m - ((1.0 / g)[:, :, None, None] * _CURVE).sum(axis=1)
+        return -m.sum(axis=1), _FREE.T @ hess @ _FREE
 
 
 def _newton(t, grad, bar: _Barrier, hess_f):
     """Newton steps (B, 6) of t f + F on the plane sum p = 1, and their
     decrements squared."""
-    gv = _rows(t[:, None] * grad + bar.grad, _FREE)
-    hv = t[:, None, None] * hess_f + _FREE.T @ bar.hess @ _FREE
+    bar_grad, bar_hess = bar.derivatives
+    gv = _rows(t[:, None] * grad + bar_grad, _FREE)
+    hv = t[:, None, None] * hess_f + bar_hess
     # Jacobi scaling: the barrier's entries span many orders of magnitude
     scale = 1.0 / np.sqrt(np.abs(np.diagonal(hv, axis1=1, axis2=2)))
     hs = hv * scale[:, :, None] * scale[:, None, :]
@@ -552,30 +583,37 @@ def _lmo(c: np.ndarray) -> np.ndarray:
     # phi_ad = phi_bc, squared twice, is a quadratic in u = k theta; its
     # roots, then one Newton step on phi_ad - phi_bc against their rounding
     delta = 2.0 * (mid_ad - mid_bc)
-    e = gap_ad ** 2 - gap_bc ** 2 - delta ** 2 - k ** 2
-    qa = k ** 2 - delta ** 2
-    qb = k * (e + 2.0 * delta ** 2)
-    qc = 0.25 * e ** 2 - delta ** 2 * (gap_bc ** 2 + k ** 2)
-    ends = np.zeros(len(c)), np.ones(len(c))
-    best = np.maximum(*(np.minimum(*phi(theta)[:2]) for theta in ends))
+    k2, delta2, bc2 = k ** 2, delta ** 2, gap_bc ** 2
+    e = gap_ad ** 2 - bc2 - delta2 - k2
+    qa = k2 - delta2
+    qb = k * (e + 2.0 * delta2)
+    qc = 0.25 * e ** 2 - delta2 * (bc2 + k2)
+    # theta = 0, 1 and the two roots as the rows of one array; a root that
+    # is NaN (0 / 0) counts as 0, and fmax and fmin clip every root,
+    # infinite ones included, to [0, 1]
+    theta = np.empty((4, len(c)))
+    theta[0], theta[1] = 0.0, 1.0
+    roots = theta[2:]
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -(qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
-        for theta in (q / (2.0 * qa * k), 2.0 * qc / (q * k)):
-            theta = np.clip(np.nan_to_num(theta, nan=0.0), 0.0, 1.0)
-            ad, bc, r_ad, r_bc = phi(theta)
-            slope = -0.5 * k * k * (theta / r_ad + (1.0 - theta) / r_bc)
-            theta = np.clip(np.nan_to_num(theta - (ad - bc) / slope, nan=0.0), 0.0, 1.0)
-            best = np.maximum(best, np.minimum(*phi(theta)[:2]))
-    return best
+        np.divide(q, 2.0 * qa * k, out=roots[0])
+        np.divide(2.0 * qc, q * k, out=roots[1])
+        np.fmin(np.fmax(roots, 0.0, out=roots), 1.0, out=roots)
+        ad, bc, r_ad, r_bc = phi(theta)
+        slope = -0.5 * k * k * (roots / r_ad[2:] + (1.0 - roots) / r_bc[2:])
+        roots = np.fmin(np.fmax(roots - (ad[2:] - bc[2:]) / slope, 0.0), 1.0)
+        ends, low = np.minimum(ad[:2], bc[:2]), np.minimum(*phi(roots)[:2])
+    return np.maximum(np.maximum(np.maximum(ends[0], ends[1]), low[0]), low[1])
 
 
-def _lower_bound(obj, d, f, z, grad, rows):
+def _lower_bound(obj, d, f, z, grad, rows, low):
     """The lower bound on each row's minimum D from convexity at z, f* >=
     f(z) + min over the feasible set of grad f . (z' - z) (see the module);
-    -inf where a block's smaller eigenvalue, in closed form, is at or below
-    the floor of ``renyi``: the floored value is not convex there."""
+    -inf where a block's smaller eigenvalue ``low`` (n, 2), in closed form
+    as the kernel gives it, is at or below the floor of ``renyi``: the
+    floored value is not convex there."""
     bound = obj.lower_divergence(d, f, (grad * z).sum(axis=1) - _lmo(grad), rows)
-    return np.where(_sigma_eigs(z)[0][..., 0].min(axis=1) > DEFAULT_FLOOR, bound, -np.inf)
+    return np.where(low.min(axis=1) > DEFAULT_FLOOR, bound, -np.inf)
 
 
 def _polish(obj, z, d, f, grad, hess_f, rows, active, lam):
@@ -601,7 +639,7 @@ def _polish(obj, z, d, f, grad, hess_f, rows, active, lam):
     z, d, f, grad, hess_f = (x.copy() for x in (z, d, f, grad, hess_f))
     unmixed = z.copy()
     lam = lam * active
-    lb = _lower_bound(obj, d, f, z, grad, rows)
+    lb = _lower_bound(obj, d, f, z, grad, rows, _sigma_eigs(z)[0][..., 0])
     live = np.flatnonzero(d - lb > XSTATE_GAP)
     eps = np.finfo(float).eps
     k = len(CONES)
@@ -624,13 +662,15 @@ def _polish(obj, z, d, f, grad, hess_f, rows, active, lam):
                                               trial[:, 1] * trial[:, 2]), 0.0))
         trial[:, 4:] = np.clip(trial[:, 4:], -reach[:, None], reach[:, None])
         mixed = (1.0 - POLISH_MIXING) * trial + POLISH_MIXING * _START
-        d_t, f_t, g_t, h_t = obj(mixed, rows[live])
+        d_t, f_t, g_t, h_t, low_t = obj(mixed, rows[live])
         keep = valid & (d_t <= d[live] + 4.0 * eps * np.maximum(np.abs(d[live]), 1.0))
         at = live[keep]
-        z[at], d[at], f[at], grad[at], hess_f[at], unmixed[at], lam[at] = (
-            mixed[keep], d_t[keep], f_t[keep], g_t[keep], h_t[keep], trial[keep],
-            sol[keep, 5:])
-        lb[at] = np.maximum(lb[at], _lower_bound(obj, d[at], f[at], z[at], grad[at], rows[at]))
+        kept = [x[keep] for x in (mixed, d_t, f_t, g_t, h_t, trial, sol[:, 5:])]
+        for out, x in zip((z, d, f, grad, hess_f, unmixed, lam), kept):
+            out[at] = x
+        z_k, d_k, f_k, g_k = kept[:4]
+        lb[at] = np.maximum(lb[at], _lower_bound(obj, d_k, f_k, z_k, g_k, rows[at],
+                                                 low_t[keep]))
         live = at[d[at] - lb[at] > XSTATE_GAP]
     return unmixed, d, lb
 
@@ -682,7 +722,7 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
             at = c[done]
             z[at], d[at] = zp[done], dp[done]
             stop[at] = True
-        before[centered] = bar.slack[centered]
+        np.copyto(before, bar.slack, where=centered[:, None])
         grow = centered & ~stop & ~capped
         if grow.any():
             weight = t * obj.slope(f)
@@ -693,8 +733,9 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
             dz, lam2 = _newton(t, grad, bar, hess_f)
         phi = t * f + bar.value
 
-        # Armijo line search from the full step
-        new = [z.copy(), d.copy(), f.copy(), grad.copy(), hess_f.copy()]
+        # Armijo line search from the full step; a row's accepted point
+        # replaces its current one at once, which the halvings of the rows
+        # still searching do not read
         frac = np.ones(len(z))
         todo = np.flatnonzero(~stop)
         first = None
@@ -707,19 +748,19 @@ def solve_batch(rho_xs: list[np.ndarray], p: RenyiParameter):
             ok = np.flatnonzero(bar_t.ok)
             if ok.size:
                 at = todo[ok]
-                d_t, f_t, g_t, h_t = obj(trial[ok], rows[at])
-                good = t[at] * f_t + bar_t.value[ok] <= phi[at] - ARMIJO * frac[at] * lam2[at]
+                d_t, f_t, g_t, h_t, _ = obj(trial[ok], rows[at])
+                armijo = phi - ARMIJO * frac * lam2
+                good = t[at] * f_t + bar_t.value[ok] <= armijo[at]
                 acc = at[good]
-                for out, x in zip(new, (trial[ok], d_t, f_t, g_t, h_t)):
+                for out, x in zip((z, d, f, grad, hess_f), (trial[ok], d_t, f_t, g_t, h_t)):
                     out[acc] = x[good]
                 hit[ok[good]] = True
             if first is None:
                 first = bar_t if hit.all() and todo.size == len(z) else False
-            frac[todo[~hit]] *= 0.5
             todo = todo[~hit]
+            frac[todo] *= 0.5
         stalled = np.zeros(len(z), dtype=bool)
         stalled[todo] = True
-        z, d, f, grad, hess_f = new
         if stop.any():
             gone = rows[stop]
             for out, x in zip(record, (z, lb)):
@@ -755,6 +796,11 @@ def ree_batch(rhos: list[np.ndarray], p: RenyiParameter) -> list[REEResult | Non
     rhos = [np.asarray(rho, dtype=complex) for rho in rhos]
     for rho in rhos:
         _check_ree_args(rho, CUT_PAIR, p)
+    return _ree_batch(rhos, p)
+
+
+def _ree_batch(rhos: list[np.ndarray], p: RenyiParameter) -> list[REEResult | None]:
+    """``ree_batch`` of complex states that have passed ``_check_ree_args``."""
     frames = [x_frame(rho) for rho in rhos]
     found = [i for i, fr in enumerate(frames) if fr is not None]
     out: list[REEResult | None] = [None] * len(rhos)

@@ -226,6 +226,20 @@ class TestMonogamyShortcuts:
         with pytest.raises(ValueError, match=named):
             entscan.ree_batch([(rho, 0)], CUT_PAIR, p, QUICK)
 
+    @pytest.mark.parametrize("make", [ghz, w, star])
+    def test_each_state_is_validated_once(self, monkeypatch, make):
+        # E(1:23) and both pairs: one check each, whichever path they take
+        calls = []
+        real = sepstates.validate_density
+
+        def counting(rho):
+            calls.append(rho.shape)
+            return real(rho)
+
+        monkeypatch.setattr(sepstates, "validate_density", counting)
+        monogamy(projector(make()), RenyiParameter(1.5, "trad"), QUICK)
+        assert calls == [(8, 8), (4, 4), (4, 4)]
+
     def test_swapped_pairs_agree(self):
         rho = chiral_state()
         p = RenyiParameter(2.0, "sand")
@@ -253,11 +267,12 @@ class TestMonogamyShortcuts:
                 (kron(random_density_matrix(4, 4, 8), zero), 2),
                 (projector(w()), 3)]
         calls = []
-        for module in (entscan.xstate, sepstates):
-            def counting(states, *args, real=module.ree_batch, module=module):
+        # exact_batch runs the xstate batch without its public checks
+        for module, name in ((entscan.xstate, "_ree_batch"), (sepstates, "ree_batch")):
+            def counting(states, *args, real=getattr(module, name), module=module):
                 calls.append((module.__name__, len(states)))
                 return real(states, *args)
-            monkeypatch.setattr(module, "ree_batch", counting)
+            monkeypatch.setattr(module, name, counting)
         got = entscan.monogamy_batch(jobs, p, QUICK)
         # one descent batch per cut (the mixed points' E(1:23), then their
         # E(1:2)) and one xstate batch for every pair not ppt

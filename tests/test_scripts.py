@@ -51,7 +51,8 @@ def test_parity_dump(monkeypatch, capsys):
     assert sum(ln.startswith("oracle ") for ln in lines) == 27
     assert re.fullmatch(r"accuracy pairs=\d+ min=\S+ median=\S+ max=\S+ "
                         r"converged_above_1e-06=\d+ uncertified=\d+ "
-                        r"xstate_iterations=\d+ widest_gap=\S+", lines[-2])
+                        r"xstate_iterations=\d+ widest_gap=\S+ "
+                        r"xstate_evaluations=\d+", lines[-2])
     # library ree on the 15 zoo points: E(1:23) and both pairs each
     assert re.fullmatch(r"totals descents=45 restarts=45 iterations=\d+ "
                         r"evaluations=\d+ unconverged=\d+ lockstep=\d+",

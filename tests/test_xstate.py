@@ -219,7 +219,7 @@ class TestKernel:
             pytest.skip("renyi's sandwiched Gram eigenvalue below the floor")
         rho = xstate.x_sigma(np.array([KERNEL_RHOS[rho_name]]))[0].astype(complex)
         sigma = xstate.x_sigma(np.array([KERNEL_SIGMAS[sigma_name]]))
-        d, grad, _ = kernel_at(KERNEL_RHOS[rho_name], KERNEL_SIGMAS[sigma_name], p)
+        d, grad, _, _ = kernel_at(KERNEL_RHOS[rho_name], KERNEL_SIGMAS[sigma_name], p)
         ws, vs = np.linalg.eigh(sigma)
         div = Divergence(rho, p)
         g = div.sigma_grad(ws, vs)[0].real
@@ -240,7 +240,7 @@ class TestKernel:
                                                  -math.sqrt(0.0225 - 3e-7)])
         small = xstate._sigma_eigs(np.array([sigma_z]))[0][0, :, 0].min()
         step = 1e-4 * min(small, 1e-2)
-        _, _, hess = kernel_at(KERNEL_RHOS[rho_name], sigma_z, p)
+        _, _, hess, _ = kernel_at(KERNEL_RHOS[rho_name], sigma_z, p)
         diff = np.empty((6, 6))
         for j in range(6):
             e = np.zeros(6)
@@ -250,16 +250,30 @@ class TestKernel:
             diff[j] = (up - down) / (2 * step)
         assert np.abs(diff - hess[0]).max() <= 1e-6 * np.abs(hess[0]).max()
 
-    def test_batch_rows_keep_their_own_state(self):
+    @pytest.mark.parametrize("p", ZOO_PARAMS, ids=str)
+    def test_batch_rows_keep_their_own_state(self, p):
+        # each row of a batch gets the bits it gets alone from the kernel,
+        # the objective, the lower bound and the linear minimum.  The middle
+        # row is at I/4, where each block's two eigenvalues are equal and
+        # the divided differences take their masked branch, which must not
+        # reach the rows beside it
         rhos = [xstate.x_sigma(np.array([z]))[0] for z in KERNEL_RHOS.values()]
-        sigma = np.array([KERNEL_SIGMAS["interior"]] * 3)
-        for p in (RenyiParameter(1.0), RenyiParameter(0.5, "sand")):
-            both = xstate._Kernel(rhos, p).divergence(sigma, np.array([2, 0, 1]))
-            for row, state in enumerate((2, 0, 1)):
-                alone = xstate._Kernel([rhos[state]], p).divergence(
-                    sigma[:1], np.array([0]))
-                for got, want in zip(both, alone):
-                    assert np.array_equal(got[row], want[0])
+        sigma = np.array([KERNEL_SIGMAS[name] for name in ("interior", "start", "ppt")])
+        states = np.array([2, 0, 1])
+        obj = xstate._Kernel(rhos, p)
+        both = obj(sigma, states)
+        d, f, grad, _, low = both
+        bound = xstate._lower_bound(obj, d, f, sigma, grad, states, low)
+        lmo = xstate._lmo(grad)
+        for row, state in enumerate(states):
+            one, at = xstate._Kernel([rhos[state]], p), np.array([0])
+            alone = one(sigma[row:row + 1], at)
+            for got, want in zip(both, alone):
+                assert np.array_equal(got[row], want[0])
+            d1, f1, grad1, _, low1 = alone
+            assert np.array_equal(bound[row:row + 1], xstate._lower_bound(
+                one, d1, f1, sigma[row:row + 1], grad1, at, low1))
+            assert np.array_equal(lmo[row:row + 1], xstate._lmo(grad1))
 
 
 # the Newton iterations of the solves of W's and star's two pairs at the
@@ -361,8 +375,8 @@ class TestUncertifiedPairsDescend:
         assert res.value <= 0.022756507375067236
 
     def test_uncertified_results_are_dropped(self, monkeypatch):
-        real = xstate.ree_batch
-        monkeypatch.setattr(xstate, "ree_batch", lambda rhos, p: [
+        real = xstate._ree_batch
+        monkeypatch.setattr(xstate, "_ree_batch", lambda rhos, p: [
             None if r is None else replace(r, converged=False) for r in real(rhos, p)])
         p = RenyiParameter(1.0)
         assert exact_batch([pair(star(), (0, 1))], CUT_PAIR, p) == [None]
@@ -382,7 +396,19 @@ def test_linear_minimum_matches_a_search_of_the_feasible_set():
     cs = rng.standard_normal((40, 6)) * rng.choice([1e-2, 1.0, 1e2], size=(40, 1))
     cs[:5, 4:] = 0.0                         # no coherence term
     cs[5:10, 3] = cs[5:10, 0]                # equal weights on a and d
+    degenerate = np.array([
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],      # k = 0: both roots 0 / 0
+        [0.0] * 6,                           # c = 0
+        [1.5, 0.2, 0.0, 0.5, 1.0, 0.8],      # |delta| = k: qa = 0, a root q / 0
+        [1.0, 0.0, 0.0, 1.0, 1.0, 1.0],      # qa = qb = 0: both roots 0 / 0
+        [1.0, 2.0, 3.0, 4.0, 0.0, 0.0],      # k = delta = 0
+    ])
+    scaled = rng.standard_normal((10, 6)) * np.repeat([1e-8, 1e4], 5)[:, None]
+    cs = np.concatenate([cs, degenerate, scaled])
+    # the roots' divisions by zero are expected and must stay silent:
+    # pytest turns a RuntimeWarning into an error
     lmo = xstate._lmo(cs)
+    assert np.isfinite(lmo).all()
     for c, low in zip(cs, lmo):
         searched = (grid @ c[:4] - (abs(c[4]) + abs(c[5])) * reach).min()
         assert low <= searched + 1e-12 * np.abs(c).max()
